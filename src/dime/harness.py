@@ -14,19 +14,20 @@ K budgeted runs that share a persisted redundancy log.  Per run it reports:
 
 Ground truth for 2-3 is the referee's view: every address covered by a
 committed log entry in any run so far, updated live while the run executes.
+It is kept as the same per-image interval union the redundancy log uses.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
 from . import redundancy
 from .budget import BudgetState
 from .executor import ConfigError, ExecutionOutcome, RunConfig, native_run, run
-from .redundancy import LogEntry, LogStore, STRATEGIES
+from .redundancy import LogEntry, LogStore, STRATEGIES, _Intervals
 from .tools import make_tool
 
 FP = "FP"
@@ -36,22 +37,22 @@ TRUE_REJECT = "true-reject"
 
 
 class GroundTruth:
-    """Addresses ever analyzed in the campaign (union of committed intervals)."""
+    """Addresses ever analyzed in the campaign: per image, the union of the
+    committed intervals, coalesced as under the ``merger`` log strategy."""
 
     def __init__(self):
-        self.analyzed: set[tuple[str, int]] = set()
+        self.analyzed: defaultdict[str, _Intervals] = defaultdict(_Intervals)
 
     def add_entry(self, entry: LogEntry) -> None:
-        self.analyzed.update((entry.image, a)
-                             for a in range(entry.rel_addr, entry.rel_addr + entry.length))
+        self.analyzed[entry.image].add(entry.rel_addr, entry.rel_addr + entry.length)
 
     def overlap(self, entry: LogEntry) -> bool:
-        return any((entry.image, a) in self.analyzed
-                   for a in range(entry.rel_addr, entry.rel_addr + entry.length))
+        return self.analyzed[entry.image].overlaps(entry.rel_addr,
+                                                   entry.rel_addr + entry.length)
 
     def contains_all(self, entry: LogEntry) -> bool:
-        return all((entry.image, a) in self.analyzed
-                   for a in range(entry.rel_addr, entry.rel_addr + entry.length))
+        return self.analyzed[entry.image].covers(entry.rel_addr,
+                                                 entry.rel_addr + entry.length)
 
 
 def classify(permitted: bool, candidate: LogEntry, ground_truth: GroundTruth) -> str:
@@ -186,6 +187,31 @@ def _config_echo(config: RunConfig, runs: int) -> dict:
     }
 
 
+def _open_log(config: RunConfig, resume: bool = False, fresh: bool = False) -> LogStore:
+    """Validate the log settings and return the log a run starts from.
+
+    A new store for the ``none`` strategy, when `fresh`, or when the file is
+    missing (an error under `resume`); otherwise the file's contents, which
+    must hold the configured strategy.
+    """
+    strategy = config.log_strategy
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown log strategy {strategy!r}")
+    if strategy != "none" and config.log_path is None:
+        raise ConfigError("log strategy requires a log file path")
+    if strategy == "none" or fresh:
+        return LogStore(strategy)
+    if not os.path.exists(config.log_path):
+        if resume:
+            raise ConfigError(f"--resume given but log file {config.log_path} is missing")
+        return LogStore(strategy)
+    log = redundancy.load(config.log_path)
+    if log.strategy != strategy:
+        raise ConfigError(f"log file {config.log_path} holds strategy {log.strategy!r}, "
+                          f"expected {strategy!r}")
+    return log
+
+
 def single_run(config: RunConfig, resume: bool = False,
                ground_truth: GroundTruth | None = None,
                run_index: int = 1) -> tuple[RunReport, ExecutionOutcome, LogStore]:
@@ -194,25 +220,7 @@ def single_run(config: RunConfig, resume: bool = False,
     Without a shared GroundTruth, FP/FN are scored against this run's own
     commits only; the campaign driver supplies the cross-run referee state.
     """
-    strategy = config.log_strategy
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown log strategy {strategy!r}")
-    if strategy != "none":
-        if config.log_path is None:
-            raise ConfigError("log strategy requires a log file path")
-        if os.path.exists(config.log_path):
-            log = redundancy.load(config.log_path)
-            if log.strategy != strategy:
-                raise ConfigError(
-                    f"log file {config.log_path} holds strategy {log.strategy!r}, "
-                    f"expected {strategy!r}")
-        elif resume:
-            raise ConfigError(f"--resume given but log file {config.log_path} is missing")
-        else:
-            log = LogStore(strategy)
-    else:
-        log = LogStore("none")
-
+    log = _open_log(config, resume=resume)
     oracle = run_oracle(config)
     gt = ground_truth if ground_truth is not None else GroundTruth()
     observer = MetricsObserver(gt)
@@ -220,7 +228,7 @@ def single_run(config: RunConfig, resume: bool = False,
     tool = make_tool(config.tool)
     outcome = run(config, log, budget, tool,
                   rng_seed=config.seed + run_index, observer=observer)
-    if strategy != "none":
+    if config.log_strategy != "none":
         log.finalize_and_save(config.log_path)
     report = _make_report(run_index, frozenset(outcome.tool_output), oracle,
                           outcome, observer)
@@ -258,32 +266,21 @@ def run_campaign(config: RunConfig, runs: int) -> CampaignResult:
     """
     if runs < 1:
         raise ConfigError("a campaign needs at least one run")
-    strategy = config.log_strategy
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown log strategy {strategy!r}")
-    if strategy != "none" and config.log_path is None:
-        raise ConfigError("log strategy requires a log file path")
-
+    log = _open_log(config, fresh=True)
     oracle = run_oracle(config)
     ground_truth = GroundTruth()
     cumulative: set = set()
     reports = []
     outcomes = []
     for k in range(1, runs + 1):
-        if strategy == "none" or k == 1:
-            log = LogStore(strategy)
-        else:
-            log = redundancy.load(config.log_path)
-            if log.strategy != strategy:
-                raise ConfigError(
-                    f"log file {config.log_path} holds strategy {log.strategy!r}, "
-                    f"expected {strategy!r}")
+        if k > 1:
+            log = _open_log(config)
         observer = MetricsObserver(ground_truth)
         budget = config.make_budget()
         tool = make_tool(config.tool)
         outcome = run(config, log, budget, tool, rng_seed=config.seed + k,
                       observer=observer)
-        if strategy != "none":
+        if config.log_strategy != "none":
             log.finalize_and_save(config.log_path)
         cumulative |= set(outcome.tool_output)
         reports.append(_make_report(k, frozenset(cumulative), oracle, outcome, observer))

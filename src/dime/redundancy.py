@@ -13,6 +13,10 @@ permission:
   contained in a single logged interval (its end must fall strictly inside).
 * ``none``   - permits everything and persists nothing.
 
+``bst`` and ``merger`` answer from one per-image union of the committed
+intervals (``_Intervals``), as does the campaign's ground truth; ``bst`` keeps
+its raw entries too, as its persisted form.
+
 The persisted file is line-oriented, sorted, and byte-deterministic:
 ``# dime-log v1 strategy=<s>`` then ``image,rel`` (hash) or
 ``image,rel,length`` (bst/merger) per line.
@@ -20,8 +24,12 @@ The persisted file is line-oriented, sorted, and byte-deterministic:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+import os
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from typing import Iterator, NamedTuple
+
+from .program import _NAME_RE
 
 STRATEGIES = ("hash", "bst", "merger", "none")
 _FILE_HEADER = "# dime-log v1 strategy="
@@ -37,11 +45,56 @@ class LogFormatError(ValueError):
     """Persisted log file does not match the expected schema."""
 
 
+class _Intervals:
+    """Union of address ranges [lo, hi) on one image, as sorted intervals with
+    a gap between neighbours: `add` coalesces every interval the new range
+    overlaps or touches.  So `ends` is sorted too, and a range lies in the
+    union iff one interval holds it.  Empty ranges overlap nothing and are
+    always covered."""
+
+    __slots__ = ("starts", "ends")
+
+    def __init__(self):
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+
+    def add(self, lo: int, hi: int) -> None:
+        if lo >= hi:
+            return
+        starts, ends = self.starts, self.ends
+        i = bisect_left(ends, lo)       # first interval ending at or after lo
+        j = bisect_right(starts, hi)    # past the last one starting at or before hi
+        if i < j:
+            lo, hi = min(lo, starts[i]), max(hi, ends[j - 1])
+        starts[i:j] = [lo]
+        ends[i:j] = [hi]
+
+    def end_at(self, addr: int) -> int:
+        """End of the interval holding `addr`, or `addr` itself when none
+        does: the first address from `addr` on that is not in the union."""
+        i = bisect_right(self.starts, addr) - 1
+        return max(addr, self.ends[i]) if i >= 0 else addr
+
+    def holds(self, addr: int) -> bool:
+        return self.end_at(addr) > addr
+
+    def overlaps(self, lo: int, hi: int) -> bool:
+        """Whether any address in [lo, hi) is in the union."""
+        i = bisect_left(self.starts, hi) - 1    # last interval starting below hi
+        return lo < hi and i >= 0 and self.ends[i] > lo
+
+    def covers(self, lo: int, hi: int) -> bool:
+        """Whether every address in [lo, hi) is in the union."""
+        return self.end_at(lo) >= hi
+
+
 class LogStore:
     """Instrumented-region log under one of the strategies above.
 
-    Interval state is kept per image: a set of start addresses for ``hash``,
-    a sorted list of starts plus a start->length map for ``bst``/``merger``.
+    State is kept per image: a set of start addresses for ``hash``; for
+    ``bst`` and ``merger`` an `_Intervals` union of everything committed,
+    which answers every permit, plus, for ``bst`` only, the start->longest
+    length map that `finalize` merges and `save` writes.
     """
 
     def __init__(self, strategy: str):
@@ -49,13 +102,8 @@ class LogStore:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
         self._addrs: dict[str, set[int]] = {}
-        self._starts: dict[str, list[int]] = {}
         self._lengths: dict[str, dict[int, int]] = {}
-        # bst containment needs "does any entry with start <= a cover a";
-        # entries may overlap, so keep a prefix max of interval ends,
-        # rebuilt lazily after commits.
-        self._prefix_end: dict[str, list[int]] = {}
-        self._stale: set[str] = set()
+        self._union: defaultdict[str, _Intervals] = defaultdict(_Intervals)
 
     # -- queries ------------------------------------------------------------
 
@@ -68,36 +116,12 @@ class LogStore:
             return True
         if self.strategy == "hash":
             return rel_addr not in self._addrs.get(image, ())
-        starts = self._starts.get(image)
-        if not starts:
-            return True
+        union = self._union[image]
         if self.strategy == "bst":
-            # reject iff exists B: B.start <= rel_addr < B.start + B.length
-            i = bisect_right(starts, rel_addr)
-            if i == 0:
-                return True
-            prefix = self._prefix(image)
-            return prefix[i - 1] <= rel_addr
-        # merger: entries are disjoint, so only the greatest start <= rel_addr
-        # can strictly contain the candidate.
-        i = bisect_right(starts, rel_addr)
-        if i == 0:
-            return True
-        start = starts[i - 1]
-        end = start + self._lengths[image][start]
-        return not (rel_addr < end and rel_addr + length < end)
-
-    def covered(self, image: str, rel_addr: int) -> bool:
-        """Whether an address lies inside any logged interval (hash: exact key)."""
-        if self.strategy == "hash":
-            return rel_addr in self._addrs.get(image, ())
-        starts = self._starts.get(image)
-        if not starts:
-            return False
-        i = bisect_right(starts, rel_addr)
-        if i == 0:
-            return False
-        return self._prefix(image)[i - 1] > rel_addr
+            return not union.holds(rel_addr)
+        # merger: reject only when the candidate ends strictly inside the
+        # interval holding its start
+        return rel_addr + length >= union.end_at(rel_addr)
 
     def entries(self) -> Iterator[LogEntry]:
         """All entries sorted by (image, rel_addr); hash entries have length 0."""
@@ -105,30 +129,21 @@ class LogStore:
             for image in sorted(self._addrs):
                 for addr in sorted(self._addrs[image]):
                     yield LogEntry(image, addr, 0)
+        elif self.strategy == "bst":
+            for image, lengths in sorted(self._lengths.items()):
+                for start in sorted(lengths):
+                    yield LogEntry(image, start, lengths[start])
         else:
-            for image in sorted(self._starts):
-                for start in self._starts[image]:
-                    yield LogEntry(image, start, self._lengths[image][start])
+            for image, union in sorted(self._union.items()):
+                for start, end in zip(union.starts, union.ends):
+                    yield LogEntry(image, start, end - start)
 
     def __len__(self) -> int:
-        if self.strategy == "hash":
-            return sum(len(s) for s in self._addrs.values())
-        return sum(len(s) for s in self._starts.values())
+        return sum(1 for _ in self.entries())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LogStore) and self.strategy == other.strategy
                 and list(self.entries()) == list(other.entries()))
-
-    def _prefix(self, image: str) -> list[int]:
-        if image in self._stale:
-            ends = []
-            running = 0
-            for start in self._starts[image]:
-                running = max(running, start + self._lengths[image][start])
-                ends.append(running)
-            self._prefix_end[image] = ends
-            self._stale.discard(image)
-        return self._prefix_end[image]
 
     # -- updates ------------------------------------------------------------
 
@@ -143,55 +158,33 @@ class LogStore:
         if self.strategy == "hash":
             self._addrs.setdefault(entry.image, set()).add(entry.rel_addr)
             return
-        starts = self._starts.setdefault(entry.image, [])
-        lengths = self._lengths.setdefault(entry.image, {})
-        self._stale.add(entry.image)
+        self._union[entry.image].add(entry.rel_addr, entry.rel_addr + entry.length)
         if self.strategy == "bst":
-            if entry.rel_addr in lengths:
-                lengths[entry.rel_addr] = max(lengths[entry.rel_addr], entry.length)
-            else:
-                insort(starts, entry.rel_addr)
-                lengths[entry.rel_addr] = entry.length
-            return
-        # merger: swallow every neighbour the new interval overlaps or touches
-        lo, hi = entry.rel_addr, entry.rel_addr + entry.length
-        i = bisect_left(starts, lo)
-        if i > 0 and starts[i - 1] + lengths[starts[i - 1]] >= lo:
-            i -= 1
-        j = i
-        while j < len(starts) and starts[j] <= hi:
-            s = starts[j]
-            lo = min(lo, s)
-            hi = max(hi, s + lengths[s])
-            del lengths[s]
-            j += 1
-        del starts[i:j]
-        insort(starts, lo)
-        lengths[lo] = hi - lo
+            lengths = self._lengths.setdefault(entry.image, {})
+            lengths[entry.rel_addr] = max(lengths.get(entry.rel_addr, 0), entry.length)
 
     def finalize(self) -> None:
-        """Post-run transform; under bst, merge directly consecutive entries."""
+        """Post-run transform; under bst, merge directly consecutive entries.
+        Merged entries meet end to start, so no permit answer changes."""
         if self.strategy != "bst":
             return
-        for image, starts in self._starts.items():
-            lengths = self._lengths[image]
-            merged_starts: list[int] = []
-            merged_lengths: dict[int, int] = {}
-            for start in starts:
-                if merged_starts:
-                    last = merged_starts[-1]
-                    if last + merged_lengths[last] == start:
-                        merged_lengths[last] += lengths[start]
-                        continue
-                merged_starts.append(start)
-                merged_lengths[start] = lengths[start]
-            self._starts[image] = merged_starts
-            self._lengths[image] = merged_lengths
-            self._stale.add(image)
+        for image, lengths in self._lengths.items():
+            merged: dict[int, int] = {}
+            last = None
+            for start in sorted(lengths):
+                if last is not None and last + merged[last] == start:
+                    merged[last] += lengths[start]
+                else:
+                    merged[start] = lengths[start]
+                    last = start
+            self._lengths[image] = merged
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the log to `path`, atomically: the text goes to a temporary
+        file beside it, which then replaces `path`.  A failure mid-write
+        leaves the old file as it was and removes the temporary one."""
         if self.strategy == "none":
             raise ValueError("the 'none' strategy has no persistent form")
         lines = [f"{_FILE_HEADER}{self.strategy}"]
@@ -200,8 +193,14 @@ class LogStore:
                 lines.append(f"{entry.image},{entry.rel_addr}")
             else:
                 lines.append(f"{entry.image},{entry.rel_addr},{entry.length}")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        tmp = f"{os.fspath(path)}.tmp"
+        try:
+            with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     def finalize_and_save(self, path) -> None:
         self.finalize()
@@ -210,8 +209,11 @@ class LogStore:
 
 def load(path) -> LogStore:
     """Read a persisted log; the header names the strategy."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise LogFormatError(f"{path}: not an ASCII dime log") from None
     if not lines or not lines[0].startswith(_FILE_HEADER):
         raise LogFormatError(f"{path}: missing dime-log header")
     strategy = lines[0][len(_FILE_HEADER):]
@@ -225,6 +227,8 @@ def load(path) -> LogStore:
         fields = line.split(",")
         if len(fields) != want:
             raise LogFormatError(f"{path}:{lineno}: expected {want} fields, got {len(fields)}")
+        if not _NAME_RE.match(fields[0]):
+            raise LogFormatError(f"{path}:{lineno}: bad image name {fields[0]!r}")
         try:
             rel = int(fields[1])
             length = int(fields[2]) if want == 3 else 1

@@ -42,6 +42,17 @@ def test_run_resume_missing_log_is_config_error(program_file, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [b"main,1\xff00\n", b"9main,100\n"])
+def test_run_resume_on_corrupt_log_is_config_error(program_file, tmp_path, capsys, line):
+    log = tmp_path / "run.log"
+    log.write_bytes(b"# dime-log v1 strategy=hash\n" + line)
+    code = main(["run", *run_flags(program_file, tmp_path), "--resume"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dime: config error:")
+    assert str(log) in err
+
+
 def test_campaign_and_report_roundtrip(program_file, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(["campaign", *run_flags(program_file, tmp_path),

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dime import (ConfigError, GroundTruth, LogEntry, LogStore, MetricsObserver,
                   RunConfig, classify, emit_report, parse_program, run_campaign,
@@ -44,6 +45,29 @@ def test_classify_reject_with_unanalyzed_portion_is_fn():
 def test_classify_reject_fully_analyzed_is_clean():
     gt = gt_over("m", 100, 200)
     assert classify(False, LogEntry("m", 120, 30), gt) == TRUE_REJECT
+
+
+def spans(images):
+    return st.tuples(st.sampled_from(images), st.integers(min_value=0, max_value=200),
+                     st.integers(min_value=0, max_value=30))
+
+
+@settings(max_examples=200)
+@given(commits=st.lists(spans("ab"), max_size=40),
+       queries=st.lists(spans("abc"), min_size=1, max_size=20))
+def test_ground_truth_matches_per_address_set(commits, queries):
+    # Reference: the set of every analyzed (image, address).  Lengths of 0
+    # and an image never committed are in range too.
+    gt = GroundTruth()
+    analyzed: set[tuple[str, int]] = set()
+    for image, rel, length in commits:
+        gt.add_entry(LogEntry(image, rel, length))
+        analyzed.update((image, a) for a in range(rel, rel + length))
+        for q_image, q_rel, q_length in queries:
+            addrs = {(q_image, a) for a in range(q_rel, q_rel + q_length)}
+            candidate = LogEntry(q_image, q_rel, q_length)
+            assert gt.overlap(candidate) == bool(addrs & analyzed)
+            assert gt.contains_all(candidate) == (addrs <= analyzed)
 
 
 def test_observer_ratios_empty_run_are_zero():

@@ -1,9 +1,10 @@
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import LogEntry, LogFormatError, LogStore, load
+from dime import LogEntry, LogFormatError, LogStore, load, redundancy
 
 
 def store_with(strategy, *entries):
@@ -177,6 +178,54 @@ def test_load_rejects_corrupt_line(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("body", [b"main,1\xff00,20\n", "m\u00e9,100,20\n".encode()])
+def test_load_rejects_non_ascii_bytes(tmp_path, body):
+    path = tmp_path / "log"
+    path.write_bytes(b"# dime-log v1 strategy=bst\n" + body)
+    with pytest.raises(LogFormatError, match="not an ASCII") as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["", "9lib", "ma-in", "a b"])
+def test_load_rejects_image_name_outside_program_grammar(tmp_path, name):
+    path = tmp_path / "log"
+    path.write_text(f"# dime-log v1 strategy=bst\nmain,1,2\n{name},100,20\n")
+    with pytest.raises(LogFormatError, match=":3: bad image name"):
+        load(path)
+
+
+def test_failed_save_keeps_old_log_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "log"
+    store_with("bst", ("m", 100, 50)).save(path)
+    old = path.read_bytes()
+
+    class TornWrite:
+        """A file whose write stores half the text, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    monkeypatch.setattr(redundancy, "open",
+                        lambda *args, **kwargs: TornWrite(open(*args, **kwargs)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        store_with("bst", ("m", 7, 3), ("n", 1, 9)).save(path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["log"]
+
+
 def test_none_strategy_has_no_file_form(tmp_path):
     with pytest.raises(ValueError):
         LogStore("none").save(tmp_path / "log")
@@ -209,6 +258,28 @@ def test_bst_permit_matches_linear_scan(logged, candidate):
                     for b_rel, b_len in {e.rel_addr: e.length
                                          for e in store.entries()}.items())
     assert store.permit("m", rel, length) == (not contained)
+
+
+@settings(max_examples=200)
+@given(logged=st.lists(intervals, max_size=60), candidate=intervals)
+def test_merger_permit_matches_strict_containment_scan(logged, candidate):
+    store = LogStore("merger")
+    for rel, length in logged:
+        store.commit(LogEntry("m", rel, length))
+    rel, length = candidate
+    strictly_inside = any(e.rel_addr <= rel and rel + length < e.rel_addr + e.length
+                          for e in store.entries())
+    assert store.permit("m", rel, length) == (not strictly_inside)
+
+
+@given(logged=st.lists(intervals, max_size=60))
+def test_bst_finalize_changes_no_permit_answer(logged):
+    store = LogStore("bst")
+    for rel, length in logged:
+        store.commit(LogEntry("m", rel, length))
+    before = [store.permit("m", a, 1) for a in range(350)]
+    store.finalize()
+    assert [store.permit("m", a, 1) for a in range(350)] == before
 
 
 @given(commits=st.lists(intervals, min_size=1, max_size=60))
