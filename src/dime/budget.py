@@ -26,7 +26,10 @@ class BudgetState:
     period_index: int = 0
     t_ins_this_period: float = 0
     overshoot_log: list[tuple[float, float]] = field(default_factory=list)
-    period_history: list[float] = field(default_factory=list)  # t_ins of closed periods
+    # t_ins of the closed periods, run-length encoded: run i is
+    # _run_periods[i] consecutive periods that each had t_ins _run_loads[i]
+    _run_loads: list[float] = field(default_factory=list, repr=False)
+    _run_periods: list[int] = field(default_factory=list, repr=False)
     _last_now: float = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -44,11 +47,38 @@ class BudgetState:
         if now < self._last_now:
             raise BudgetContractError(f"clock moved backwards: {now} < {self._last_now}")
         self._last_now = now
-        while now >= (self.period_index + 1) * self.period:
-            self.period_history.append(self.t_ins_this_period)
-            self.period_index += 1
-            self.remaining = self.budget
-            self.t_ins_this_period = 0
+        first = self.period_index + 1
+        if now < first * self.period:
+            return
+        # The open period becomes the first k >= `first` with now < (k+1)*T.
+        # Floor division guesses k; the boundary test corrects the guess, so
+        # a float T crosses boundaries exactly as stepping one period at a
+        # time would.  Every period closed after the first one is empty.
+        k = max(first, int(now // self.period))
+        while now >= (k + 1) * self.period:
+            k += 1
+        while k > first and now < k * self.period:
+            k -= 1
+        self._close(self.t_ins_this_period, 1)
+        self._close(0, k - first)
+        self.period_index = k
+        self.remaining = self.budget
+        self.t_ins_this_period = 0
+
+    def _close(self, load: float, periods: int) -> None:
+        if not periods:
+            return
+        if self._run_loads and self._run_loads[-1] == load:
+            self._run_periods[-1] += periods
+        else:
+            self._run_loads.append(load)
+            self._run_periods.append(periods)
+
+    @property
+    def period_history(self) -> list[float]:
+        """t_ins of every closed period, in order."""
+        return [load for load, periods in zip(self._run_loads, self._run_periods)
+                for _ in range(periods)]
 
     def check(self, now: float) -> int:
         """Advance past any period boundaries <= now, then report 1 iff budget remains."""

@@ -16,13 +16,18 @@ passes, the call completes even if it spends the budget past zero.
 When execution leaves an instrumented trace (fall-through, taken exit,
 version switch, or halt), the portion from the trace start through the last
 instruction whose analysis call executed is committed to the log.
+
+A compiled trace is executed from its body, in which each maximal run of ops
+holding no instrumentation point is one item: ops touch no guest state, so
+the run adds its length to the step count and its summed cost to the clock
+in one step.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .budget import BudgetState, V_BASE, V_INSTRUMENT
 from .program import (AddressError, CONTROL_TRANSFERS, Program, TERMINATORS,
@@ -48,6 +53,13 @@ class TraceDescriptor:
     length: int
     version: int
     points: tuple[int, ...]  # instrumentation-point offsets within the trace
+    # The compiled body, in order: (offset, image-relative address, is a
+    # point, steps, cost) per instruction, except that each maximal run of
+    # ops holding no point is one item (offset, None, False, its length, its
+    # summed cost).  Items hold numbers only, so the garbage collector stops
+    # tracking them and cached traces add little to its full scans.
+    # The body follows from the fields above, so it takes no part in equality.
+    body: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -102,7 +114,7 @@ def _validate(config: RunConfig, tool) -> None:
 def form_trace(program: Program, entry: int, version: int = V_INSTRUMENT,
                max_len: int = 16, cached_entries=frozenset(),
                granularity: str = "ctrl") -> TraceDescriptor:
-    """Walk from `entry` to the trace end.
+    """Walk from `entry` to the trace end, compiling the body as it goes.
 
     The trace closes at the first jmp/call/ret/halt (inclusive), at max_len,
     at the image end, or just before the entry point of an already-cached
@@ -113,23 +125,33 @@ def form_trace(program: Program, entry: int, version: int = V_INSTRUMENT,
         raise ConfigError("max trace length must be >= 1")
     _, image_name, rel = program.resolve(entry)
     img = program.image(image_name)
+    instructions = img.instructions
+    limit = min(max_len, len(instructions) - rel)  # max_len or the image end
+    every = granularity == "all"
+    points: list[int] = []
+    body: list[tuple] = []
+    ops = cost = 0  # the open run of ops, which hold no point
     length = 0
-    addr = entry
     while True:
-        ins = img.instructions[addr - img.base]
+        ins = instructions[rel + length]
+        kind = ins.kind
+        if kind == OP and not every:
+            ops += 1
+            cost += ins.cost
+        else:
+            if ops:
+                body.append((length - ops, None, False, ops, cost))
+                ops = cost = 0
+            point = every or kind in CONTROL_TRANSFERS
+            if point:
+                points.append(length)
+            body.append((length, rel + length, point, 1, ins.cost))
         length += 1
-        if ins.kind in TERMINATORS or length == max_len:
+        if kind in TERMINATORS or length == limit or entry + length in cached_entries:
             break
-        nxt = addr + 1
-        if nxt >= img.end or nxt in cached_entries:
-            break
-        addr = nxt
-    if granularity == "all":
-        points = tuple(range(length))
-    else:
-        points = tuple(off for off in range(length)
-                       if img.instructions[rel + off].kind in CONTROL_TRANSFERS)
-    return TraceDescriptor(image_name, rel, length, version, points)
+    if ops:
+        body.append((length - ops, None, False, ops, cost))
+    return TraceDescriptor(image_name, rel, length, version, tuple(points), tuple(body))
 
 
 class _GuestState:
@@ -174,8 +196,9 @@ class _GuestState:
 @dataclass
 class _Compiled:
     desc: TraceDescriptor
-    points: frozenset
     analysis: bool  # analysis calls attached (V_INSTRUMENT and log permitted)
+    instructions: tuple  # of the trace's image, which the body indexes
+    committed: int = 0  # longest prefix committed from this trace in this run
 
 
 @dataclass(frozen=True)
@@ -185,25 +208,53 @@ class NativeOutcome:
     addr_path: tuple | None = None
 
 
+def _native_block(program: Program, pc: int) -> tuple:
+    """(steps, cost, last) of the straight run from `pc`: its leading ops and
+    the instruction `last` that ends them, or the ops alone, with `last`
+    None, when they reach the end of their image."""
+    img = program.image_of(pc)
+    if img is None:
+        raise GuestError(f"address {pc} outside every image")
+    instructions = img.instructions
+    start = i = pc - img.base
+    cost = 0
+    while i < len(instructions):
+        ins = instructions[i]
+        cost += ins.cost
+        i += 1
+        if ins.kind != OP:
+            return i - start, cost, ins
+    return i - start, cost, None
+
+
 def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
                capture_path: bool = False) -> NativeOutcome:
-    """Run the guest with no instrumentation at all: pure guest cost."""
+    """Run the guest with no instrumentation at all: pure guest cost.
+
+    Straight runs are looked up once and then cached by start address, so
+    each later visit executes its ops in one step.
+    """
     guest = _GuestState(program, seed)
+    blocks: dict[int, tuple] = {}
     pc = program.entry
     t = 0
     steps = 0
     path = [] if capture_path else None
     while True:
-        ins = program.instruction_at(pc)
-        if ins is None:
-            raise GuestError(f"address {pc} outside every image")
-        steps += 1
+        block = blocks.get(pc)
+        if block is None:
+            block = blocks[pc] = _native_block(program, pc)
+        n, cost, last = block
+        steps += n
         if steps > max_steps:
             raise GuestError("step limit exceeded")
         if path is not None:
-            path.append(pc)
-        t += ins.cost
-        nxt, _ = guest.step(ins)
+            path.extend(range(pc, pc + n))
+        t += cost
+        if last is None:  # fall through to the next image, or off every image
+            pc += n
+            continue
+        nxt, _ = guest.step(last)
         if nxt is None:
             return NativeOutcome(t, steps, tuple(path) if path is not None else None)
         pc = nxt
@@ -216,6 +267,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     Deterministic for a fixed (config, seed, initial log).  The optional
     observer sees permit decisions and commits in event order, which is what
     the campaign harness uses to classify decisions against live ground truth.
+    An exit that commits a prefix no longer than one this run already
+    committed from the same compiled trace changes neither the log nor the
+    ground truth, so it is recorded in `committed_entries` only.
     """
     _validate(config, tool)
     if tool is None:
@@ -225,6 +279,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     guest = _GuestState(program, seed)
     cache: dict[tuple[int, int], _Compiled] = {}
     entry_points = {V_BASE: set(), V_INSTRUMENT: set()}
+    check_cost = config.check_cost
+    analysis_cost = config.analysis_cost
+    max_steps = config.max_steps
     t = 0
     steps = 0
     version = V_INSTRUMENT
@@ -251,64 +308,61 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                 permits.append((candidate, analysis))
                 if observer is not None:
                     observer.on_permit(candidate, analysis)
-            compiled = _Compiled(desc, frozenset(desc.points), analysis)
+            compiled = _Compiled(desc, analysis, program.image(desc.image).instructions)
             cache[(version, pc)] = compiled
             entry_points[version].add(pc)
 
         desc = compiled.desc
-        img = program.image(desc.image)
+        analysis = compiled.analysis
+        instructions = compiled.instructions
         last_analyzed: int | None = None
-        switch_to: int | None = None
-        next_pc = pc
-        addr = pc
-        off = 0
-        while off < desc.length:
-            addr = img.base + desc.rel_start + off
-            ins = img.instructions[desc.rel_start + off]
+        next_pc = pc + desc.length  # where execution falls off the trace's end
+        for off, at, point, n, cost in desc.body:
             armed = False
-            if off in compiled.points:
+            if point:
                 now = t
                 result = budget.check(now)
-                t += config.check_cost
+                t += check_cost
                 if result != version:
-                    switch_to = result  # abandon before this instruction executes
+                    version = result  # abandon before this instruction executes
+                    next_pc = pc + off
                     break
-                if compiled.analysis:
-                    budget.charge(config.analysis_cost, now)
-                    t += config.analysis_cost
-                    analyzed.add((desc.image, desc.rel_start + off))
+                if analysis:
+                    budget.charge(analysis_cost, now)
+                    t += analysis_cost
+                    analyzed.add((desc.image, at))
                     last_analyzed = off
                     armed = True
-            steps += 1
-            if steps > config.max_steps:
+            steps += n
+            if steps > max_steps:
                 raise GuestError("step limit exceeded")
+            t += cost
+            if at is None:  # a run of n ops, which touch no guest state
+                if path is not None:
+                    path.extend(range(pc + off, pc + off + n))
+                continue
+            ins = instructions[at]
             if path is not None:
-                path.append(addr)
-            t += ins.cost
+                path.append(ins.addr)
             nxt, record = guest.step(ins)
             if record is not None and armed:
                 tool.on_branch(*record)
             if nxt is None:
                 halted = True
                 break
-            next_pc = nxt
             if record is not None:
+                next_pc = nxt
                 break  # taken transfer exits the trace
-            off += 1
 
-        if compiled.analysis and last_analyzed is not None:
+        if last_analyzed is not None:
             entry = LogEntry(desc.image, desc.rel_start, last_analyzed + 1)
-            log.commit(entry)
+            if entry.length > compiled.committed:
+                compiled.committed = entry.length
+                log.commit(entry)
+                if observer is not None:
+                    observer.on_commit(entry)
             committed.append(entry)
-            if observer is not None:
-                observer.on_commit(entry)
-        if halted:
-            break
-        if switch_to is not None:
-            version = switch_to
-            pc = addr
-        else:
-            pc = next_pc
+        pc = next_pc
 
     return ExecutionOutcome(
         virtual_time=t,

@@ -22,6 +22,7 @@ may cross images.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 OP = "op"
@@ -89,7 +90,8 @@ class ProgramImage:
 
 
 class Program:
-    """Loaded images plus an absolute-address lookup index."""
+    """Loaded images plus an absolute-address lookup index: the non-empty
+    images sorted by base, searched by bisection."""
 
     def __init__(self, images: list[ProgramImage] | tuple[ProgramImage, ...]):
         if not images:
@@ -100,6 +102,9 @@ class Program:
             if base_b < end_a:
                 raise ParseError(f"overlapping images: {name_a} and {name_b}")
         self._by_name = {img.name: img for img in self.images}
+        self._sorted = sorted((img for img in self.images if img.instructions),
+                              key=lambda img: img.base)
+        self._bases = [img.base for img in self._sorted]
 
     @property
     def entry(self) -> int:
@@ -110,9 +115,9 @@ class Program:
         return self._by_name[name]
 
     def image_of(self, addr: int) -> ProgramImage | None:
-        for img in self.images:
-            if img.contains(addr):
-                return img
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0 and self._sorted[i].contains(addr):
+            return self._sorted[i]
         return None
 
     def instruction_at(self, addr: int) -> Instruction | None:

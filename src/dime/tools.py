@@ -76,16 +76,15 @@ class CallContextTree:
         self.edge_count = 0
 
     def dump(self) -> str:
-        """Indented text form with a nodes/edges trailer."""
+        """Indented text form with a nodes/edges trailer: each node, then its
+        children in insertion order, one indent deeper."""
         lines: list[str] = []
-
-        def walk(node: CCTNode, depth: int) -> None:
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
             label = "root" if node.entry is None else str(node.entry)
             lines.append("  " * depth + label)
-            for child in node.children.values():
-                walk(child, depth + 1)
-
-        walk(self.root, 0)
+            stack.extend((child, depth + 1) for child in reversed(node.children.values()))
         lines.append(f"nodes={self.node_count} edges={self.edge_count}")
         return "\n".join(lines) + "\n"
 

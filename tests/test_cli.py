@@ -91,6 +91,22 @@ def test_tool_output_files(tmp_path, capsys):
     assert "nodes=4 edges=3" in text
 
 
+def test_run_cct_tool_out_on_3000_deep_call_chain(tmp_path, capsys):
+    lines = ["image main 0", "    call F0", "    halt"]
+    for i in range(3000):
+        lines += [f"F{i}: call F{i + 1}", "    ret"]
+    lines.append("F3000: ret")
+    program = tmp_path / "deep.dime"
+    program.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cct.txt"
+    assert main(["run", "--program", str(program), "--tool", "cct",
+                 "--tool-out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert text.startswith("root\n  2\n    4\n")
+    assert text.endswith("nodes=3002 edges=3001\n")
+
+
 def test_missing_program_is_config_error(tmp_path, capsys):
     assert main(["oracle", "--program", str(tmp_path / "nope.dime")]) == 1
     assert "config error" in capsys.readouterr().err

@@ -160,6 +160,44 @@ def test_committed_union_contains_analyzed_at_ctrl_granularity():
             assert (e.image, e.rel_addr + e.length - 1) in out.analyzed_addrs
 
 
+class CountingLog(LogStore):
+    def __init__(self, strategy):
+        super().__init__(strategy)
+        self.commits = []
+
+    def commit(self, entry):
+        self.commits.append(entry)
+        super().commit(entry)
+
+
+class CommitObserver:
+    def __init__(self):
+        self.commits = []
+
+    def on_permit(self, candidate, permitted):
+        pass
+
+    def on_commit(self, entry):
+        self.commits.append(entry)
+
+
+@pytest.mark.parametrize("strategy", ["hash", "bst", "merger"])
+def test_exits_recommitting_a_logged_prefix_skip_the_log(p1_det, strategy):
+    # The loop body is one trace, so every exit after the first re-commits a
+    # prefix the log already holds; only exits that lengthen it reach the log.
+    config = RunConfig(program=p1_det, granularity="all")
+    log, observer = CountingLog(strategy), CommitObserver()
+    out = run(config, log, config.make_budget(), make_tool("branch"), rng_seed=1,
+              observer=observer)
+    assert out.committed_entries == (LogEntry("main", 0, 5), LogEntry("main", 0, 5),
+                                     LogEntry("main", 0, 3), LogEntry("main", 5, 1))
+    assert log.commits == observer.commits == [LogEntry("main", 0, 5), LogEntry("main", 5, 1)]
+    replay = LogStore(strategy)
+    for entry in out.committed_entries:
+        replay.commit(entry)
+    assert log == replay
+
+
 def test_one_permit_query_per_instrumented_trace_entry(p1_det):
     out, _, _ = make_run(p1_det, granularity="all", period=10, budget=3)
     starts = [(c.image, c.rel_addr) for c, _ in out.permits]

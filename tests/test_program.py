@@ -38,6 +38,17 @@ def test_adjacent_images_allowed():
     assert p.image("b").base == 1001
 
 
+def test_image_of_with_images_out_of_base_order():
+    # Declared order differs from address order; b and c are adjacent.
+    p = parse_program("image c 1003\n    halt\nimage a 10\n    op 1\n    halt\n"
+                      "image b 1000\n    op 1\n    op 1\n    halt\n")
+    owner = {addr: None for addr in range(0, 1010)}
+    owner.update({10: "a", 11: "a", 1000: "b", 1001: "b", 1002: "b", 1003: "c"})
+    for addr, name in owner.items():
+        img = p.image_of(addr)
+        assert (img.name if img is not None else None) == name, addr
+
+
 def test_resolve_p1(p1):
     ins, image, rel = p1.resolve(1002)
     assert (ins.kind, image, rel) == ("ndbr", "main", 2)

@@ -1,3 +1,5 @@
+from hypothesis import given, strategies as st
+
 from dime import BranchRecord, build_cct, make_tool, write_records
 from dime.tools import BranchProfiler, CallTraceTool
 
@@ -91,6 +93,34 @@ def test_cct_counts_monotone_as_stream_grows():
 def test_cct_dump_format():
     tree = build_cct([rec("call", 1, 50), rec("call", 51, 60)])
     assert tree.dump() == "root\n  50\n    60\nnodes=3 edges=2\n"
+
+
+def recursive_dump(tree):
+    """The tree's text form, built by recursion over the nodes."""
+    lines = []
+
+    def walk(node, depth):
+        lines.append("  " * depth + ("root" if node.entry is None else str(node.entry)))
+        for child in node.children.values():
+            walk(child, depth + 1)
+
+    walk(tree.root, 0)
+    return "\n".join(lines) + f"\nnodes={tree.node_count} edges={tree.edge_count}\n"
+
+
+@given(st.lists(st.tuples(st.sampled_from(["call", "return"]), st.integers(0, 6)),
+                max_size=60))
+def test_cct_dump_matches_recursive_walk(stream):
+    tree = build_cct([rec(kind, dst, dst) for kind, dst in stream])
+    assert tree.dump() == recursive_dump(tree)
+
+
+def test_cct_dump_of_3000_deep_chain():
+    tree = build_cct([rec("call", i, 1000 + i) for i in range(3000)])
+    lines = tree.dump().splitlines()
+    assert len(lines) == 3002
+    assert lines[-2] == "  " * 3000 + "3999"
+    assert lines[-1] == "nodes=3001 edges=3000"
 
 
 def test_write_records(tmp_path):
