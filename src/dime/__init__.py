@@ -7,7 +7,7 @@ and a pluggable redundancy log suppresses re-instrumentation across runs.
 
 from .budget import BudgetContractError, BudgetState, V_BASE, V_INSTRUMENT
 from .executor import (ConfigError, ExecutionOutcome, GuestError, RunConfig,
-                       TraceDescriptor, form_trace, native_run, run)
+                       TraceDescriptor, TraceMemo, form_trace, native_run, run)
 from .harness import (CampaignResult, GroundTruth, MetricsObserver, OracleResult,
                       RunReport, classify, emit_report, run_campaign, run_oracle,
                       single_run)
@@ -23,7 +23,7 @@ __all__ = [
     "CampaignResult", "ConfigError", "ExecutionOutcome", "GroundTruth",
     "GuestError", "Instruction", "LogEntry", "LogFormatError", "LogStore",
     "MetricsObserver", "OracleResult", "ParseError", "Program", "ProgramImage",
-    "RunConfig", "RunReport", "TraceDescriptor", "V_BASE", "V_INSTRUMENT",
+    "RunConfig", "RunReport", "TraceDescriptor", "TraceMemo", "V_BASE", "V_INSTRUMENT",
     "build_cct", "classify", "emit_report", "form_trace", "load", "make_tool",
     "native_run", "parse_program", "resolve", "run", "run_campaign",
     "run_oracle", "serialize_program", "single_run", "write_records",

@@ -14,8 +14,13 @@ import math
 from dataclasses import dataclass, field
 
 
+# Periods a run may span: (k + 1) * T stays exact for every k below it.
+MAX_PERIODS = 2**53
+
+
 class BudgetContractError(RuntimeError):
-    """The executor charged without a passing budget check, or time ran backwards."""
+    """The executor charged without a passing budget check, time ran
+    backwards, or time ran past MAX_PERIODS periods."""
 
 
 @dataclass
@@ -54,6 +59,12 @@ class BudgetState:
         # Floor division guesses k; the boundary test corrects the guess, so
         # a float T crosses boundaries exactly as stepping one period at a
         # time would.  Every period closed after the first one is empty.
+        # Past 2**53 periods, k + 1 no longer changes as a float, and the
+        # correction could not end.
+        if not now < MAX_PERIODS * self.period:
+            raise BudgetContractError(
+                f"time {now} is 2**53 or more periods of {self.period} in; "
+                "period counts that large are not exact in floating point")
         k = max(first, int(now // self.period))
         while now >= (k + 1) * self.period:
             k += 1

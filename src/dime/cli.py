@@ -6,7 +6,8 @@
     dime campaign --runs K ... (same flags as run) [--report OUT.json]
     dime report   --in REPORT.json
 
-Exit codes: 0 success, 1 configuration error, 2 guest error.
+Exit codes: 0 success, 1 configuration error, 2 guest error (including a
+run whose virtual time reaches 2**53 budget periods).
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Execution proceeds trace by trace under a virtual clock.  A trace is a
 straight-line run of instructions with a single entry point: conditionals may
 sit anywhere (each is an exit), and the first jmp/call/ret/halt closes it.
-Compiled traces are cached per (version, entry address).
+Compiled traces are cached per (version, entry address) for one run, and
+their shapes are kept in a TraceMemo that the runs of a campaign share.
 
 Two versions exist per trace: V_INSTRUMENT carries analysis calls at its
 instrumentation points (when the redundancy log permits), V_BASE carries
@@ -53,11 +54,11 @@ class TraceDescriptor:
     length: int
     version: int
     points: tuple[int, ...]  # instrumentation-point offsets within the trace
-    # The compiled body, in order: (offset, image-relative address, is a
-    # point, steps, cost) per instruction, except that each maximal run of
-    # ops holding no point is one item (offset, None, False, its length, its
-    # summed cost).  Items hold numbers only, so the garbage collector stops
-    # tracking them and cached traces add little to its full scans.
+    # The compiled body, in order: (offset, address, is a point, steps,
+    # cost) per instruction, except that each maximal run of ops holding no
+    # point is one item (offset, None, False, its length, its summed cost).
+    # Items hold numbers only, so the garbage collector stops tracking them
+    # and cached traces add little to its full scans.
     # The body follows from the fields above, so it takes no part in equality.
     body: tuple = field(default=(), compare=False, repr=False)
 
@@ -111,23 +112,13 @@ def _validate(config: RunConfig, tool) -> None:
         raise ConfigError("step limit must be >= 1")
 
 
-def form_trace(program: Program, entry: int, version: int = V_INSTRUMENT,
-               max_len: int = 16, cached_entries=frozenset(),
-               granularity: str = "ctrl") -> TraceDescriptor:
-    """Walk from `entry` to the trace end, compiling the body as it goes.
-
-    The trace closes at the first jmp/call/ret/halt (inclusive), at max_len,
-    at the image end, or just before the entry point of an already-cached
-    trace of the same version (a jump into the middle of cached code starts
-    a fresh trace at the target rather than extending across it).
-    """
-    if max_len < 1:
-        raise ConfigError("max trace length must be >= 1")
+def _walk(program: Program, entry: int, max_len: int, every: bool) -> tuple:
+    """(image, rel_start, length, body, points) of the walk from `entry`,
+    closed at the first jmp/call/ret/halt (inclusive), at max_len or at the
+    image end, with its body compiled on the way (see TraceDescriptor)."""
     _, image_name, rel = program.resolve(entry)
-    img = program.image(image_name)
-    instructions = img.instructions
+    instructions = program.image(image_name).instructions
     limit = min(max_len, len(instructions) - rel)  # max_len or the image end
-    every = granularity == "all"
     points: list[int] = []
     body: list[tuple] = []
     ops = cost = 0  # the open run of ops, which hold no point
@@ -145,13 +136,84 @@ def form_trace(program: Program, entry: int, version: int = V_INSTRUMENT,
             point = every or kind in CONTROL_TRANSFERS
             if point:
                 points.append(length)
-            body.append((length, rel + length, point, 1, ins.cost))
+            body.append((length, ins.addr, point, 1, ins.cost))
         length += 1
-        if kind in TERMINATORS or length == limit or entry + length in cached_entries:
+        if kind in TERMINATORS or length == limit:
             break
     if ops:
         body.append((length - ops, None, False, ops, cost))
-    return TraceDescriptor(image_name, rel, length, version, tuple(points), tuple(body))
+    return image_name, rel, length, tuple(body), tuple(points)
+
+
+def _cut(entry: int, length: int, cached_entries) -> int:
+    """The length of a walk of `length` from `entry` once it stops just
+    before the entry point of an already-cached trace of the same version:
+    a jump into the middle of cached code starts a fresh trace at the target
+    rather than extending across it."""
+    if cached_entries.isdisjoint(range(entry + 1, entry + length)):
+        return length
+    return next(i for i in range(1, length) if entry + i in cached_entries)
+
+
+def form_trace(program: Program, entry: int, version: int = V_INSTRUMENT,
+               max_len: int = 16, cached_entries=frozenset(),
+               granularity: str = "ctrl") -> TraceDescriptor:
+    """Walk from `entry` to the trace end, compiling the body as it goes.
+
+    The trace closes at the first jmp/call/ret/halt (inclusive), at max_len,
+    at the image end, or just before the entry point of an already-cached
+    trace of the same version (`cached_entries`, a set of addresses).
+    """
+    if max_len < 1:
+        raise ConfigError("max trace length must be >= 1")
+    every = granularity == "all"
+    image, rel, length, body, points = _walk(program, entry, max_len, every)
+    if cached_entries:
+        cut = _cut(entry, length, cached_entries)
+        if cut < length:
+            image, rel, length, body, points = _walk(program, entry, cut, every)
+    return TraceDescriptor(image, rel, length, version, points, body)
+
+
+class TraceMemo:
+    """Trace shapes compiled for one program, max trace length and
+    granularity, shared by every run that passes it to run().
+
+    A shape depends on nothing else, so a campaign compiles each one once:
+    per entry address the uncut walk, and per (entry, length) each shorter
+    shape that the cut rule asks for.  Shapes are plain tuples of numbers
+    and strings, which the garbage collector stops tracking, and V_BASE and
+    V_INSTRUMENT traces share them.  `code` maps the address of each
+    instruction that a body can hold as an item of its own (every
+    instruction but the ops at `ctrl` granularity) to that instruction.
+    """
+
+    def __init__(self, program: Program, max_len: int, granularity: str):
+        self.program = program
+        self.max_len = max_len
+        self.granularity = granularity
+        every = granularity == "all"
+        self.code = {ins.addr: ins for img in program.images for ins in img.instructions
+                     if every or ins.kind != OP}
+        self._walks: dict[int, tuple] = {}
+        self._cuts: dict[tuple[int, int], tuple] = {}
+
+    def shape(self, entry: int, version: int, cached_entries) -> tuple:
+        """(image, rel_start, length, body) of the trace that form_trace
+        would compile for these arguments, compiling it only on a miss."""
+        walk = self._walks.get(entry)
+        if walk is None:
+            desc = form_trace(self.program, entry, version, self.max_len, (), self.granularity)
+            walk = self._walks[entry] = (desc.image, desc.rel_start, desc.length, desc.body)
+        length = _cut(entry, walk[2], cached_entries)
+        if length == walk[2]:
+            return walk
+        shape = self._cuts.get((entry, length))
+        if shape is None:
+            desc = form_trace(self.program, entry, version, length, (), self.granularity)
+            shape = self._cuts[(entry, length)] = (desc.image, desc.rel_start, length,
+                                                   desc.body)
+        return shape
 
 
 class _GuestState:
@@ -191,14 +253,6 @@ class _GuestState:
             dst = self.call_stack.pop()
             return dst, ("return", ins.addr, dst)
         return None, None  # halt
-
-
-@dataclass
-class _Compiled:
-    desc: TraceDescriptor
-    analysis: bool  # analysis calls attached (V_INSTRUMENT and log permitted)
-    instructions: tuple  # of the trace's image, which the body indexes
-    committed: int = 0  # longest prefix committed from this trace in this run
 
 
 @dataclass(frozen=True)
@@ -261,7 +315,8 @@ def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
 
 
 def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisTool,
-        rng_seed: int | None = None, observer=None) -> ExecutionOutcome:
+        rng_seed: int | None = None, observer=None,
+        memo: TraceMemo | None = None) -> ExecutionOutcome:
     """Execute the guest under the budget server and redundancy log.
 
     Deterministic for a fixed (config, seed, initial log).  The optional
@@ -270,15 +325,30 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     An exit that commits a prefix no longer than one this run already
     committed from the same compiled trace changes neither the log nor the
     ground truth, so it is recorded in `committed_entries` only.
+
+    `memo` holds trace shapes compiled by earlier runs of the same program,
+    max trace length and granularity; without one the run makes its own.
+    Either way the run compiles each trace into its own cache and charges
+    compile_cost for it, so a memo changes no result.
     """
     _validate(config, tool)
     if tool is None:
         raise ConfigError("run() needs an analysis tool; use native_run() for none")
     program = config.program
+    if memo is None:
+        memo = TraceMemo(program, config.max_trace_len, config.granularity)
+    elif (memo.program, memo.max_len, memo.granularity) != (
+            program, config.max_trace_len, config.granularity):
+        raise ConfigError("trace memo belongs to another program, max trace length "
+                          "or granularity")
+    code = memo.code
     seed = config.seed if rng_seed is None else rng_seed
     guest = _GuestState(program, seed)
-    cache: dict[tuple[int, int], _Compiled] = {}
+    # (version, entry) -> (image, rel_start, length, body, analysis attached)
+    cache: dict[tuple[int, int], tuple] = {}
     entry_points = {V_BASE: set(), V_INSTRUMENT: set()}
+    # entry -> longest prefix committed from its trace, per instrumented trace
+    longest: dict[int, int] = {}
     check_cost = config.check_cost
     analysis_cost = config.analysis_cost
     max_steps = config.max_steps
@@ -297,27 +367,25 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
         if compiled is None:
             t += config.compile_cost
             try:
-                desc = form_trace(program, pc, version, config.max_trace_len,
-                                  entry_points[version], config.granularity)
+                image, rel, length, body = memo.shape(pc, version, entry_points[version])
             except AddressError as exc:
                 raise GuestError(str(exc)) from None
             analysis = False
             if version == V_INSTRUMENT:
-                candidate = LogEntry(desc.image, desc.rel_start, desc.length)
-                analysis = log.permit(*candidate)
+                candidate = LogEntry(image, rel, length)
+                analysis = log.permit(image, rel, length)
                 permits.append((candidate, analysis))
                 if observer is not None:
                     observer.on_permit(candidate, analysis)
-            compiled = _Compiled(desc, analysis, program.image(desc.image).instructions)
-            cache[(version, pc)] = compiled
+                if analysis:
+                    longest[pc] = 0
+            compiled = cache[(version, pc)] = (image, rel, length, body, analysis)
             entry_points[version].add(pc)
 
-        desc = compiled.desc
-        analysis = compiled.analysis
-        instructions = compiled.instructions
+        image, rel, length, body, analysis = compiled
         last_analyzed: int | None = None
-        next_pc = pc + desc.length  # where execution falls off the trace's end
-        for off, at, point, n, cost in desc.body:
+        next_pc = pc + length  # where execution falls off the trace's end
+        for off, at, point, n, cost in body:
             armed = False
             if point:
                 now = t
@@ -330,7 +398,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                 if analysis:
                     budget.charge(analysis_cost, now)
                     t += analysis_cost
-                    analyzed.add((desc.image, at))
+                    analyzed.add((image, rel + off))
                     last_analyzed = off
                     armed = True
             steps += n
@@ -341,10 +409,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                 if path is not None:
                     path.extend(range(pc + off, pc + off + n))
                 continue
-            ins = instructions[at]
             if path is not None:
-                path.append(ins.addr)
-            nxt, record = guest.step(ins)
+                path.append(at)
+            nxt, record = guest.step(code[at])
             if record is not None and armed:
                 tool.on_branch(*record)
             if nxt is None:
@@ -355,9 +422,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                 break  # taken transfer exits the trace
 
         if last_analyzed is not None:
-            entry = LogEntry(desc.image, desc.rel_start, last_analyzed + 1)
-            if entry.length > compiled.committed:
-                compiled.committed = entry.length
+            entry = LogEntry(image, rel, last_analyzed + 1)
+            if entry.length > longest[pc]:
+                longest[pc] = entry.length
                 log.commit(entry)
                 if observer is not None:
                     observer.on_commit(entry)

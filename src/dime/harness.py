@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from . import redundancy
 from .budget import BudgetState
-from .executor import ConfigError, ExecutionOutcome, RunConfig, native_run, run
+from .executor import ConfigError, ExecutionOutcome, RunConfig, TraceMemo, native_run, run
 from .redundancy import LogEntry, LogStore, STRATEGIES, _Intervals
 from .tools import make_tool
 
@@ -101,17 +101,20 @@ class OracleResult:
     full_instrumentation_time: float
 
 
-def run_oracle(config: RunConfig, seed: int | None = None) -> OracleResult:
+def run_oracle(config: RunConfig, seed: int | None = None,
+               memo: TraceMemo | None = None) -> OracleResult:
     """Native and fully instrumented reference executions.
 
     Uses the campaign's run-1 seed so the guest path matches run 1 exactly.
+    The full run compiles its traces through `memo` when one is given.
     """
     seed = config.seed + 1 if seed is None else seed
     native = native_run(config.program, seed, config.max_steps)
     full = replace(config, period=float("inf"), budget=float("inf"),
                    log_strategy="none", capture_path=False)
     tool = make_tool(config.tool)
-    outcome = run(full, LogStore("none"), BudgetState.unlimited(), tool, rng_seed=seed)
+    outcome = run(full, LogStore("none"), BudgetState.unlimited(), tool, rng_seed=seed,
+                  memo=memo)
     return OracleResult(
         record_stream=outcome.tool_output,
         unique_records=frozenset(outcome.tool_output),
@@ -221,13 +224,14 @@ def single_run(config: RunConfig, resume: bool = False,
     commits only; the campaign driver supplies the cross-run referee state.
     """
     log = _open_log(config, resume=resume)
-    oracle = run_oracle(config)
+    memo = TraceMemo(config.program, config.max_trace_len, config.granularity)
+    oracle = run_oracle(config, memo=memo)
     gt = ground_truth if ground_truth is not None else GroundTruth()
     observer = MetricsObserver(gt)
     budget = config.make_budget()
     tool = make_tool(config.tool)
     outcome = run(config, log, budget, tool,
-                  rng_seed=config.seed + run_index, observer=observer)
+                  rng_seed=config.seed + run_index, observer=observer, memo=memo)
     if config.log_strategy != "none":
         log.finalize_and_save(config.log_path)
     report = _make_report(run_index, frozenset(outcome.tool_output), oracle,
@@ -262,12 +266,15 @@ def run_campaign(config: RunConfig, runs: int) -> CampaignResult:
 
     Run 1 starts with an empty log (any existing file is overwritten); run k
     uses seed = campaign seed + k, so nondeterministic branches vary across
-    runs while the campaign as a whole replays exactly.
+    runs while the campaign as a whole replays exactly.  The oracle's full
+    run and every budgeted run share one trace memo, so each trace shape is
+    compiled once per campaign.
     """
     if runs < 1:
         raise ConfigError("a campaign needs at least one run")
     log = _open_log(config, fresh=True)
-    oracle = run_oracle(config)
+    memo = TraceMemo(config.program, config.max_trace_len, config.granularity)
+    oracle = run_oracle(config, memo=memo)
     ground_truth = GroundTruth()
     cumulative: set = set()
     reports = []
@@ -279,7 +286,7 @@ def run_campaign(config: RunConfig, runs: int) -> CampaignResult:
         budget = config.make_budget()
         tool = make_tool(config.tool)
         outcome = run(config, log, budget, tool, rng_seed=config.seed + k,
-                      observer=observer)
+                      observer=observer, memo=memo)
         if config.log_strategy != "none":
             log.finalize_and_save(config.log_path)
         cumulative |= set(outcome.tool_output)

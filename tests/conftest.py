@@ -1,6 +1,25 @@
+import contextlib
+import signal
+
 import pytest
 
 from dime import parse_program
+
+
+@contextlib.contextmanager
+def wall_budget(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time pass, so a
+    call that would never return fails the test instead of hanging it."""
+    def interrupt(signum, frame):
+        raise TimeoutError(f"over the {seconds} s wall budget")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 # Canonical 6-instruction program: a loop whose exit is a nondeterministic branch.
 P1 = """\

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from dime import (BudgetContractError, BudgetState, LogStore, RunConfig, make_tool,
                   parse_program, run)
+from dime.budget import MAX_PERIODS
+
+from conftest import wall_budget
 
 
 def test_check_with_full_budget():
@@ -201,3 +204,21 @@ def test_one_huge_op_closes_twenty_million_periods_in_one_check():
     assert budget.period_index == 20_000_010
     assert budget.period_index * 0.1 <= 2_000_001 < (budget.period_index + 1) * 0.1
     assert out.overshoots == (0.9, 0.9)
+
+
+def test_period_count_past_float_range_is_contract_error():
+    # now / T overflows to inf: no period index exists.
+    with pytest.raises(BudgetContractError, match="2\\*\\*53"):
+        BudgetState(period=1e-300, budget=0).check(1e10)
+    # A finite index of ~1e306: (k + 1) * T stops changing as k grows.
+    with wall_budget(1.0), pytest.raises(BudgetContractError, match="2\\*\\*53"):
+        BudgetState(period=1e-300, budget=0).check(1e6)
+
+
+def test_period_count_limit_is_exact_at_2_to_the_53():
+    state = BudgetState(period=1, budget=1)
+    with wall_budget(1.0):
+        assert state.check(MAX_PERIODS - 1) == 1
+        assert state.period_index == MAX_PERIODS - 1
+        with pytest.raises(BudgetContractError):
+            state.check(MAX_PERIODS)

@@ -4,7 +4,7 @@ import pytest
 
 from dime.cli import main
 
-from conftest import P1_DET, CALLS
+from conftest import P1_DET, CALLS, wall_budget
 
 
 @pytest.fixture
@@ -125,6 +125,20 @@ def test_guest_error_exit_code(tmp_path, capsys):
     loop.write_text("image m 0\nL: jmp L\n")
     assert main(["oracle", "--program", str(loop), "--max-steps", "99"]) == 2
     assert "guest error" in capsys.readouterr().err
+
+
+def test_period_count_past_float_range_is_guest_error(tmp_path, capsys):
+    # One op of 10**6 units under T = 1e-300: the halt's budget check lands
+    # about 1e306 periods in, where (k + 1) * T no longer moves as k grows.
+    program = tmp_path / "huge.dime"
+    program.write_text("image m 0\n    op 1000000\n    halt\n")
+    with wall_budget(1.0):
+        code = main(["run", "--program", str(program), "--granularity", "all",
+                     "--period", "1e-300", "--budget", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dime: guest error: ") and "2**53" in err
+    assert "Traceback" not in err
 
 
 def test_bad_report_file(tmp_path, capsys):
