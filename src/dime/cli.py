@@ -6,8 +6,15 @@
     dime campaign --runs K ... (same flags as run) [--report OUT.json]
     dime report   --in REPORT.json
 
-Exit codes: 0 success, 1 configuration error, 2 guest error (including a
-run whose virtual time reaches 2**53 budget periods).
+`dime run` is a one-run campaign that starts from the log file (an empty
+log when the file is missing) instead of an empty log.  So `dime run
+--seed s` on a missing file, then `dime run --resume` with seeds s+1, s+2,
+..., execute the runs of `dime campaign --seed s` and save the same log
+files; each report scores its run on its own.
+
+Exit codes: 0 success, 1 configuration error (including a file that cannot
+be read or written and a malformed report), 2 guest error (including a run
+whose virtual time reaches 2**53 budget periods).
 """
 
 from __future__ import annotations
@@ -93,10 +100,8 @@ def _cmd_oracle(args) -> int:
     doc = {
         "program": args.program,
         "tool": args.tool,
-        "unique_records": len(oracle.unique_records),
         "record_stream_length": len(oracle.record_stream),
-        "native_time": harness._num(oracle.native_time),
-        "full_instrumentation_time": harness._num(oracle.full_instrumentation_time),
+        **harness.oracle_document(oracle),
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -130,16 +135,21 @@ def _cmd_report(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from None
-    if doc.get("format") != "dime-report v1":
+    if not isinstance(doc, dict) or doc.get("format") != "dime-report v1":
         raise ConfigError("not a dime report file")
-    runs = doc.get("runs", [])
-    print(f"campaign of {len(runs)} run(s), strategy "
-          f"{doc['campaign']['log_strategy']}, tool {doc['campaign']['tool']}")
-    print(f"{'run':>4} {'coverage':>9} {'fp':>7} {'fn':>7} {'slowdown':>9} {'overshoots':>11}")
-    for r in runs:
-        overshoots = sum(r["overshoot_histogram"].values())
-        print(f"{r['run_index']:>4} {r['coverage']:>9.4f} {r['fp_ratio']:>7.3f} "
-              f"{r['fn_ratio']:>7.3f} {r['slowdown']:>9.3f} {overshoots:>11}")
+    try:
+        runs = doc.get("runs", [])
+        lines = [f"campaign of {len(runs)} run(s), strategy "
+                 f"{doc['campaign']['log_strategy']}, tool {doc['campaign']['tool']}",
+                 f"{'run':>4} {'coverage':>9} {'fp':>7} {'fn':>7} {'slowdown':>9} "
+                 f"{'overshoots':>11}"]
+        for r in runs:
+            overshoots = sum(r["overshoot_histogram"].values())
+            lines.append(f"{r['run_index']:>4} {r['coverage']:>9.4f} {r['fp_ratio']:>7.3f} "
+                         f"{r['fn_ratio']:>7.3f} {r['slowdown']:>9.3f} {overshoots:>11}")
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ConfigError("not a dime report file") from None
+    print("\n".join(lines))
     return 0
 
 
@@ -174,7 +184,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, LogFormatError, ValueError) as exc:
+    except (ConfigError, ParseError, LogFormatError, ValueError, OSError) as exc:
         print(f"dime: config error: {exc}", file=sys.stderr)
         return 1
     except (GuestError, BudgetContractError) as exc:

@@ -1,7 +1,9 @@
 """Multi-run campaign driver: oracle, budgeted runs, metrics, reports.
 
 A campaign runs the uninstrumented and fully instrumented oracles once, then
-K budgeted runs that share a persisted redundancy log.  Per run it reports:
+K budgeted runs that share a persisted redundancy log; a single run
+(`dime run`) is a one-run campaign that starts from the log file instead of
+an empty log.  Per run it reports:
 
 1. coverage - unique records extracted in runs 1..k over the oracle's unique
    record set;
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import redundancy
 from .budget import BudgetState
@@ -68,12 +70,9 @@ class MetricsObserver:
     def __init__(self, ground_truth: GroundTruth):
         self.ground_truth = ground_truth
         self.counts = Counter()
-        self.decisions: list[tuple[LogEntry, bool, str]] = []
 
     def on_permit(self, candidate: LogEntry, permitted: bool) -> None:
-        verdict = classify(permitted, candidate, self.ground_truth)
-        self.counts[verdict] += 1
-        self.decisions.append((candidate, permitted, verdict))
+        self.counts[classify(permitted, candidate, self.ground_truth)] += 1
 
     def on_commit(self, entry: LogEntry) -> None:
         self.ground_truth.add_entry(entry)
@@ -101,20 +100,18 @@ class OracleResult:
     full_instrumentation_time: float
 
 
-def run_oracle(config: RunConfig, seed: int | None = None,
-               memo: TraceMemo | None = None) -> OracleResult:
+def run_oracle(config: RunConfig, memo: TraceMemo | None = None) -> OracleResult:
     """Native and fully instrumented reference executions.
 
     Uses the campaign's run-1 seed so the guest path matches run 1 exactly.
     The full run compiles its traces through `memo` when one is given.
     """
-    seed = config.seed + 1 if seed is None else seed
+    seed = config.seed + 1
     native = native_run(config.program, seed, config.max_steps)
     full = replace(config, period=float("inf"), budget=float("inf"),
                    log_strategy="none", capture_path=False)
-    tool = make_tool(config.tool)
-    outcome = run(full, LogStore("none"), BudgetState.unlimited(), tool, rng_seed=seed,
-                  memo=memo)
+    outcome = run(full, LogStore("none"), BudgetState.unlimited(), make_tool(config.tool),
+                  rng_seed=seed, memo=memo)
     return OracleResult(
         record_stream=outcome.tool_output,
         unique_records=frozenset(outcome.tool_output),
@@ -140,21 +137,10 @@ class RunReport:
     fn_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "run_index": self.run_index,
-            "coverage": self.coverage,
-            "coverage_vacuous": self.coverage_vacuous,
-            "fp_ratio": self.fp_ratio,
-            "fn_ratio": self.fn_ratio,
-            "slowdown": self.slowdown,
-            "overshoot_histogram": {str(k): v for k, v in self.overshoot_histogram.items()},
-            "unique_records": self.unique_records,
-            "virtual_time": _num(self.virtual_time),
-            "permitted": self.permitted,
-            "rejected": self.rejected,
-            "fp_count": self.fp_count,
-            "fn_count": self.fn_count,
-        }
+        doc = asdict(self)
+        doc["overshoot_histogram"] = {str(k): v for k, v in self.overshoot_histogram.items()}
+        doc["virtual_time"] = _num(self.virtual_time)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -215,34 +201,23 @@ def _open_log(config: RunConfig, resume: bool = False, fresh: bool = False) -> L
     return log
 
 
-def single_run(config: RunConfig, resume: bool = False,
-               ground_truth: GroundTruth | None = None,
-               run_index: int = 1) -> tuple[RunReport, ExecutionOutcome, LogStore]:
-    """One budgeted run against the persisted log; used by `dime run`.
+def single_run(config: RunConfig,
+               resume: bool = False) -> tuple[RunReport, ExecutionOutcome, LogStore]:
+    """A one-run campaign that starts from the persisted log; used by `dime run`.
 
-    Without a shared GroundTruth, FP/FN are scored against this run's own
-    commits only; the campaign driver supplies the cross-run referee state.
+    The run uses seed = config seed + 1 and scores FP/FN against its own
+    commits.  Under `resume` the log file must exist.  Returns the run's
+    report and outcome and the log as the run left it.
     """
     log = _open_log(config, resume=resume)
-    memo = TraceMemo(config.program, config.max_trace_len, config.granularity)
-    oracle = run_oracle(config, memo=memo)
-    gt = ground_truth if ground_truth is not None else GroundTruth()
-    observer = MetricsObserver(gt)
-    budget = config.make_budget()
-    tool = make_tool(config.tool)
-    outcome = run(config, log, budget, tool,
-                  rng_seed=config.seed + run_index, observer=observer, memo=memo)
-    if config.log_strategy != "none":
-        log.finalize_and_save(config.log_path)
-    report = _make_report(run_index, frozenset(outcome.tool_output), oracle,
-                          outcome, observer)
-    return report, outcome, log
+    result = _campaign(config, 1, log)
+    return result.reports[0], result.outcomes[0], log
 
 
-def _make_report(run_index: int, cumulative: frozenset, oracle: OracleResult,
+def _make_report(run_index: int, unique_records: int, oracle: OracleResult,
                  outcome: ExecutionOutcome, observer: MetricsObserver) -> RunReport:
     vacuous = not oracle.unique_records
-    coverage = 1.0 if vacuous else len(cumulative) / len(oracle.unique_records)
+    coverage = 1.0 if vacuous else unique_records / len(oracle.unique_records)
     histogram = dict(sorted(Counter(outcome.overshoots).items()))
     return RunReport(
         run_index=run_index,
@@ -252,7 +227,7 @@ def _make_report(run_index: int, cumulative: frozenset, oracle: OracleResult,
         fn_ratio=observer.fn_ratio(),
         slowdown=outcome.virtual_time / oracle.native_time,
         overshoot_histogram=histogram,
-        unique_records=len(cumulative),
+        unique_records=unique_records,
         virtual_time=outcome.virtual_time,
         permitted=observer.permitted,
         rejected=observer.rejected,
@@ -262,49 +237,53 @@ def _make_report(run_index: int, cumulative: frozenset, oracle: OracleResult,
 
 
 def run_campaign(config: RunConfig, runs: int) -> CampaignResult:
-    """Oracle once, then `runs` budgeted runs sharing the persisted log.
-
-    Run 1 starts with an empty log (any existing file is overwritten); run k
-    uses seed = campaign seed + k, so nondeterministic branches vary across
-    runs while the campaign as a whole replays exactly.  The oracle's full
-    run and every budgeted run share one trace memo, so each trace shape is
-    compiled once per campaign.
-    """
+    """Oracle once, then `runs` budgeted runs sharing the persisted log; run 1
+    starts with an empty log (any existing file is overwritten)."""
     if runs < 1:
         raise ConfigError("a campaign needs at least one run")
-    log = _open_log(config, fresh=True)
+    return _campaign(config, runs, _open_log(config, fresh=True))
+
+
+def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
+    """Oracle once, then `runs` budgeted runs: run 1 starts from `log`, each
+    later run from the file the run before it saved.  Run k uses seed =
+    campaign seed + k.  The oracle's full run and the budgeted runs share one
+    trace memo, and the budgeted runs share one ground truth.
+    """
     memo = TraceMemo(config.program, config.max_trace_len, config.granularity)
     oracle = run_oracle(config, memo=memo)
     ground_truth = GroundTruth()
     cumulative: set = set()
-    reports = []
-    outcomes = []
+    reports, outcomes = [], []
     for k in range(1, runs + 1):
         if k > 1:
             log = _open_log(config)
         observer = MetricsObserver(ground_truth)
-        budget = config.make_budget()
-        tool = make_tool(config.tool)
-        outcome = run(config, log, budget, tool, rng_seed=config.seed + k,
-                      observer=observer, memo=memo)
+        outcome = run(config, log, config.make_budget(), make_tool(config.tool),
+                      rng_seed=config.seed + k, observer=observer, memo=memo)
         if config.log_strategy != "none":
             log.finalize_and_save(config.log_path)
-        cumulative |= set(outcome.tool_output)
-        reports.append(_make_report(k, frozenset(cumulative), oracle, outcome, observer))
+        cumulative.update(outcome.tool_output)
+        reports.append(_make_report(k, len(cumulative), oracle, outcome, observer))
         outcomes.append(outcome)
     return CampaignResult(tuple(reports), oracle, tuple(outcomes),
                           _config_echo(config, runs))
+
+
+def oracle_document(oracle: OracleResult) -> dict:
+    """The oracle's numbers as they appear in reports and `dime oracle`."""
+    return {
+        "unique_records": len(oracle.unique_records),
+        "native_time": _num(oracle.native_time),
+        "full_instrumentation_time": _num(oracle.full_instrumentation_time),
+    }
 
 
 def report_document(result: CampaignResult) -> dict:
     return {
         "format": "dime-report v1",
         "campaign": result.config_echo,
-        "oracle": {
-            "unique_records": len(result.oracle.unique_records),
-            "native_time": _num(result.oracle.native_time),
-            "full_instrumentation_time": _num(result.oracle.full_instrumentation_time),
-        },
+        "oracle": oracle_document(result.oracle),
         "runs": [r.as_dict() for r in result.reports],
     }
 

@@ -37,7 +37,6 @@ HALT = "halt"
 CONTROL_TRANSFERS = frozenset({JMP, BR, NDBR, CALL, RET})
 # Kinds that unconditionally end a trace; conditionals are mid-trace exits.
 TERMINATORS = frozenset({JMP, CALL, RET, HALT})
-CONDITIONALS = frozenset({BR, NDBR})
 
 _PATTERN_RE = re.compile(r"^[TN]+$")
 _NAME_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
@@ -134,9 +133,8 @@ class Program:
         return img.instructions[addr - img.base], img.name, addr - img.base
 
 
-def resolve(images, addr: int) -> tuple[Instruction, str, int]:
-    """Module-level resolve over a Program or a plain image list."""
-    program = images if isinstance(images, Program) else Program(list(images))
+def resolve(program: Program, addr: int) -> tuple[Instruction, str, int]:
+    """Module-level form of `Program.resolve`."""
     return program.resolve(addr)
 
 

@@ -145,3 +145,49 @@ def test_bad_report_file(tmp_path, capsys):
     path = tmp_path / "x.json"
     path.write_text("{}")
     assert main(["report", "--in", str(path)]) == 1
+
+
+def test_log_file_that_is_a_directory_is_config_error(program_file, tmp_path, capsys):
+    directory = tmp_path / "logs"
+    directory.mkdir()
+    code = main(["run", "--program", program_file, "--log-strategy", "hash",
+                 "--log-file", str(directory)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("dime: config error:")
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("run", "--log-file"), ("campaign", "--report"), ("run", "--tool-out"),
+])
+def test_file_in_missing_directory_is_config_error(program_file, tmp_path, capsys,
+                                                   command, flag):
+    argv = [command, *run_flags(program_file, tmp_path),
+            flag, str(tmp_path / "missing" / "out")]
+    if command == "campaign":
+        argv += ["--runs", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dime: config error:") and "missing" in err
+
+
+def drop_last_histogram(doc):
+    del doc["runs"][-1]["overshoot_histogram"]
+    return doc
+
+
+@pytest.mark.parametrize("malform", [
+    lambda doc: {"format": doc["format"]},
+    drop_last_histogram,
+    lambda doc: [doc],
+], ids=["no-campaign", "run-without-histogram", "list"])
+def test_malformed_report_is_config_error(program_file, tmp_path, capsys, malform):
+    report_path = tmp_path / "report.json"
+    assert main(["campaign", *run_flags(program_file, tmp_path),
+                 "--runs", "2", "--report", str(report_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(malform(json.loads(report_path.read_text()))))
+    assert main(["report", "--in", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "dime: config error: not a dime report file\n"

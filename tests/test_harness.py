@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from dime import (ConfigError, GroundTruth, LogEntry, LogStore, MetricsObserver,
                   run_oracle, single_run)
 from dime.harness import FN, FP, TRUE_PERMIT, TRUE_REJECT, report_document
 from dime.corpus import loop_corpus, random_corpus
+from dime.redundancy import STRATEGIES
 
 
 def config_for(program, tmp_path=None, **overrides):
@@ -174,6 +177,57 @@ def test_single_run_detects_strategy_mismatch(p1_det, tmp_path):
     config = config_for(p1_det, tmp_path, log_strategy="hash")
     with pytest.raises(ConfigError, match="strategy"):
         single_run(config)
+
+
+# A single run is a one-run campaign that starts from the log file.  The
+# programs are tests/test_golden.py's and three loop nests.
+ONE_DRIVER_PROGRAMS = [
+    (random_corpus(seed=3, count=6, max_instructions=160)[2],
+     dict(period=12, budget=3, max_trace_len=8, seed=7)),
+    *((program, dict(period=10, budget=2, seed=i))
+      for i, program in enumerate(loop_corpus(seed=11, count=3))),
+]
+
+
+def one_driver_configs(tmp_path, strategy, granularity):
+    for i, (program, settings) in enumerate(ONE_DRIVER_PROGRAMS):
+        log_path = None if strategy == "none" else str(tmp_path / f"{i}.log")
+        yield RunConfig(program=program, granularity=granularity,
+                        log_strategy=strategy, log_path=log_path, **settings)
+
+
+def log_bytes(config):
+    if config.log_path is None:
+        return None
+    with open(config.log_path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("granularity", ["ctrl", "all"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_single_run_on_missing_log_is_one_run_campaign(strategy, granularity, tmp_path):
+    for config in one_driver_configs(tmp_path, strategy, granularity):
+        campaign = run_campaign(config, 1)
+        campaign_log = log_bytes(config)
+        if config.log_path is not None:
+            os.unlink(config.log_path)
+        report, outcome, log = single_run(config)
+        assert report == campaign.reports[0]
+        assert outcome == campaign.outcomes[0]
+        assert log_bytes(config) == campaign_log
+        assert log.strategy == strategy
+
+
+@pytest.mark.parametrize("granularity", ["ctrl", "all"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_resumed_single_run_is_next_campaign_run(strategy, granularity, tmp_path):
+    for config in one_driver_configs(tmp_path, strategy, granularity):
+        campaign = run_campaign(config, 2)
+        campaign_log = log_bytes(config)
+        run_campaign(config, 1)
+        _, outcome, _ = single_run(replace(config, seed=config.seed + 1), resume=True)
+        assert outcome == campaign.outcomes[1]
+        assert log_bytes(config) == campaign_log
 
 
 # -- reports ------------------------------------------------------------------------
