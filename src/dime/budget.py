@@ -6,6 +6,10 @@ every period boundary k*T with no carry-over.  An analysis call that starts
 with budget left always completes; the amount by which it runs past zero is
 recorded as an overshoot and attributed to the period in which the call
 started.
+
+A check's answer can change only at a charge that spends the budget or at
+the next period boundary; stable_until() gives the time up to which a
+caller may reuse it.
 """
 
 from __future__ import annotations
@@ -96,12 +100,31 @@ class BudgetState:
         self._advance(now)
         return 1 if self.remaining > 0 else 0
 
-    def charge(self, cost: float, now: float) -> None:
+    def stable_until(self) -> float:
+        """The time before which check() keeps giving its last answer,
+        unless a charge spends the budget first.
+
+        The answer changes only at a charge that spends the budget or at the
+        next period boundary.  While budget remains, a boundary refills it
+        to B > 0, so the answer holds until MAX_PERIODS * T; once it is
+        spent (or B = 0) it holds until the next boundary, the time at which
+        _advance closes the open period.  The cap at MAX_PERIODS * T makes a
+        caller that reuses the answer still check, and so raise
+        BudgetContractError, at the first time past the period-count limit.
+        """
+        cap = MAX_PERIODS * self.period
+        if self.remaining > 0:
+            return cap
+        return min((self.period_index + 1) * self.period, cap)
+
+    def charge(self, cost: float, now: float) -> int:
         """Consume budget for an analysis call that started at `now`.
 
         Must follow a check at the same `now` that returned 1.  The call is
         atomic: remaining may transiently go negative, in which case the
         deficit is logged as an overshoot and remaining clamps to 0.
+        Returns what check(now) would answer after the charge: 0 once the
+        call has spent the budget, which moves stable_until().
         """
         if cost < 0:
             raise ValueError("cost must be >= 0")
@@ -113,6 +136,7 @@ class BudgetState:
         if self.remaining < 0:
             self.overshoot_log.append((now, -self.remaining))
             self.remaining = 0
+        return 1 if self.remaining > 0 else 0
 
     def period_loads(self) -> list[float]:
         """t_ins of every period so far, the still-open one included."""

@@ -14,7 +14,10 @@ files; each report scores its run on its own.
 
 Exit codes: 0 success, 1 configuration error (including a file that cannot
 be read or written and a malformed report), 2 guest error (including a run
-whose virtual time reaches 2**53 budget periods).
+whose virtual time reaches 2**53 budget periods).  The files a command
+will write (--log-file, --report, --tool-out) are checked before the oracle
+runs, so a bad output path fails before any run starts and leaves the log
+file as it was.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import harness
@@ -83,6 +87,19 @@ def _load_config(args) -> RunConfig:
     )
 
 
+def _check_writable(*paths) -> None:
+    """Refuse an output file that cannot be written before any run starts:
+    the runs replace the log file before the outputs are written."""
+    for path in paths:
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or "."
+        target = path if os.path.exists(path) else directory
+        if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(
+                target, os.W_OK):
+            raise ConfigError(f"cannot write output file {path}")
+
+
 def _write_tool_output(path, tool_name: str, records) -> None:
     if tool_name == "cct":
         tree = build_cct(records)
@@ -94,6 +111,7 @@ def _write_tool_output(path, tool_name: str, records) -> None:
 
 def _cmd_oracle(args) -> int:
     config = _load_config(args)
+    _check_writable(args.tool_out)
     oracle = harness.run_oracle(config)
     if args.tool_out:
         _write_tool_output(args.tool_out, args.tool, oracle.record_stream)
@@ -107,8 +125,14 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _log_target(config: RunConfig):
+    """The log file that the runs will write, if any."""
+    return config.log_path if config.log_strategy != "none" else None
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    _check_writable(_log_target(config), args.tool_out)
     report, outcome, _ = harness.single_run(config, resume=args.resume)
     if args.tool_out:
         _write_tool_output(args.tool_out, args.tool, outcome.tool_output)
@@ -118,6 +142,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_campaign(args) -> int:
     config = _load_config(args)
+    _check_writable(_log_target(config), args.report, args.tool_out)
     result = harness.run_campaign(config, args.runs)
     if args.report:
         harness.emit_report(result, args.report)

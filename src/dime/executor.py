@@ -8,11 +8,19 @@ their shapes are kept in a TraceMemo that the runs of a campaign share.
 
 Two versions exist per trace: V_INSTRUMENT carries analysis calls at its
 instrumentation points (when the redundancy log permits), V_BASE carries
-none.  A budget check runs before every instrumentation point in both
+none.  A budget check comes before every instrumentation point in both
 versions; when its result disagrees with the running trace's version, the
 trace is abandoned at that instruction and execution re-enters a trace of
-the other version starting there.  Analysis calls are atomic: once the check
-passes, the call completes even if it spends the budget past zero.
+the other version starting there.  Analysis calls are atomic: once the
+check passes, the call completes even if it spends the budget past zero.
+
+The check's answer can change only at a charge that spends the budget or at
+the next period boundary.  So run() asks the budget server only when the
+clock reaches the time its last answer holds until
+(BudgetState.stable_until), reuses the answer at the points before that
+time, and checks once more at the last point when the run ends, so the
+server closes the same periods.  check_cost is still charged to the clock
+at every point.
 
 When execution leaves an instrumented trace (fall-through, taken exit,
 version switch, or halt), the portion from the trace start through the last
@@ -349,6 +357,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     entry_points = {V_BASE: set(), V_INSTRUMENT: set()}
     # entry -> longest prefix committed from its trace, per instrumented trace
     longest: dict[int, int] = {}
+    check, charge, stable_until = budget.check, budget.charge, budget.stable_until
     check_cost = config.check_cost
     analysis_cost = config.analysis_cost
     max_steps = config.max_steps
@@ -361,6 +370,11 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     permits: list[tuple[LogEntry, bool]] = []
     path = [] if config.capture_path else None
     halted = False
+    # The budget's last answer and the time it holds until; `now` is the
+    # time of the last instrumentation point.
+    answer = V_INSTRUMENT
+    until = -math.inf
+    now = None
 
     while not halted:
         compiled = cache.get((version, pc))
@@ -389,14 +403,18 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
             armed = False
             if point:
                 now = t
-                result = budget.check(now)
+                if now >= until:
+                    answer = check(now)
+                    until = stable_until()
                 t += check_cost
-                if result != version:
-                    version = result  # abandon before this instruction executes
+                if answer != version:
+                    version = answer  # abandon before this instruction executes
                     next_pc = pc + off
                     break
                 if analysis:
-                    budget.charge(analysis_cost, now)
+                    if not charge(analysis_cost, now):
+                        answer = V_BASE
+                        until = stable_until()
                     t += analysis_cost
                     analyzed.add((image, rel + off))
                     last_analyzed = off
@@ -431,6 +449,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
             committed.append(entry)
         pc = next_pc
 
+    if now is not None:
+        # Close the periods up to the last point, as checking there would.
+        check(now)
     return ExecutionOutcome(
         virtual_time=t,
         steps=steps,

@@ -1,3 +1,4 @@
+import copy
 import math
 import time
 
@@ -165,25 +166,51 @@ class SteppingBudget:
             self.overshoots.append((now, -self.remaining))
             self.remaining = 0
 
+    def peek(self, now):
+        """What check(now) would answer, leaving this model as it is."""
+        probe = copy.copy(self)
+        probe.history = []
+        return probe.check(now)
+
 
 @settings(deadline=None)
 @given(
-    period=st.one_of(st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1, 2.5, 7]),
+    period=st.one_of(st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1, 2.5, 7, math.inf]),
                      st.floats(min_value=0.01, max_value=20)),
-    share=st.floats(min_value=0, max_value=1),
+    share=st.one_of(st.sampled_from([0, 1]), st.floats(min_value=0, max_value=1)),
     steps=st.lists(st.tuples(st.one_of(st.integers(0, 40), st.floats(0, 40)),
                              st.integers(0, 5)), max_size=60),
+    probes=st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=4),
 )
-def test_closed_form_advance_matches_stepping_each_period(period, share, steps):
-    budget = period * share
+def test_closed_form_advance_matches_stepping_each_period(period, share, steps, probes):
+    # Also the horizon: after every check and charge, the model's check
+    # gives the same answer at every time from `now` up to stable_until().
+    budget = period * share if share else 0
     state, model = BudgetState(period=period, budget=budget), SteppingBudget(period, budget)
+
+    def answer_holds_until_horizon(answer, now):
+        until = state.stable_until()
+        assert until > now
+        # Stepping the model is linear in periods, so probe at most 50 ahead.
+        reach = min(until, now + 50 * period if period < math.inf else now + 1e6)
+        times = [now + f * (reach - now) for f in probes]
+        if reach == until < math.inf:
+            times.append(math.nextafter(until, -math.inf))
+        for later in times:
+            if now <= later < until:
+                assert model.peek(later) == answer
+
     now = 0
     for dt, cost in steps:
         now += dt
-        assert state.check(now) == model.check(now)
+        answer = state.check(now)
+        assert answer == model.check(now)
+        answer_holds_until_horizon(answer, now)
         if model.remaining > 0:
-            state.charge(cost, now)
             model.charge(cost, now)
+            answer = state.charge(cost, now)
+            assert answer == model.check(now)
+            answer_holds_until_horizon(answer, now)
         assert state.period_index == model.index
         assert state.period_loads() == model.history + [model.load]
         assert state.remaining == model.remaining

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dime import harness
 from dime.cli import main
 
 from conftest import P1_DET, CALLS, wall_budget
@@ -168,6 +169,31 @@ def test_file_in_missing_directory_is_config_error(program_file, tmp_path, capsy
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("dime: config error:") and "missing" in err
+
+
+@pytest.mark.parametrize("command,flag,target", [
+    ("campaign", "--report", "nodir/r.json"),
+    ("run", "--tool-out", "nodir/t.txt"),
+    ("campaign", "--tool-out", "."),
+    ("campaign", "--log-file", "nodir/x.log"),
+    ("run", "--log-file", "nodir/x.log"),
+])
+def test_bad_output_path_fails_before_the_oracle(program_file, tmp_path, capsys,
+                                                 monkeypatch, command, flag, target):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(harness, "run_oracle", oracle)
+    log = tmp_path / "run.log"
+    log.write_bytes(b"# dime-log v1 strategy=hash\nmain,999\n")
+    argv = [command, *run_flags(program_file, tmp_path), flag, str(tmp_path / target)]
+    if command == "campaign":
+        argv += ["--runs", "3"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("dime: config error:")
+    assert log.read_bytes() == b"# dime-log v1 strategy=hash\nmain,999\n"
 
 
 def drop_last_histogram(doc):
