@@ -40,6 +40,8 @@ class BudgetState:
     _run_loads: list[float] = field(default_factory=list, repr=False)
     _run_periods: list[int] = field(default_factory=list, repr=False)
     _last_now: float = field(default=0, repr=False)
+    # (period_index + 1) * T: the time at which the open period closes
+    _period_end: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.period <= 0:
@@ -47,6 +49,7 @@ class BudgetState:
         if not 0 <= self.budget <= self.period:
             raise ValueError("budget must satisfy 0 <= B <= T")
         self.remaining = self.budget
+        self._period_end = (self.period_index + 1) * self.period
 
     @classmethod
     def unlimited(cls) -> "BudgetState":
@@ -56,27 +59,30 @@ class BudgetState:
         if now < self._last_now:
             raise BudgetContractError(f"clock moved backwards: {now} < {self._last_now}")
         self._last_now = now
-        first = self.period_index + 1
-        if now < first * self.period:
+        if now < self._period_end:
             return
+        first = self.period_index + 1
         # The open period becomes the first k >= `first` with now < (k+1)*T.
         # Floor division guesses k; the boundary test corrects the guess, so
         # a float T crosses boundaries exactly as stepping one period at a
         # time would.  Every period closed after the first one is empty.
         # Past 2**53 periods, k + 1 no longer changes as a float, and the
         # correction could not end.
-        if not now < MAX_PERIODS * self.period:
+        period = self.period
+        if not now < MAX_PERIODS * period:
             raise BudgetContractError(
-                f"time {now} is 2**53 or more periods of {self.period} in; "
+                f"time {now} is 2**53 or more periods of {period} in; "
                 "period counts that large are not exact in floating point")
-        k = max(first, int(now // self.period))
-        while now >= (k + 1) * self.period:
+        k = max(first, int(now // period))
+        while now >= (k + 1) * period:
             k += 1
-        while k > first and now < k * self.period:
+        while k > first and now < k * period:
             k -= 1
         self._close(self.t_ins_this_period, 1)
-        self._close(0, k - first)
+        if k > first:
+            self._close(0, k - first)
         self.period_index = k
+        self._period_end = (k + 1) * period
         self.remaining = self.budget
         self.t_ins_this_period = 0
 
@@ -115,7 +121,7 @@ class BudgetState:
         cap = MAX_PERIODS * self.period
         if self.remaining > 0:
             return cap
-        return min((self.period_index + 1) * self.period, cap)
+        return min(self._period_end, cap)
 
     def charge(self, cost: float, now: float) -> int:
         """Consume budget for an analysis call that started at `now`.
@@ -128,7 +134,10 @@ class BudgetState:
         """
         if cost < 0:
             raise ValueError("cost must be >= 0")
-        self._advance(now)
+        if self._last_now <= now < self._period_end:
+            self._last_now = now  # no boundary since the last check: _advance's fast path
+        else:
+            self._advance(now)
         if self.remaining <= 0:
             raise BudgetContractError("charge without a passing budget check")
         self.remaining -= cost

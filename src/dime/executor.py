@@ -30,6 +30,10 @@ A compiled trace is executed from its body, in which each maximal run of ops
 holding no instrumentation point is one item: ops touch no guest state, so
 the run adds its length to the step count and its summed cost to the clock
 in one step.
+
+Trace walks and the native pass read the program's instruction columns,
+and the guest steps on (kind, target, arg) tuples taken from them, so no run
+builds an Instruction object.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import count
 
 from .budget import BudgetState, V_BASE, V_INSTRUMENT
 from .program import (AddressError, CONTROL_TRANSFERS, Program, TERMINATORS,
@@ -124,19 +129,21 @@ def _walk(program: Program, entry: int, max_len: int, every: bool) -> tuple:
     """(image, rel_start, length, body, points) of the walk from `entry`,
     closed at the first jmp/call/ret/halt (inclusive), at max_len or at the
     image end, with its body compiled on the way (see TraceDescriptor)."""
-    _, image_name, rel = program.resolve(entry)
-    instructions = program.image(image_name).instructions
-    limit = min(max_len, len(instructions) - rel)  # max_len or the image end
+    img = program.image_of(entry)
+    if img is None:
+        raise AddressError(f"address {entry} outside every image")
+    kinds, costs = img.kinds, img.costs
+    rel = entry - img.base
+    limit = min(max_len, len(kinds) - rel)  # max_len or the image end
     points: list[int] = []
     body: list[tuple] = []
     ops = cost = 0  # the open run of ops, which hold no point
     length = 0
     while True:
-        ins = instructions[rel + length]
-        kind = ins.kind
+        kind = kinds[rel + length]
         if kind == OP and not every:
             ops += 1
-            cost += ins.cost
+            cost += costs[rel + length]
         else:
             if ops:
                 body.append((length - ops, None, False, ops, cost))
@@ -144,13 +151,13 @@ def _walk(program: Program, entry: int, max_len: int, every: bool) -> tuple:
             point = every or kind in CONTROL_TRANSFERS
             if point:
                 points.append(length)
-            body.append((length, ins.addr, point, 1, ins.cost))
+            body.append((length, entry + length, point, 1, costs[rel + length]))
         length += 1
         if kind in TERMINATORS or length == limit:
             break
     if ops:
         body.append((length - ops, None, False, ops, cost))
-    return image_name, rel, length, tuple(body), tuple(points)
+    return img.name, rel, length, tuple(body), tuple(points)
 
 
 def _cut(entry: int, length: int, cached_entries) -> int:
@@ -193,7 +200,8 @@ class TraceMemo:
     and strings, which the garbage collector stops tracking, and V_BASE and
     V_INSTRUMENT traces share them.  `code` maps the address of each
     instruction that a body can hold as an item of its own (every
-    instruction but the ops at `ctrl` granularity) to that instruction.
+    instruction but the ops at `ctrl` granularity) to its (kind, target,
+    arg), read from the program's columns.
     """
 
     def __init__(self, program: Program, max_len: int, granularity: str):
@@ -201,8 +209,10 @@ class TraceMemo:
         self.max_len = max_len
         self.granularity = granularity
         every = granularity == "all"
-        self.code = {ins.addr: ins for img in program.images for ins in img.instructions
-                     if every or ins.kind != OP}
+        self.code = {addr: (kind, target, arg) for img in program.images
+                     for addr, kind, target, arg in zip(count(img.base), img.kinds,
+                                                        img.targets, img.args)
+                     if every or kind != OP}
         self._walks: dict[int, tuple] = {}
         self._cuts: dict[tuple[int, int], tuple] = {}
 
@@ -235,31 +245,32 @@ class _GuestState:
         self.pattern_pos: dict[int, int] = {}
         self.call_stack: list[int] = []
 
-    def step(self, ins):
-        """Execute one instruction: (next pc or None on halt, taken-transfer record)."""
-        kind = ins.kind
+    def step(self, addr, ins):
+        """Execute the instruction at `addr`, given as its (kind, target,
+        arg): (next pc or None on halt, taken-transfer record)."""
+        kind, target, arg = ins
         if kind == OP:
-            return ins.addr + 1, None
+            return addr + 1, None
         if kind == JMP:
-            return ins.target, ("jump", ins.addr, ins.target)
+            return target, ("jump", addr, target)
         if kind == BR:
-            pos = self.pattern_pos.get(ins.addr, 0)
-            self.pattern_pos[ins.addr] = pos + 1
-            if ins.pattern[pos % len(ins.pattern)] == "T":
-                return ins.target, ("jump", ins.addr, ins.target)
-            return ins.addr + 1, None
+            pos = self.pattern_pos.get(addr, 0)
+            self.pattern_pos[addr] = pos + 1
+            if arg[pos % len(arg)] == "T":
+                return target, ("jump", addr, target)
+            return addr + 1, None
         if kind == NDBR:
-            if self.rng.random() < ins.prob:
-                return ins.target, ("jump", ins.addr, ins.target)
-            return ins.addr + 1, None
+            if self.rng.random() < arg:
+                return target, ("jump", addr, target)
+            return addr + 1, None
         if kind == CALL:
-            self.call_stack.append(ins.addr + 1)
-            return ins.target, ("call", ins.addr, ins.target)
+            self.call_stack.append(addr + 1)
+            return target, ("call", addr, target)
         if kind == RET:
             if not self.call_stack:
-                raise GuestError(f"ret at {ins.addr} with empty call stack")
+                raise GuestError(f"ret at {addr} with empty call stack")
             dst = self.call_stack.pop()
-            return dst, ("return", ins.addr, dst)
+            return dst, ("return", addr, dst)
         return None, None  # halt
 
 
@@ -271,22 +282,22 @@ class NativeOutcome:
 
 
 def _native_block(program: Program, pc: int) -> tuple:
-    """(steps, cost, last) of the straight run from `pc`: its leading ops and
-    the instruction `last` that ends them, or the ops alone, with `last`
-    None, when they reach the end of their image."""
+    """(steps, cost, addr, ins) of the straight run from `pc`: its leading
+    ops and the instruction at `addr` that ends them, as its (kind, target,
+    arg), or the ops alone, with `addr` and `ins` None, when they reach the
+    end of their image."""
     img = program.image_of(pc)
     if img is None:
         raise GuestError(f"address {pc} outside every image")
-    instructions = img.instructions
+    kinds, costs = img.kinds, img.costs
     start = i = pc - img.base
     cost = 0
-    while i < len(instructions):
-        ins = instructions[i]
-        cost += ins.cost
+    while i < len(kinds):
+        cost += costs[i]
+        if kinds[i] != OP:
+            return i + 1 - start, cost, img.base + i, (kinds[i], img.targets[i], img.args[i])
         i += 1
-        if ins.kind != OP:
-            return i - start, cost, ins
-    return i - start, cost, None
+    return i - start, cost, None, None
 
 
 def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
@@ -306,17 +317,17 @@ def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
         block = blocks.get(pc)
         if block is None:
             block = blocks[pc] = _native_block(program, pc)
-        n, cost, last = block
+        n, cost, at, ins = block
         steps += n
         if steps > max_steps:
             raise GuestError("step limit exceeded")
         if path is not None:
             path.extend(range(pc, pc + n))
         t += cost
-        if last is None:  # fall through to the next image, or off every image
+        if at is None:  # fall through to the next image, or off every image
             pc += n
             continue
-        nxt, _ = guest.step(last)
+        nxt, _ = guest.step(at, ins)
         if nxt is None:
             return NativeOutcome(t, steps, tuple(path) if path is not None else None)
         pc = nxt
@@ -429,7 +440,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                 continue
             if path is not None:
                 path.append(at)
-            nxt, record = guest.step(code[at])
+            nxt, record = guest.step(at, code[at])
             if record is not None and armed:
                 tool.on_branch(*record)
             if nxt is None:

@@ -16,7 +16,19 @@ one-address-unit instructions.  The line-oriented format::
 `op <cost>`, `jmp <label>`, `br <label> <pattern>`, `ndbr <label> <p>`,
 `call <label>`, `ret`, `halt`.  A `<label>:` prefix (or a label on its own
 line) names the next instruction's address.  Labels are global, so calls
-may cross images.
+may cross images.  Any whitespace separates tokens, `;` starts a comment,
+and every line break that str.splitlines() knows (CRLF included) ends a
+line.  Bases and costs are read with int(), so `+1`, `007` and `1_000` are
+accepted; probabilities with float(), so `1e-3`, `.5` and `1_0e-1` are too.
+
+An image holds its instructions as four parallel tuples with one entry per
+address: `kinds`, `costs`, `targets` (the resolved absolute address, or
+None) and `args` (the br pattern, the ndbr probability, or None).  They hold
+only strings, numbers and None, so the garbage collector stops tracking
+them, and a large program adds next to nothing to its full collections.
+`Instruction` objects are built only at the public edges that return them:
+`ProgramImage.instructions` (built on first access, then cached),
+`Program.instruction_at` and `Program.resolve`.
 """
 
 from __future__ import annotations
@@ -24,6 +36,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
 
 OP = "op"
 JMP = "jmp"
@@ -40,6 +54,9 @@ TERMINATORS = frozenset({JMP, CALL, RET, HALT})
 
 _PATTERN_RE = re.compile(r"^[TN]+$")
 _NAME_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
+_LABEL_RE = re.compile(r"([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*")
+# Instruction mnemonics, mapped to the constants that the kind columns share.
+_KINDS = {kind: kind for kind in (OP, JMP, BR, NDBR, CALL, RET, HALT)}
 
 
 class ParseError(ValueError):
@@ -75,17 +92,30 @@ class Instruction:
 
 @dataclass(frozen=True)
 class ProgramImage:
+    """An image's instructions as parallel columns, entry i at address base + i."""
+
     name: str
     base: int
-    instructions: tuple[Instruction, ...]
+    kinds: tuple[str, ...]
+    costs: tuple[int, ...]
+    targets: tuple[int | None, ...]
+    args: tuple[str | float | None, ...]  # br pattern, ndbr probability or None
 
     @property
     def end(self) -> int:
         """One past the last instruction address."""
-        return self.base + len(self.instructions)
+        return self.base + len(self.kinds)
 
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.end
+
+    @cached_property
+    def instructions(self) -> tuple[Instruction, ...]:
+        """The columns as Instruction objects, built on first access."""
+        return tuple(Instruction(addr, kind, cost, target, arg if kind == BR else None,
+                                 arg if kind == NDBR else None)
+                     for addr, kind, cost, target, arg in zip(
+                         count(self.base), self.kinds, self.costs, self.targets, self.args))
 
 
 class Program:
@@ -101,9 +131,10 @@ class Program:
             if base_b < end_a:
                 raise ParseError(f"overlapping images: {name_a} and {name_b}")
         self._by_name = {img.name: img for img in self.images}
-        self._sorted = sorted((img for img in self.images if img.instructions),
+        self._sorted = sorted((img for img in self.images if img.kinds),
                               key=lambda img: img.base)
         self._bases = [img.base for img in self._sorted]
+        self._ends = [img.end for img in self._sorted]
 
     @property
     def entry(self) -> int:
@@ -115,7 +146,7 @@ class Program:
 
     def image_of(self, addr: int) -> ProgramImage | None:
         i = bisect_right(self._bases, addr) - 1
-        if i >= 0 and self._sorted[i].contains(addr):
+        if i >= 0 and addr < self._ends[i]:
             return self._sorted[i]
         return None
 
@@ -138,158 +169,167 @@ def resolve(program: Program, addr: int) -> tuple[Instruction, str, int]:
     return program.resolve(addr)
 
 
-def _split_labels(line: str, lineno: int) -> tuple[list[str], str]:
-    labels = []
-    rest = line
-    while True:
-        m = re.match(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*", rest)
-        if not m:
-            break
-        labels.append(m.group(1))
-        rest = rest[m.end():]
-    return labels, rest.strip()
-
-
 def parse_program(text: str) -> Program:
-    """Parse program text into a Program; raises ParseError with line numbers."""
-    images: list[tuple[str, int, list]] = []  # (name, base, raw instruction rows)
-    labels: dict[str, int] = {}
-    pending_labels: list[tuple[str, int]] = []
-    current: list | None = None
-    current_base = 0
+    """Parse program text into a Program; raises ParseError with line numbers.
 
-    def bind_pending(addr: int) -> None:
-        for label, lineno in pending_labels:
-            if label in labels:
-                raise ParseError(f"duplicate label {label!r}", lineno)
-            labels[label] = addr
-        pending_labels.clear()
+    One pass over the lines fills flat columns of every instruction, in line
+    order; each image is a slice of them.  The first error is reported in
+    the order of a two-stage reading.  First come the errors of the line
+    structure (image directives, labels, instructions outside an image), in
+    line order, then dangling labels, a text without images and empty
+    images.  Then come bad instruction arguments and unresolved labels,
+    together in line order, and last overlapping images.
+    """
+    kinds: list[str] = []
+    costs: list[int] = []
+    targets: list = []  # label names until they are resolved at the end
+    args: list = []
+    images: list[tuple[str, int, int]] = []  # (name, base, first row)
+    names: set[str] = set()
+    labels: dict[str, int] = {}  # label -> address
+    pending: list[tuple[str, int]] = []  # (label, line) not yet bound
+    refs: list[tuple[int, str, int]] = []  # (row, label, line) of every target
+    arg_error: tuple[str, int] | None = None  # the first bad argument's (message, line)
+    base = start = 0  # of the open image
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if ";" in line:
+            line = line[:line.index(";")]
         parts = line.split()
+        if not parts:
+            continue
         if parts[0] == "image":
-            if pending_labels:
-                raise ParseError("label before image directive", pending_labels[0][1])
+            if pending:
+                raise ParseError("label before image directive", pending[0][1])
             if len(parts) != 3:
                 raise ParseError("expected: image <name> <base>", lineno)
             name = parts[1]
             if not _NAME_RE.match(name):
                 raise ParseError(f"bad image name {name!r}", lineno)
             try:
-                current_base = int(parts[2])
+                base = int(parts[2])
             except ValueError:
                 raise ParseError(f"bad image base {parts[2]!r}", lineno) from None
-            if any(name == n for n, _, _ in images):
+            if name in names:
                 raise ParseError(f"duplicate image {name!r}", lineno)
-            current = []
-            images.append((name, current_base, current))
+            names.add(name)
+            start = len(kinds)
+            images.append((name, base, start))
             continue
-
-        lbls, rest = _split_labels(line, lineno)
-        for lbl in lbls:
-            pending_labels.append((lbl, lineno))
-        if not rest:
-            continue
-        if current is None:
+        if ":" in line:
+            rest = line.strip()
+            match = _LABEL_RE.match(rest)
+            if match:
+                while match:
+                    pending.append((match.group(1), lineno))
+                    rest = rest[match.end():]
+                    match = _LABEL_RE.match(rest)
+                parts = rest.split()
+                if not parts:
+                    continue
+        if not images:
             raise ParseError("instruction before any image directive", lineno)
-        addr = current_base + len(current)
-        bind_pending(addr)
-        current.append((lineno, addr, rest.split()))
+        if pending:
+            addr = base + len(kinds) - start
+            for label, at in pending:
+                if label in labels:
+                    raise ParseError(f"duplicate label {label!r}", at)
+                labels[label] = addr
+            pending.clear()
 
-    if pending_labels:
-        raise ParseError("dangling label at end of program", pending_labels[0][1])
+        kind, n = _KINDS.get(parts[0]), len(parts)
+        cost, target, arg, error = 1, None, None, None
+        if kind == OP:
+            if n != 2:
+                error = "expected: op <cost>"
+            else:
+                try:
+                    cost = int(parts[1])
+                except ValueError:
+                    error = f"bad cost {parts[1]!r}"
+                else:
+                    if cost < 0:
+                        error = "cost must be >= 0"
+        elif kind == JMP or kind == CALL:
+            if n != 2:
+                error = f"expected: {kind} <label>"
+            else:
+                target = parts[1]
+        elif kind == BR:
+            if n != 3:
+                error = "expected: br <label> <pattern>"
+            elif not _PATTERN_RE.match(parts[2]):
+                error = f"bad pattern {parts[2]!r} (T/N only)"
+            else:
+                target, arg = parts[1], parts[2]
+        elif kind == NDBR:
+            if n != 3:
+                error = "expected: ndbr <label> <p>"
+            else:
+                try:
+                    arg = float(parts[2])
+                except ValueError:
+                    error = f"bad probability {parts[2]!r}"
+                else:
+                    if not 0.0 <= arg <= 1.0:
+                        error = "probability must be in [0, 1]"
+                    else:
+                        target = parts[1]
+        elif kind is not None:  # ret, halt
+            if n != 1:
+                error = f"{kind} takes no arguments"
+        else:
+            error = f"unknown instruction {parts[0]!r}"
+        if error is not None and arg_error is None:
+            arg_error = (error, lineno)
+        if target is not None:
+            refs.append((len(kinds), target, lineno))
+        kinds.append(kind)
+        costs.append(cost)
+        targets.append(target)
+        args.append(arg)
+
+    if pending:
+        raise ParseError("dangling label at end of program", pending[0][1])
     if not images:
         raise ParseError("no images")
-    for name, _, rows in images:
-        if not rows:
+    ends = [first for _, _, first in images[1:]] + [len(kinds)]
+    for (name, _, first), end in zip(images, ends):
+        if first == end:
             raise ParseError(f"image {name!r} has no instructions")
-
-    def target_of(label: str, lineno: int) -> int:
+    # A bad argument and an unresolved label: the one on the earlier line wins.
+    for row, label, lineno in refs:
+        if arg_error is not None and lineno > arg_error[1]:
+            break
         if label not in labels:
             raise ParseError(f"unresolved label {label!r}", lineno)
-        return labels[label]
-
-    built: list[ProgramImage] = []
-    for name, base, rows in images:
-        instrs: list[Instruction] = []
-        for lineno, addr, parts in rows:
-            op, args = parts[0], parts[1:]
-            if op == OP:
-                if len(args) != 1:
-                    raise ParseError("expected: op <cost>", lineno)
-                try:
-                    cost = int(args[0])
-                except ValueError:
-                    raise ParseError(f"bad cost {args[0]!r}", lineno) from None
-                if cost < 0:
-                    raise ParseError("cost must be >= 0", lineno)
-                instrs.append(Instruction(addr, OP, cost))
-            elif op == JMP or op == CALL:
-                if len(args) != 1:
-                    raise ParseError(f"expected: {op} <label>", lineno)
-                instrs.append(Instruction(addr, op, 1, target=target_of(args[0], lineno)))
-            elif op == BR:
-                if len(args) != 2:
-                    raise ParseError("expected: br <label> <pattern>", lineno)
-                if not _PATTERN_RE.match(args[1]):
-                    raise ParseError(f"bad pattern {args[1]!r} (T/N only)", lineno)
-                instrs.append(Instruction(addr, BR, 1, target=target_of(args[0], lineno),
-                                          pattern=args[1]))
-            elif op == NDBR:
-                if len(args) != 2:
-                    raise ParseError("expected: ndbr <label> <p>", lineno)
-                try:
-                    prob = float(args[1])
-                except ValueError:
-                    raise ParseError(f"bad probability {args[1]!r}", lineno) from None
-                if not 0.0 <= prob <= 1.0:
-                    raise ParseError("probability must be in [0, 1]", lineno)
-                instrs.append(Instruction(addr, NDBR, 1, target=target_of(args[0], lineno),
-                                          prob=prob))
-            elif op == RET:
-                if args:
-                    raise ParseError("ret takes no arguments", lineno)
-                instrs.append(Instruction(addr, RET, 1))
-            elif op == HALT:
-                if args:
-                    raise ParseError("halt takes no arguments", lineno)
-                instrs.append(Instruction(addr, HALT, 1))
-            else:
-                raise ParseError(f"unknown instruction {op!r}", lineno)
-        built.append(ProgramImage(name, base, tuple(instrs)))
-
-    program = Program(built)
-    # Targets must land on real instructions (they may cross images).
-    for img in built:
-        for ins in img.instructions:
-            if ins.target is not None and program.image_of(ins.target) is None:
-                raise ParseError(f"target {ins.target} of instruction at {ins.addr} "
-                                 "resolves outside every image")
-    return program
+        targets[row] = labels[label]
+    if arg_error is not None:
+        raise ParseError(*arg_error)
+    # Every label names an instruction's address, so every target lies in an image.
+    return Program([ProgramImage(name, base, tuple(kinds[first:end]), tuple(costs[first:end]),
+                                 tuple(targets[first:end]), tuple(args[first:end]))
+                    for (name, base, first), end in zip(images, ends)])
 
 
 def serialize_program(program: Program) -> str:
     """Canonical text for a Program; parse(serialize(p)) reproduces p's images."""
-    targets = {ins.target for img in program.images
-               for ins in img.instructions if ins.target is not None}
+    targets = {target for img in program.images for target in img.targets
+               if target is not None}
     lines: list[str] = []
     for img in program.images:
         lines.append(f"image {img.name} {img.base}")
-        for ins in img.instructions:
-            prefix = f"A{ins.addr}: " if ins.addr in targets else "    "
-            if ins.kind == OP:
-                lines.append(f"{prefix}op {ins.cost}")
-            elif ins.kind == JMP:
-                lines.append(f"{prefix}jmp A{ins.target}")
-            elif ins.kind == BR:
-                lines.append(f"{prefix}br A{ins.target} {ins.pattern}")
-            elif ins.kind == NDBR:
-                lines.append(f"{prefix}ndbr A{ins.target} {ins.prob!r}")
-            elif ins.kind == CALL:
-                lines.append(f"{prefix}call A{ins.target}")
+        for addr, kind, cost, target, arg in zip(count(img.base), img.kinds, img.costs,
+                                                 img.targets, img.args):
+            prefix = f"A{addr}: " if addr in targets else "    "
+            if kind == OP:
+                lines.append(f"{prefix}op {cost}")
+            elif kind == BR:
+                lines.append(f"{prefix}br A{target} {arg}")
+            elif kind == NDBR:
+                lines.append(f"{prefix}ndbr A{target} {arg!r}")
+            elif target is not None:  # jmp, call
+                lines.append(f"{prefix}{kind} A{target}")
             else:
-                lines.append(f"{prefix}{ins.kind}")
+                lines.append(f"{prefix}{kind}")
     return "\n".join(lines) + "\n"

@@ -74,6 +74,15 @@ def test_clock_must_be_monotone():
         state.check(4)
 
 
+def test_charge_with_clock_moved_backwards_is_contract_violation():
+    # Within one period too, where a charge skips the period arithmetic.
+    state = BudgetState(period=10, budget=3)
+    assert state.check(5) == 1
+    with pytest.raises(BudgetContractError, match="backwards"):
+        state.charge(1, 4)
+    assert state.remaining == 3
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         BudgetState(period=10, budget=11)
