@@ -135,7 +135,7 @@ def _cmd_run(args) -> int:
     _check_writable(_log_target(config), args.tool_out)
     report, outcome, _ = harness.single_run(config, resume=args.resume)
     if args.tool_out:
-        _write_tool_output(args.tool_out, args.tool, outcome.tool_output)
+        _write_tool_output(args.tool_out, args.tool, outcome.records)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -148,7 +148,7 @@ def _cmd_campaign(args) -> int:
         harness.emit_report(result, args.report)
     if args.tool_out:
         # cumulative stream across runs, in execution order
-        records = [rec for outcome in result.outcomes for rec in outcome.tool_output]
+        records = [rec for outcome in result.outcomes for rec in outcome.records]
         _write_tool_output(args.tool_out, args.tool, records)
     print(json.dumps(harness.report_document(result), indent=2, sort_keys=True))
     return 0
@@ -158,7 +158,7 @@ def _cmd_report(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != "dime-report v1":
         raise ConfigError("not a dime report file")

@@ -34,6 +34,13 @@ in one step.
 Trace walks and the native pass read the program's instruction columns,
 and the guest steps on (kind, target, arg) tuples taken from them, so no run
 builds an Instruction object.
+
+A run keeps what it reports as plain tuples of strings, numbers and bools,
+which the garbage collector stops tracking: the tool's (kind, src, dst)
+records, the committed (image, rel_addr, length) entries and the permit
+queries ((image, rel_addr, length), permitted).  The same triples go to
+LogStore.commit and to the observer.  ExecutionOutcome builds BranchRecord
+and LogEntry views of them only when they are read.
 """
 
 from __future__ import annotations
@@ -41,13 +48,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 
 from .budget import BudgetState, V_BASE, V_INSTRUMENT
 from .program import (AddressError, CONTROL_TRANSFERS, Program, TERMINATORS,
                       BR, CALL, JMP, NDBR, OP, RET)
 from .redundancy import LogEntry, LogStore
-from .tools import AnalysisTool
+from .tools import AnalysisTool, BranchRecord
 
 GRANULARITIES = ("ctrl", "all")
 
@@ -78,14 +86,34 @@ class TraceDescriptor:
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
+    """What one run did.  `records`, `commits` and `queries` are plain
+    tuples; `tool_output`, `committed_entries` and `permits` are the same
+    values as named tuples, built on first read and then cached.  Equality
+    compares the fields only, so it does not depend on which views were read."""
+
     virtual_time: float
     steps: int
     analyzed_addrs: frozenset
-    tool_output: tuple
-    committed_entries: tuple
-    permits: tuple  # (candidate LogEntry, permitted) in query order
+    records: tuple    # (kind, src, dst) per tool record, in order
+    commits: tuple    # (image, rel_addr, length) per exit that committed
+    queries: tuple    # ((image, rel_addr, length), permitted) in query order
     overshoots: tuple
     addr_path: tuple | None = None
+
+    @cached_property
+    def tool_output(self) -> tuple:
+        """`records` as BranchRecords."""
+        return tuple(map(BranchRecord._make, self.records))
+
+    @cached_property
+    def committed_entries(self) -> tuple:
+        """`commits` as LogEntries."""
+        return tuple(map(LogEntry._make, self.commits))
+
+    @cached_property
+    def permits(self) -> tuple:
+        """`queries` as (candidate LogEntry, permitted) pairs."""
+        return tuple((LogEntry._make(c), ok) for c, ok in self.queries)
 
 
 @dataclass
@@ -340,10 +368,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
 
     Deterministic for a fixed (config, seed, initial log).  The optional
     observer sees permit decisions and commits in event order, which is what
-    the campaign harness uses to classify decisions against live ground truth.
+    the campaign harness uses to classify decisions against live ground truth:
+    `on_permit(candidate, permitted)` and `on_commit(entry)`, each entry a
+    plain (image, rel_addr, length) tuple, as `log.commit` gets it.
     An exit that commits a prefix no longer than one this run already
     committed from the same compiled trace changes neither the log nor the
-    ground truth, so it is recorded in `committed_entries` only.
+    ground truth, so it is recorded in the outcome's `commits` only.
 
     `memo` holds trace shapes compiled by earlier runs of the same program,
     max trace length and granularity; without one the run makes its own.
@@ -377,8 +407,8 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     version = V_INSTRUMENT
     pc = program.entry
     analyzed: set[tuple[str, int]] = set()
-    committed: list[LogEntry] = []
-    permits: list[tuple[LogEntry, bool]] = []
+    committed: list[tuple[str, int, int]] = []
+    queries: list[tuple[tuple[str, int, int], bool]] = []
     path = [] if config.capture_path else None
     halted = False
     # The budget's last answer and the time it holds until; `now` is the
@@ -397,9 +427,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                 raise GuestError(str(exc)) from None
             analysis = False
             if version == V_INSTRUMENT:
-                candidate = LogEntry(image, rel, length)
+                candidate = (image, rel, length)
                 analysis = log.permit(image, rel, length)
-                permits.append((candidate, analysis))
+                queries.append((candidate, analysis))
                 if observer is not None:
                     observer.on_permit(candidate, analysis)
                 if analysis:
@@ -451,9 +481,10 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                 break  # taken transfer exits the trace
 
         if last_analyzed is not None:
-            entry = LogEntry(image, rel, last_analyzed + 1)
-            if entry.length > longest[pc]:
-                longest[pc] = entry.length
+            prefix = last_analyzed + 1
+            entry = (image, rel, prefix)
+            if prefix > longest[pc]:
+                longest[pc] = prefix
                 log.commit(entry)
                 if observer is not None:
                     observer.on_commit(entry)
@@ -467,9 +498,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
         virtual_time=t,
         steps=steps,
         analyzed_addrs=frozenset(analyzed),
-        tool_output=tuple(tool.records),
-        committed_entries=tuple(committed),
-        permits=tuple(permits),
+        records=tuple(tool.raw_records),
+        commits=tuple(committed),
+        queries=tuple(queries),
         overshoots=tuple(budget.overshoots()),
         addr_path=tuple(path) if path is not None else None,
     )

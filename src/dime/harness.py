@@ -17,6 +17,13 @@ an empty log.  Per run it reports:
 Ground truth for 2-3 is the referee's view: every address covered by a
 committed log entry in any run so far, updated live while the run executes.
 It is kept as the same per-image interval union the redundancy log uses.
+
+The harness works on the runs' plain tuples: the observer gets
+(image, rel_addr, length) triples, which `GroundTruth` and `classify` accept
+as they accept a `LogEntry`, and the oracle's record stream, its unique
+records and the cumulative record set hold (kind, src, dst) triples, which
+compare and hash equal to `BranchRecord`s.  So a campaign builds neither
+named tuple.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import asdict, dataclass, replace
 from . import redundancy
 from .budget import BudgetState
 from .executor import ConfigError, ExecutionOutcome, RunConfig, TraceMemo, native_run, run
-from .redundancy import LogEntry, LogStore, STRATEGIES, _Intervals
+from .redundancy import LogStore, STRATEGIES, _Intervals
 from .tools import make_tool
 
 FP = "FP"
@@ -45,20 +52,23 @@ class GroundTruth:
     def __init__(self):
         self.analyzed: defaultdict[str, _Intervals] = defaultdict(_Intervals)
 
-    def add_entry(self, entry: LogEntry) -> None:
-        self.analyzed[entry.image].add(entry.rel_addr, entry.rel_addr + entry.length)
+    def add_entry(self, entry: tuple[str, int, int]) -> None:
+        image, rel_addr, length = entry
+        self.analyzed[image].add(rel_addr, rel_addr + length)
 
-    def overlap(self, entry: LogEntry) -> bool:
-        return self.analyzed[entry.image].overlaps(entry.rel_addr,
-                                                   entry.rel_addr + entry.length)
+    def overlap(self, entry: tuple[str, int, int]) -> bool:
+        image, rel_addr, length = entry
+        return self.analyzed[image].overlaps(rel_addr, rel_addr + length)
 
-    def contains_all(self, entry: LogEntry) -> bool:
-        return self.analyzed[entry.image].covers(entry.rel_addr,
-                                                 entry.rel_addr + entry.length)
+    def contains_all(self, entry: tuple[str, int, int]) -> bool:
+        image, rel_addr, length = entry
+        return self.analyzed[image].covers(rel_addr, rel_addr + length)
 
 
-def classify(permitted: bool, candidate: LogEntry, ground_truth: GroundTruth) -> str:
-    """Score one permit decision against what has really been analyzed."""
+def classify(permitted: bool, candidate: tuple[str, int, int],
+             ground_truth: GroundTruth) -> str:
+    """Score one permit decision on a candidate (image, rel_addr, length)
+    against what has really been analyzed."""
     if permitted:
         return FP if ground_truth.overlap(candidate) else TRUE_PERMIT
     return FN if not ground_truth.contains_all(candidate) else TRUE_REJECT
@@ -71,10 +81,10 @@ class MetricsObserver:
         self.ground_truth = ground_truth
         self.counts = Counter()
 
-    def on_permit(self, candidate: LogEntry, permitted: bool) -> None:
+    def on_permit(self, candidate: tuple[str, int, int], permitted: bool) -> None:
         self.counts[classify(permitted, candidate, self.ground_truth)] += 1
 
-    def on_commit(self, entry: LogEntry) -> None:
+    def on_commit(self, entry: tuple[str, int, int]) -> None:
         self.ground_truth.add_entry(entry)
 
     @property
@@ -94,7 +104,7 @@ class MetricsObserver:
 
 @dataclass(frozen=True)
 class OracleResult:
-    record_stream: tuple
+    record_stream: tuple      # the full run's (kind, src, dst) records
     unique_records: frozenset
     native_time: float
     full_instrumentation_time: float
@@ -113,8 +123,8 @@ def run_oracle(config: RunConfig, memo: TraceMemo | None = None) -> OracleResult
     outcome = run(full, LogStore("none"), BudgetState.unlimited(), make_tool(config.tool),
                   rng_seed=seed, memo=memo)
     return OracleResult(
-        record_stream=outcome.tool_output,
-        unique_records=frozenset(outcome.tool_output),
+        record_stream=outcome.records,
+        unique_records=frozenset(outcome.records),
         native_time=native.virtual_time,
         full_instrumentation_time=outcome.virtual_time,
     )
@@ -263,7 +273,7 @@ def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
                       rng_seed=config.seed + k, observer=observer, memo=memo)
         if config.log_strategy != "none":
             log.finalize_and_save(config.log_path)
-        cumulative.update(outcome.tool_output)
+        cumulative.update(outcome.records)
         reports.append(_make_report(k, len(cumulative), oracle, outcome, observer))
         outcomes.append(outcome)
     return CampaignResult(tuple(reports), oracle, tuple(outcomes),

@@ -17,6 +17,10 @@ permission:
 intervals (``_Intervals``), as does the campaign's ground truth; ``bst`` keeps
 its raw entries too, as its persisted form.
 
+``LogStore.commit`` takes any (image, rel_addr, length) triple: a ``LogEntry``
+or the plain tuple the executor passes.  Saving and loading build no
+``LogEntry``; ``entries()`` builds them for its callers.
+
 The persisted file is line-oriented, sorted, and byte-deterministic:
 ``# dime-log v1 strategy=<s>`` then ``image,rel`` (hash) or
 ``image,rel,length`` (bst/merger) per line.
@@ -125,43 +129,49 @@ class LogStore:
 
     def entries(self) -> Iterator[LogEntry]:
         """All entries sorted by (image, rel_addr); hash entries have length 0."""
+        return map(LogEntry._make, self._entries())
+
+    def _entries(self) -> Iterator[tuple[str, int, int]]:
+        """`entries()` as plain (image, rel_addr, length) tuples."""
         if self.strategy == "hash":
             for image in sorted(self._addrs):
                 for addr in sorted(self._addrs[image]):
-                    yield LogEntry(image, addr, 0)
+                    yield image, addr, 0
         elif self.strategy == "bst":
             for image, lengths in sorted(self._lengths.items()):
                 for start in sorted(lengths):
-                    yield LogEntry(image, start, lengths[start])
+                    yield image, start, lengths[start]
         else:
             for image, union in sorted(self._union.items()):
                 for start, end in zip(union.starts, union.ends):
-                    yield LogEntry(image, start, end - start)
+                    yield image, start, end - start
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
+        return sum(1 for _ in self._entries())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LogStore) and self.strategy == other.strategy
-                and list(self.entries()) == list(other.entries()))
+                and list(self._entries()) == list(other._entries()))
 
     # -- updates ------------------------------------------------------------
 
-    def commit(self, entry: LogEntry) -> None:
-        """Record an instrumented portion.  hash: start only, idempotent.
-        bst: keep the max length per start.  merger: insert and coalesce with
-        every overlapping or directly adjacent neighbour."""
-        if entry.length < 1:
+    def commit(self, entry: tuple[str, int, int]) -> None:
+        """Record an instrumented portion, an (image, rel_addr, length)
+        triple.  hash: start only, idempotent.  bst: keep the max length per
+        start.  merger: insert and coalesce with every overlapping or
+        directly adjacent neighbour."""
+        image, rel_addr, length = entry
+        if length < 1:
             raise ValueError("committed length must be >= 1")
         if self.strategy == "none":
             return
         if self.strategy == "hash":
-            self._addrs.setdefault(entry.image, set()).add(entry.rel_addr)
+            self._addrs.setdefault(image, set()).add(rel_addr)
             return
-        self._union[entry.image].add(entry.rel_addr, entry.rel_addr + entry.length)
+        self._union[image].add(rel_addr, rel_addr + length)
         if self.strategy == "bst":
-            lengths = self._lengths.setdefault(entry.image, {})
-            lengths[entry.rel_addr] = max(lengths.get(entry.rel_addr, 0), entry.length)
+            lengths = self._lengths.setdefault(image, {})
+            lengths[rel_addr] = max(lengths.get(rel_addr, 0), length)
 
     def finalize(self) -> None:
         """Post-run transform; under bst, merge directly consecutive entries.
@@ -188,11 +198,11 @@ class LogStore:
         if self.strategy == "none":
             raise ValueError("the 'none' strategy has no persistent form")
         lines = [f"{_FILE_HEADER}{self.strategy}"]
-        for entry in self.entries():
+        for image, rel_addr, length in self._entries():
             if self.strategy == "hash":
-                lines.append(f"{entry.image},{entry.rel_addr}")
+                lines.append(f"{image},{rel_addr}")
             else:
-                lines.append(f"{entry.image},{entry.rel_addr},{entry.length}")
+                lines.append(f"{image},{rel_addr},{length}")
         tmp = f"{os.fspath(path)}.tmp"
         try:
             with open(tmp, "w", encoding="ascii", newline="\n") as fh:
@@ -236,5 +246,5 @@ def load(path) -> LogStore:
             raise LogFormatError(f"{path}:{lineno}: non-numeric field") from None
         if rel < 0 or length < 1:
             raise LogFormatError(f"{path}:{lineno}: bad interval")
-        store.commit(LogEntry(fields[0], rel, length))
+        store.commit((fields[0], rel, length))
     return store

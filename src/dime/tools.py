@@ -4,6 +4,12 @@ The branch profiler records every taken control transfer as
 (kind, source address, destination address); a conditional that falls
 through emits nothing.  The call-context-tree builder consumes the call and
 return records of such a stream after the run.
+
+A tool keeps its records as plain (kind, src, dst) tuples in `raw_records`,
+which the garbage collector stops tracking; `records` is the same stream as
+`BranchRecord` named tuples, built when it is read.  A plain triple and its
+`BranchRecord` compare and hash equal, and `build_cct` and `write_records`
+accept either.
 """
 
 from __future__ import annotations
@@ -23,13 +29,22 @@ class AnalysisTool:
     name = "null"
 
     def __init__(self):
-        self.records: list[BranchRecord] = []
+        self.raw_records: list[tuple[str, int, int]] = []
+        self._view: list[BranchRecord] = []
 
     def on_branch(self, kind: str, src: int, dst: int) -> None:
-        self.records.append(BranchRecord(kind, src, dst))
+        self.raw_records.append((kind, src, dst))
 
-    def unique_records(self) -> frozenset[BranchRecord]:
-        return frozenset(self.records)
+    @property
+    def records(self) -> list[BranchRecord]:
+        """The records so far as `BranchRecord`s, built on a read after new
+        records arrived and otherwise the list the last read returned."""
+        if len(self._view) != len(self.raw_records):
+            self._view = list(map(BranchRecord._make, self.raw_records))
+        return self._view
+
+    def unique_records(self) -> frozenset:
+        return frozenset(self.raw_records)
 
 
 class BranchProfiler(AnalysisTool):
@@ -45,7 +60,7 @@ class CallTraceTool(AnalysisTool):
 
     def on_branch(self, kind: str, src: int, dst: int) -> None:
         if kind in ("call", "return"):
-            self.records.append(BranchRecord(kind, src, dst))
+            self.raw_records.append((kind, src, dst))
 
 
 TOOLS = {"branch": BranchProfiler, "cct": CallTraceTool}
@@ -90,7 +105,8 @@ class CallContextTree:
 
 
 def build_cct(records) -> CallContextTree:
-    """Build a call-context tree from an ordered record stream.
+    """Build a call-context tree from an ordered stream of (kind, src, dst)
+    records, plain tuples or `BranchRecord`s.
 
     A call descends to the child named by the callee entry, creating it if
     absent; a return ascends.  A return at the root is tolerated (budget
@@ -98,23 +114,24 @@ def build_cct(records) -> CallContextTree:
     """
     tree = CallContextTree()
     cursor = tree.root
-    for rec in records:
-        if rec.kind == "call":
-            child = cursor.children.get(rec.dst)
+    for kind, _, dst in records:
+        if kind == "call":
+            child = cursor.children.get(dst)
             if child is None:
-                child = CCTNode(rec.dst, cursor)
-                cursor.children[rec.dst] = child
+                child = CCTNode(dst, cursor)
+                cursor.children[dst] = child
                 tree.node_count += 1
                 tree.edge_count += 1
             cursor = child
-        elif rec.kind == "return":
+        elif kind == "return":
             if cursor.parent is not None:
                 cursor = cursor.parent
     return tree
 
 
 def write_records(records, path) -> None:
-    """Line-oriented kind,src,dst tool output file."""
+    """Line-oriented kind,src,dst tool output file, from (kind, src, dst)
+    records, plain tuples or `BranchRecord`s."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for rec in records:
-            fh.write(f"{rec.kind},{rec.src},{rec.dst}\n")
+        for kind, src, dst in records:
+            fh.write(f"{kind},{src},{dst}\n")

@@ -148,6 +148,17 @@ def test_bad_report_file(tmp_path, capsys):
     assert main(["report", "--in", str(path)]) == 1
 
 
+def test_deeply_nested_report_is_config_error(tmp_path, capsys):
+    # json.load gives up on nesting this deep with a RecursionError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["report", "--in", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("dime: config error: cannot read report: ")
+    assert "Traceback" not in err
+
+
 def test_log_file_that_is_a_directory_is_config_error(program_file, tmp_path, capsys):
     directory = tmp_path / "logs"
     directory.mkdir()

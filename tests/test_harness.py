@@ -1,14 +1,17 @@
+import gc
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import (ConfigError, GroundTruth, LogEntry, LogStore, MetricsObserver,
-                  RunConfig, classify, emit_report, parse_program, run_campaign,
-                  run_oracle, single_run)
+from dime import (BranchRecord, ConfigError, GroundTruth, LogEntry, LogStore,
+                  MetricsObserver, RunConfig, classify, emit_report, parse_program,
+                  run_campaign, run_oracle, serialize_program, single_run)
+from dime.cli import main
 from dime.harness import FN, FP, TRUE_PERMIT, TRUE_REJECT, report_document
 from dime.corpus import loop_corpus, random_corpus
 from dime.redundancy import STRATEGIES
@@ -270,3 +273,101 @@ def test_report_serializes_unbounded_budget(p1_det, tmp_path):
     doc = report_document(run_campaign(config, 1))
     assert doc["campaign"]["budget"] == "inf"
     assert doc["campaign"]["period"] == "inf"
+
+
+# -- outcomes and the collector --------------------------------------------------------
+
+def loop_guest(iterations):
+    """A loop of `iterations` passes that calls a function on each pass: its
+    record, commit and permit counts grow with `iterations`."""
+    return parse_program(f"""\
+image main 1000
+L0: op 1
+    call F
+    op 2
+    br L0 {'T' * (iterations - 1)}N
+    halt
+F:  op 1
+    br F1 TN
+    op 1
+F1: ret
+""")
+
+
+def tracked_by(make):
+    """The objects that make()'s result leaves the collector to track."""
+    gc.collect()
+    before = len(gc.get_objects())
+    result = make()
+    gc.collect()
+    gc.collect()
+    return result, len(gc.get_objects()) - before
+
+
+@pytest.mark.parametrize("granularity", ["ctrl", "all"])
+def test_campaign_result_leaves_the_collector_a_fixed_number_of_objects(granularity,
+                                                                        tmp_path):
+    # A run keeps its records, commits and permit queries as plain tuples,
+    # which a collection stops tracking, so a held result costs the same
+    # full scans whatever the guest's length.
+    def campaign(iterations):
+        config = config_for(loop_guest(iterations), tmp_path, granularity=granularity,
+                            period=20, budget=6)
+        return tracked_by(lambda: run_campaign(config, 3))
+
+    campaign(50)
+    small, small_added = campaign(300)
+    big, big_added = campaign(1200)
+    assert sum(len(o.committed_entries) for o in big.outcomes) > \
+        3 * sum(len(o.committed_entries) for o in small.outcomes)
+    assert len(big.oracle.record_stream) > 3 * len(small.oracle.record_stream)
+    assert big_added <= small_added + 4
+    assert big_added < 100
+
+
+@pytest.fixture
+def named_tuples_built(monkeypatch):
+    """Counts of the LogEntry and BranchRecord tuples built, by class name,
+    through the constructor or `_make`, while the test runs."""
+    built = Counter()
+    for cls in (LogEntry, BranchRecord):
+        new, make = cls.__new__, cls.__dict__["_make"].__func__
+
+        def counting_new(klass, *args, _new=new, **kwargs):
+            built[klass.__name__] += 1
+            return _new(klass, *args, **kwargs)
+
+        def counting_make(klass, iterable, _make=make):
+            built[klass.__name__] += 1
+            return _make(klass, iterable)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(cls, "_make", classmethod(counting_make))
+    return built
+
+
+@pytest.mark.parametrize("granularity", ["ctrl", "all"])
+def test_campaign_builds_no_named_tuples_until_a_view_is_read(granularity, tmp_path,
+                                                              named_tuples_built, capsys):
+    config = config_for(loop_guest(40), tmp_path, granularity=granularity,
+                        period=20, budget=6)
+    result = run_campaign(config, 3)
+    emit_report(result, tmp_path / "report.json")
+    program = tmp_path / "loop.dime"
+    program.write_text(serialize_program(config.program))
+    for tool in ("branch", "cct"):
+        assert main(["campaign", "--program", str(program), "--granularity", granularity,
+                     "--tool", tool, "--period", "20", "--budget", "6",
+                     "--log-strategy", "bst", "--log-file", str(tmp_path / "cli.log"),
+                     "--runs", "2", "--tool-out", str(tmp_path / f"{tool}.out")]) == 0
+    capsys.readouterr()
+    assert named_tuples_built == {}
+
+    outcome = result.outcomes[0]
+    assert outcome.committed_entries and outcome.tool_output and outcome.permits
+    assert isinstance(outcome.committed_entries[0], LogEntry)
+    assert isinstance(outcome.permits[0][0], LogEntry)
+    assert isinstance(outcome.tool_output[0], BranchRecord)
+    assert named_tuples_built == {
+        "LogEntry": len(outcome.committed_entries) + len(outcome.permits),
+        "BranchRecord": len(outcome.tool_output)}
