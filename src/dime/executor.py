@@ -3,8 +3,8 @@
 Execution proceeds trace by trace under a virtual clock.  A trace is a
 straight-line run of instructions with a single entry point: conditionals may
 sit anywhere (each is an exit), and the first jmp/call/ret/halt closes it.
-Compiled traces are cached per (version, entry address) for one run, and
-their shapes are kept in a TraceMemo that the runs of a campaign share.
+A run keeps one trace cache per version, keyed by entry address, and the
+trace shapes are kept in a TraceMemo that the runs of a campaign share.
 
 Two versions exist per trace: V_INSTRUMENT carries analysis calls at its
 instrumentation points (when the redundancy log permits), V_BASE carries
@@ -29,11 +29,14 @@ instruction whose analysis call executed is committed to the log.
 A compiled trace is executed from its body, in which each maximal run of ops
 holding no instrumentation point is one item: ops touch no guest state, so
 the run adds its length to the step count and its summed cost to the clock
-in one step.
+in one step.  For the same reason no op is ever stepped, not even one that
+is an item of its own at `all` granularity: only the other instructions
+reach the guest, each as the (kind, target, arg) tuple that TraceMemo.code
+holds for its address, and an item whose address has no entry there is ops.
 
-Trace walks and the native pass read the program's instruction columns,
-and the guest steps on (kind, target, arg) tuples taken from them, so no run
-builds an Instruction object.
+Trace walks and the native pass read the program's instruction columns, so
+no run builds an Instruction object.  The analyzed addresses are kept as
+plain absolute ints and mapped to (image, rel_addr) once, when the run ends.
 
 A run keeps what it reports as plain tuples of strings, numbers and bools,
 which the garbage collector stops tracking: the tool's (kind, src, dst)
@@ -227,20 +230,19 @@ class TraceMemo:
     shape that the cut rule asks for.  Shapes are plain tuples of numbers
     and strings, which the garbage collector stops tracking, and V_BASE and
     V_INSTRUMENT traces share them.  `code` maps the address of each
-    instruction that a body can hold as an item of its own (every
-    instruction but the ops at `ctrl` granularity) to its (kind, target,
-    arg), read from the program's columns.
+    instruction that does something when stepped (every kind but op), at
+    both granularities, to its (kind, target, arg), read from the
+    program's columns.
     """
 
     def __init__(self, program: Program, max_len: int, granularity: str):
         self.program = program
         self.max_len = max_len
         self.granularity = granularity
-        every = granularity == "all"
         self.code = {addr: (kind, target, arg) for img in program.images
                      for addr, kind, target, arg in zip(count(img.base), img.kinds,
                                                         img.targets, img.args)
-                     if every or kind != OP}
+                     if kind != OP}
         self._walks: dict[int, tuple] = {}
         self._cuts: dict[tuple[int, int], tuple] = {}
 
@@ -275,10 +277,9 @@ class _GuestState:
 
     def step(self, addr, ins):
         """Execute the instruction at `addr`, given as its (kind, target,
-        arg): (next pc or None on halt, taken-transfer record)."""
+        arg): (next pc or None on halt, taken-transfer record).  It is never
+        an op: an op touches no guest state, so neither interpreter steps one."""
         kind, target, arg = ins
-        if kind == OP:
-            return addr + 1, None
         if kind == JMP:
             return target, ("jump", addr, target)
         if kind == BR:
@@ -361,6 +362,22 @@ def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
         pc = nxt
 
 
+def _relative(program: Program, addrs) -> frozenset:
+    """The (image, rel_addr) of each address in `addrs`, every one inside
+    some image: one sweep of the sorted addresses over the images by base."""
+    images = iter(sorted((img for img in program.images if img.kinds),
+                         key=lambda img: img.base))
+    img = next(images)
+    name, base, end = img.name, img.base, img.end
+    out = []
+    for addr in sorted(addrs):
+        while addr >= end:
+            img = next(images)
+            name, base, end = img.name, img.base, img.end
+        out.append((name, addr - base))
+    return frozenset(out)
+
+
 def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisTool,
         rng_seed: int | None = None, observer=None,
         memo: TraceMemo | None = None) -> ExecutionOutcome:
@@ -393,12 +410,14 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     code = memo.code
     seed = config.seed if rng_seed is None else rng_seed
     guest = _GuestState(program, seed)
-    # (version, entry) -> (image, rel_start, length, body, analysis attached)
-    cache: dict[tuple[int, int], tuple] = {}
-    entry_points = {V_BASE: set(), V_INSTRUMENT: set()}
+    # Per version (indexed by V_BASE and V_INSTRUMENT): entry ->
+    # (image, rel_start, length, body, analysis attached).  A cache's keys
+    # are the entry points that cut later walks of its version.
+    caches: tuple[dict[int, tuple], dict[int, tuple]] = ({}, {})
     # entry -> longest prefix committed from its trace, per instrumented trace
     longest: dict[int, int] = {}
     check, charge, stable_until = budget.check, budget.charge, budget.stable_until
+    step, on_branch = guest.step, tool.on_branch
     check_cost = config.check_cost
     analysis_cost = config.analysis_cost
     max_steps = config.max_steps
@@ -406,7 +425,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     steps = 0
     version = V_INSTRUMENT
     pc = program.entry
-    analyzed: set[tuple[str, int]] = set()
+    analyzed: set[int] = set()  # absolute addresses, mapped to images on output
     committed: list[tuple[str, int, int]] = []
     queries: list[tuple[tuple[str, int, int], bool]] = []
     path = [] if config.capture_path else None
@@ -418,11 +437,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     now = None
 
     while not halted:
-        compiled = cache.get((version, pc))
+        cache = caches[version]
+        compiled = cache.get(pc)
         if compiled is None:
             t += config.compile_cost
             try:
-                image, rel, length, body = memo.shape(pc, version, entry_points[version])
+                image, rel, length, body = memo.shape(pc, version, cache.keys())
             except AddressError as exc:
                 raise GuestError(str(exc)) from None
             analysis = False
@@ -434,8 +454,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                     observer.on_permit(candidate, analysis)
                 if analysis:
                     longest[pc] = 0
-            compiled = cache[(version, pc)] = (image, rel, length, body, analysis)
-            entry_points[version].add(pc)
+            compiled = cache[pc] = (image, rel, length, body, analysis)
 
         image, rel, length, body, analysis = compiled
         last_analyzed: int | None = None
@@ -457,28 +476,29 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                         answer = V_BASE
                         until = stable_until()
                     t += analysis_cost
-                    analyzed.add((image, rel + off))
+                    analyzed.add(at)
                     last_analyzed = off
                     armed = True
             steps += n
             if steps > max_steps:
                 raise GuestError("step limit exceeded")
             t += cost
-            if at is None:  # a run of n ops, which touch no guest state
+            ins = code.get(at)
+            if ins is None:  # n ops, which touch no guest state
                 if path is not None:
                     path.extend(range(pc + off, pc + off + n))
                 continue
             if path is not None:
                 path.append(at)
-            nxt, record = guest.step(at, code[at])
-            if record is not None and armed:
-                tool.on_branch(*record)
+            nxt, record = step(at, ins)
+            if record is not None:  # a taken transfer exits the trace
+                if armed:
+                    on_branch(*record)
+                next_pc = nxt
+                break
             if nxt is None:
                 halted = True
                 break
-            if record is not None:
-                next_pc = nxt
-                break  # taken transfer exits the trace
 
         if last_analyzed is not None:
             prefix = last_analyzed + 1
@@ -497,7 +517,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     return ExecutionOutcome(
         virtual_time=t,
         steps=steps,
-        analyzed_addrs=frozenset(analyzed),
+        analyzed_addrs=_relative(program, analyzed),
         records=tuple(tool.raw_records),
         commits=tuple(committed),
         queries=tuple(queries),

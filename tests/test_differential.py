@@ -3,9 +3,11 @@
 `native_run` executes cached straight runs and `run()` executes each
 compiled trace's op runs in one step; on generated programs both must walk
 the reference's address sequence with its time, step count and records, and
-a step limit one below the reference's step count must stop them.  The main
-code is cut into adjacent images, so execution falls through from one image
-into the next, and its routines sit in an image below it.
+a step limit one below the reference's step count must stop them.  With an
+unlimited budget, run() must analyze every instrumentation point on that
+path, reported relative to its image.  The main code is cut into adjacent
+images, so execution falls through from one image into the next, and its
+routines sit in an image below it.
 
 Each program also comes without its final halt, so that execution falls off
 the end of its last image.  A step limit that leaves no room for the last
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from dime import (BudgetState, GuestError, LogStore, RunConfig, make_tool, native_run,
                   parse_program, run)
 from dime.executor import GRANULARITIES
+from dime.program import CONTROL_TRANSFERS
 
 from reference import reference_run
 
@@ -106,6 +109,10 @@ def test_interpreters_match_reference(texts, seed, granularity, max_len):
     out = instrumented(program, steps)
     assert (out.tool_output, out.addr_path, out.steps) == (
         tuple(records), tuple(path), steps)
+    # Unlimited budget: every instrumentation point on the path is analyzed.
+    assert out.analyzed_addrs == {
+        (image, rel) for ins, image, rel in map(program.resolve, set(path))
+        if granularity == "all" or ins.kind in CONTROL_TRANSFERS}
     with pytest.raises(GuestError, match="step limit"):
         instrumented(program, steps - 1)
     with pytest.raises(GuestError, match="outside every image"):

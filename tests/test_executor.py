@@ -1,11 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from dime import (BudgetState, ConfigError, GuestError, LogEntry, LogStore,
-                  RunConfig, TraceDescriptor, form_trace, make_tool, native_run,
-                  parse_program, run)
+                  RunConfig, TraceDescriptor, executor, form_trace, make_tool, native_run,
+                  parse_program, run, run_campaign)
 from dime.program import CONTROL_TRANSFERS
 from dime.budget import V_BASE, V_INSTRUMENT
 from dime.corpus import random_program
@@ -133,6 +134,36 @@ def test_instrumentation_is_transparent(p1):
                                  period=period, budget=budget,
                                  granularity="all", capture_path=True)
             assert out.addr_path == reference
+
+
+def test_ops_are_never_stepped(calls_program, monkeypatch):
+    # An op touches no guest state, so no interpreter hands one to the guest,
+    # not even at `all` granularity, where every op is a body item of its own.
+    stepped = Counter()
+    step = executor._GuestState.step
+
+    def counting(self, addr, ins):
+        stepped[ins[0]] += 1
+        return step(self, addr, ins)
+
+    monkeypatch.setattr(executor._GuestState, "step", counting)
+    records, native_time, path = reference_run(calls_program, seed=1)
+    non_ops = Counter(calls_program.instruction_at(a).kind for a in path)
+    del non_ops["op"]
+    full_time = native_time + len(path)  # one analysis call of cost 1 per step
+    out, _, _ = make_run(calls_program, log_strategy="none", granularity="all",
+                         capture_path=True)
+    assert (out.records, out.addr_path, out.virtual_time) == (
+        tuple(records), tuple(path), full_time)
+    assert stepped == non_ops
+    stepped.clear()
+    # The oracle's native and full runs and two budgeted runs.
+    result = run_campaign(RunConfig(program=calls_program, granularity="all"), 2)
+    assert (result.oracle.record_stream, result.oracle.native_time,
+            result.oracle.full_instrumentation_time) == (tuple(records), native_time, full_time)
+    assert [(o.records, o.virtual_time) for o in result.outcomes] == [
+        (tuple(records), full_time)] * 2
+    assert stepped == Counter({kind: 4 * n for kind, n in non_ops.items()})
 
 
 def test_committed_union_equals_analyzed_at_all_granularity():
