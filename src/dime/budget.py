@@ -8,8 +8,11 @@ recorded as an overshoot and attributed to the period in which the call
 started.
 
 A check's answer can change only at a charge that spends the budget or at
-the next period boundary; stable_until() gives the time up to which a
-caller may reuse it.
+the next period boundary.  Every check and charge leaves in `horizon` the
+time before which a check keeps giving the current answer, so a caller
+that reuses the answer reads one attribute and makes no further call.
+A check that crosses a boundary closes the periods into a run-length
+history in place, so each budget event is one call.
 """
 
 from __future__ import annotations
@@ -35,6 +38,15 @@ class BudgetState:
     period_index: int = 0
     t_ins_this_period: float = 0
     overshoot_log: list[tuple[float, float]] = field(default_factory=list)
+    # The time before which check() keeps answering as it would now, unless
+    # a charge spends the budget first (which sets a new one):
+    # MAX_PERIODS * T while budget remains, since a boundary refills it to
+    # B > 0, and the end of the open period once it is spent (or B = 0).
+    # The cap at MAX_PERIODS * T makes a caller that reuses the answer still
+    # check, and so raise BudgetContractError, at the first time past the
+    # period-count limit.  The open period ends at (k + 1) * T with
+    # k < MAX_PERIODS, never past the cap.
+    horizon: float = field(init=False)
     # t_ins of the closed periods, run-length encoded: run i is
     # _run_periods[i] consecutive periods that each had t_ins _run_loads[i]
     _run_loads: list[float] = field(default_factory=list, repr=False)
@@ -42,6 +54,7 @@ class BudgetState:
     _last_now: float = field(default=0, repr=False)
     # (period_index + 1) * T: the time at which the open period closes
     _period_end: float = field(init=False, repr=False)
+    _cap: float = field(init=False, repr=False)  # MAX_PERIODS * T
 
     def __post_init__(self):
         if self.period <= 0:
@@ -50,78 +63,79 @@ class BudgetState:
             raise ValueError("budget must satisfy 0 <= B <= T")
         self.remaining = self.budget
         self._period_end = (self.period_index + 1) * self.period
+        self._cap = MAX_PERIODS * self.period
+        self.horizon = self._cap if self.budget > 0 else self._period_end
 
     @classmethod
     def unlimited(cls) -> "BudgetState":
         return cls(period=math.inf, budget=math.inf)
 
-    def _advance(self, now: float) -> None:
+    def check(self, now: float) -> int:
+        """Advance past any period boundaries <= now, then report 1 iff budget
+        remains; `horizon` then holds the time until which that answer holds."""
         if now < self._last_now:
             raise BudgetContractError(f"clock moved backwards: {now} < {self._last_now}")
         self._last_now = now
         if now < self._period_end:
-            return
-        first = self.period_index + 1
+            return 1 if self.remaining > 0 else 0
         # The open period becomes the first k >= `first` with now < (k+1)*T.
-        # Floor division guesses k; the boundary test corrects the guess, so
-        # a float T crosses boundaries exactly as stepping one period at a
-        # time would.  Every period closed after the first one is empty.
-        # Past 2**53 periods, k + 1 no longer changes as a float, and the
-        # correction could not end.
+        # Most boundaries are crossed one at a time, which one multiply
+        # settles.  Otherwise floor division guesses k and the boundary test
+        # corrects the guess, so a float T crosses boundaries exactly as
+        # stepping one period at a time would; k * T is monotonic in k, so
+        # both ways find the same k.  Past 2**53 periods, k + 1 no longer
+        # changes as a float, and the correction could not end.
         period = self.period
-        if not now < MAX_PERIODS * period:
+        if not now < self._cap:
             raise BudgetContractError(
                 f"time {now} is 2**53 or more periods of {period} in; "
                 "period counts that large are not exact in floating point")
-        k = max(first, int(now // period))
-        while now >= (k + 1) * period:
-            k += 1
-        while k > first and now < k * period:
-            k -= 1
-        self._close(self.t_ins_this_period, 1)
-        if k > first:
-            self._close(0, k - first)
-        self.period_index = k
-        self._period_end = (k + 1) * period
-        self.remaining = self.budget
-        self.t_ins_this_period = 0
-
-    def _close(self, load: float, periods: int) -> None:
-        if not periods:
-            return
-        if self._run_loads and self._run_loads[-1] == load:
-            self._run_periods[-1] += periods
+        first = self.period_index + 1
+        end = (first + 1) * period
+        if now < end:
+            k = first
         else:
-            self._run_loads.append(load)
-            self._run_periods.append(periods)
+            k = max(first, int(now // period))
+            while now >= (k + 1) * period:
+                k += 1
+            while k > first and now < k * period:
+                k -= 1
+            end = (k + 1) * period
+        # Close the open period, then the k - first empty ones after it, into
+        # the run-length history.  After the first, the last run's load
+        # equals `load`, so the empty periods join it iff load == 0.
+        load = self.t_ins_this_period
+        loads, runs = self._run_loads, self._run_periods
+        if loads and loads[-1] == load:
+            runs[-1] += 1
+        else:
+            loads.append(load)
+            runs.append(1)
+        if k > first:
+            if load == 0:
+                runs[-1] += k - first
+            else:
+                loads.append(0)
+                runs.append(k - first)
+        self.period_index = k
+        self._period_end = end
+        self.t_ins_this_period = 0
+        self.remaining = budget = self.budget
+        if budget > 0:
+            self.horizon = self._cap
+            return 1
+        self.horizon = end
+        return 0
+
+    # Charges advance the clock through this alias, so an override of check()
+    # or a wrapper around it sees only the checks that callers make.
+    _advance = check
 
     @property
     def period_history(self) -> list[float]:
         """t_ins of every closed period, in order."""
         return [load for load, periods in zip(self._run_loads, self._run_periods)
                 for _ in range(periods)]
-
-    def check(self, now: float) -> int:
-        """Advance past any period boundaries <= now, then report 1 iff budget remains."""
-        self._advance(now)
-        return 1 if self.remaining > 0 else 0
-
-    def stable_until(self) -> float:
-        """The time before which check() keeps giving its last answer,
-        unless a charge spends the budget first.
-
-        The answer changes only at a charge that spends the budget or at the
-        next period boundary.  While budget remains, a boundary refills it
-        to B > 0, so the answer holds until MAX_PERIODS * T; once it is
-        spent (or B = 0) it holds until the next boundary, the time at which
-        _advance closes the open period.  The cap at MAX_PERIODS * T makes a
-        caller that reuses the answer still check, and so raise
-        BudgetContractError, at the first time past the period-count limit.
-        """
-        cap = MAX_PERIODS * self.period
-        if self.remaining > 0:
-            return cap
-        return min(self._period_end, cap)
 
     def charge(self, cost: float, now: float) -> int:
         """Consume budget for an analysis call that started at `now`.
@@ -130,22 +144,28 @@ class BudgetState:
         atomic: remaining may transiently go negative, in which case the
         deficit is logged as an overshoot and remaining clamps to 0.
         Returns what check(now) would answer after the charge: 0 once the
-        call has spent the budget, which moves stable_until().
+        call has spent the budget, in which case `horizon` moves to the end
+        of the open period.
         """
         if cost < 0:
             raise ValueError("cost must be >= 0")
         if self._last_now <= now < self._period_end:
-            self._last_now = now  # no boundary since the last check: _advance's fast path
+            self._last_now = now  # no boundary since the last check: check's fast path
         else:
             self._advance(now)
         if self.remaining <= 0:
             raise BudgetContractError("charge without a passing budget check")
-        self.remaining -= cost
+        remaining = self.remaining - cost
         self.t_ins_this_period += cost
-        if self.remaining < 0:
-            self.overshoot_log.append((now, -self.remaining))
-            self.remaining = 0
-        return 1 if self.remaining > 0 else 0
+        if remaining > 0:
+            self.remaining = remaining
+            return 1
+        if remaining < 0:
+            self.overshoot_log.append((now, -remaining))
+            remaining = 0
+        self.remaining = remaining
+        self.horizon = self._period_end
+        return 0
 
     def period_loads(self) -> list[float]:
         """t_ins of every period so far, the still-open one included."""

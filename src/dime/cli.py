@@ -13,8 +13,9 @@ log when the file is missing) instead of an empty log.  So `dime run
 files; each report scores its run on its own.
 
 Exit codes: 0 success, 1 configuration error (including a file that cannot
-be read or written and a malformed report), 2 guest error (including a run
-whose virtual time reaches 2**53 budget periods).  The files a command
+be read or written, a malformed report and a cost above 2**53), 2 guest
+error (including a run whose virtual time reaches 2**53 budget periods).
+The run settings are checked before the oracle's native pass.  The files a command
 will write (--log-file, --report, --tool-out) are checked before the oracle
 runs, so a bad output path fails before any run starts and leaves the log
 file as it was.

@@ -15,10 +15,11 @@ the other version starting there.  Analysis calls are atomic: once the
 check passes, the call completes even if it spends the budget past zero.
 
 The check's answer can change only at a charge that spends the budget or at
-the next period boundary.  So run() asks the budget server only when the
-clock reaches the time its last answer holds until
-(BudgetState.stable_until), reuses the answer at the points before that
-time, and checks once more at the last point when the run ends, so the
+the next period boundary.  Each check, and each charge that spends the
+budget, leaves on the server the time its answer holds until
+(BudgetState.horizon).  So run() asks the server only when the clock
+reaches that time, reuses the answer at the points before it with one float
+compare, and checks once more at the last point when the run ends, so the
 server closes the same periods.  check_cost is still charged to the clock
 at every point.
 
@@ -61,6 +62,11 @@ from .redundancy import LogEntry, LogStore
 from .tools import AnalysisTool, BranchRecord
 
 GRANULARITIES = ("ctrl", "all")
+
+# The largest analysis, check or compile cost a run accepts: every cost up to
+# it converts to a float exactly, as the budget arithmetic and the slow-down
+# ratio need, where a larger one may not convert at all (OverflowError).
+MAX_COST = 2**53
 
 
 class ConfigError(ValueError):
@@ -150,6 +156,8 @@ def _validate(config: RunConfig, tool) -> None:
         raise ConfigError("analysis cost must be > 0 when a tool is attached")
     if config.check_cost < 0 or config.compile_cost < 0:
         raise ConfigError("costs must be >= 0")
+    if max(config.analysis_cost, config.check_cost, config.compile_cost) > MAX_COST:
+        raise ConfigError("costs must be <= 2**53")
     if config.max_trace_len < 1:
         raise ConfigError("max trace length must be >= 1")
     if config.max_steps < 1:
@@ -416,7 +424,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     caches: tuple[dict[int, tuple], dict[int, tuple]] = ({}, {})
     # entry -> longest prefix committed from its trace, per instrumented trace
     longest: dict[int, int] = {}
-    check, charge, stable_until = budget.check, budget.charge, budget.stable_until
+    check, charge = budget.check, budget.charge
     step, on_branch = guest.step, tool.on_branch
     check_cost = config.check_cost
     analysis_cost = config.analysis_cost
@@ -465,7 +473,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                 now = t
                 if now >= until:
                     answer = check(now)
-                    until = stable_until()
+                    until = budget.horizon
                 t += check_cost
                 if answer != version:
                     version = answer  # abandon before this instruction executes
@@ -474,7 +482,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                 if analysis:
                     if not charge(analysis_cost, now):
                         answer = V_BASE
-                        until = stable_until()
+                        until = budget.horizon
                     t += analysis_cost
                     analyzed.add(at)
                     last_analyzed = off

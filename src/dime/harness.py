@@ -35,7 +35,8 @@ from dataclasses import asdict, dataclass, replace
 
 from . import redundancy
 from .budget import BudgetState
-from .executor import ConfigError, ExecutionOutcome, RunConfig, TraceMemo, native_run, run
+from .executor import (ConfigError, ExecutionOutcome, RunConfig, TraceMemo, _validate,
+                       native_run, run)
 from .redundancy import LogStore, STRATEGIES, _Intervals
 from .tools import make_tool
 
@@ -115,12 +116,16 @@ def run_oracle(config: RunConfig, memo: TraceMemo | None = None) -> OracleResult
 
     Uses the campaign's run-1 seed so the guest path matches run 1 exactly.
     The full run compiles its traces through `memo` when one is given.
+    The config is validated as run() would validate it before the native
+    pass, so a bad setting costs no guest step.
     """
+    tool = make_tool(config.tool)
+    _validate(config, tool)
     seed = config.seed + 1
     native = native_run(config.program, seed, config.max_steps)
     full = replace(config, period=float("inf"), budget=float("inf"),
                    log_strategy="none", capture_path=False)
-    outcome = run(full, LogStore("none"), BudgetState.unlimited(), make_tool(config.tool),
+    outcome = run(full, LogStore("none"), BudgetState.unlimited(), tool,
                   rng_seed=seed, memo=memo)
     return OracleResult(
         record_stream=outcome.records,

@@ -187,18 +187,23 @@ class SteppingBudget:
     period=st.one_of(st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1, 2.5, 7, math.inf]),
                      st.floats(min_value=0.01, max_value=20)),
     share=st.one_of(st.sampled_from([0, 1]), st.floats(min_value=0, max_value=1)),
-    steps=st.lists(st.tuples(st.one_of(st.integers(0, 40), st.floats(0, 40)),
+    # A move is a time step, or (j, ulps): the j-th boundary after the open
+    # period's start, moved by `ulps` (-1, 0 or 1) units in the last place.
+    steps=st.lists(st.tuples(st.one_of(st.integers(0, 40), st.floats(0, 40),
+                                       st.tuples(st.integers(1, 3),
+                                                 st.sampled_from([-1, 0, 1]))),
                              st.integers(0, 5)), max_size=60),
     probes=st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=4),
 )
 def test_closed_form_advance_matches_stepping_each_period(period, share, steps, probes):
-    # Also the horizon: after every check and charge, the model's check
-    # gives the same answer at every time from `now` up to stable_until().
+    # Also the horizon that run() reads: after every check and charge, the
+    # model's check gives the same answer at every time from `now` up to
+    # `horizon`.
     budget = period * share if share else 0
     state, model = BudgetState(period=period, budget=budget), SteppingBudget(period, budget)
 
     def answer_holds_until_horizon(answer, now):
-        until = state.stable_until()
+        until = state.horizon
         assert until > now
         # Stepping the model is linear in periods, so probe at most 50 ahead.
         reach = min(until, now + 50 * period if period < math.inf else now + 1e6)
@@ -209,9 +214,19 @@ def test_closed_form_advance_matches_stepping_each_period(period, share, steps, 
             if now <= later < until:
                 assert model.peek(later) == answer
 
+    def loads(values):
+        return [(value, type(value)) for value in values]
+
     now = 0
-    for dt, cost in steps:
-        now += dt
+    for move, cost in steps:
+        if not isinstance(move, tuple):
+            now += move
+        elif period < math.inf:
+            j, ulps = move
+            edge = (model.index + j) * period
+            if ulps:
+                edge = math.nextafter(edge, ulps * math.inf)
+            now = max(now, edge)
         answer = state.check(now)
         assert answer == model.check(now)
         answer_holds_until_horizon(answer, now)
@@ -221,7 +236,7 @@ def test_closed_form_advance_matches_stepping_each_period(period, share, steps, 
             assert answer == model.check(now)
             answer_holds_until_horizon(answer, now)
         assert state.period_index == model.index
-        assert state.period_loads() == model.history + [model.load]
+        assert loads(state.period_loads()) == loads(model.history + [model.load])
         assert state.remaining == model.remaining
     assert state.overshoot_log == model.overshoots
 

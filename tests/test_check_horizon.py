@@ -1,12 +1,15 @@
 """Budget checks on a next-event horizon.
 
 run() asks the budget server only when the clock reaches the time that the
-server's last answer holds until (BudgetState.stable_until), and reuses the
-answer at the points before it.  A server whose horizon is -inf is asked at
-every point, as a run did before the horizon existed; runs against it are
-the reference.  They must agree with runs against the real server field for
-field, in the periods closed, the per-period loads, the overshoots and the
-final log, and a run must stop at the period-count limit at the same point.
+server's last answer holds until (BudgetState.horizon, which each check and
+each charge that spends the budget leave on the server), and reuses the
+answer at the points before it.  A server whose horizon is always -inf is
+asked at every point, as a run did before the horizon existed; runs against
+it are the reference.  They must agree with runs against the real server
+field for field, in the periods closed, the per-period loads, the overshoots
+and the final log, and a run must stop at the period-count limit at the same
+point.  The reference must really be asked at every point, or the
+comparison would pit the real server against itself.
 """
 
 import math
@@ -26,12 +29,37 @@ from test_differential import programs
 RUNS = 2
 
 
-class EveryPoint(BudgetState):
-    """A server whose answers hold for no time, so run() asks it at every
-    instrumentation point."""
+class Counting(BudgetState):
+    """The real server, counting its checks and charges."""
 
-    def stable_until(self):
-        return -math.inf
+    checks = charges = 0
+
+    def check(self, now):
+        self.checks += 1
+        return super().check(now)
+
+    def charge(self, cost, now):
+        self.charges += 1
+        return super().charge(cost, now)
+
+
+class EveryPoint(Counting):
+    """A server whose answers hold for no time, so run() asks it at every
+    instrumentation point: the horizon it sets is dropped, and run() always
+    reads -inf."""
+
+    horizon = property(lambda self: -math.inf, lambda self, value: None)
+
+
+def points_passed(config, outcome, state):
+    """The instrumentation points a run passed, from its virtual time: each
+    point adds check_cost to the clock, each analysis call analysis_cost, and
+    each executed instruction its cost (compile_cost is 0)."""
+    costs = {img.base + i: cost for img in config.program.images
+             for i, cost in enumerate(img.costs)}
+    guest = sum(costs[addr] for addr in outcome.addr_path)
+    analysis = config.analysis_cost * state.charges
+    return (outcome.virtual_time - guest - analysis) / config.check_cost
 
 
 def log_bytes(log):
@@ -54,6 +82,10 @@ def run_sequence(config, server):
         state = server(period=config.period, budget=config.budget)
         outcome = run(config, log, state, make_tool(config.tool), rng_seed=config.seed + k)
         log.finalize()
+        if server is EveryPoint and config.check_cost:
+            # One check per point passed, and one more after the last point.
+            points = points_passed(config, outcome, state)
+            assert state.checks == points + (points > 0)
         runs.append((outcome, state.period_index, state.period_loads(),
                      state.overshoot_log))
     return runs, log_bytes(log)
@@ -72,7 +104,7 @@ def test_horizon_changes_no_outcome(texts, seed, granularity, max_len, strategy,
                        budget=period * share if share else 0, analysis_cost=analysis_cost,
                        check_cost=check_cost, max_trace_len=max_len, seed=seed,
                        log_strategy=strategy, capture_path=True)
-    assert run_sequence(config, BudgetState) == run_sequence(config, EveryPoint)
+    assert run_sequence(config, Counting) == run_sequence(config, EveryPoint)
 
 
 @pytest.mark.parametrize("share", [0, 0.5, 1])
@@ -86,15 +118,21 @@ def test_period_count_limit_stops_a_run_at_the_same_point(share):
                             + "T" * 30 + "N\n    halt\n")
     config = RunConfig(program=program, period=1e-6, budget=1e-6 * share,
                        log_strategy="hash", max_steps=1000)
-    errors = []
-    for server in (BudgetState, EveryPoint):
+    errors, checks = [], []
+    for server in (Counting, EveryPoint):
         log = LogStore("hash")
         log.commit(LogEntry("m", 0, 3))
+        state = server(period=config.period, budget=config.budget)
         with pytest.raises(BudgetContractError, match="2\\*\\*53") as exc:
-            run(config, log, server(period=config.period, budget=config.budget),
-                make_tool("branch"))
+            run(config, log, state, make_tool("branch"))
         errors.append(str(exc.value))
+        checks.append(state.checks)
     assert errors[0] == errors[1]
+    # The reference checked at the br of each of the ten passes, and at
+    # B = 0 once more where the first pass switched to V_BASE at that br.
+    # The real server's horizon skipped checks.
+    assert checks[1] == 10 + (share == 0)
+    assert checks[0] < checks[1]
 
 
 @pytest.mark.parametrize("passes", [3, 3000])

@@ -207,6 +207,44 @@ def test_bad_output_path_fails_before_the_oracle(program_file, tmp_path, capsys,
     assert log.read_bytes() == b"# dime-log v1 strategy=hash\nmain,999\n"
 
 
+
+@pytest.mark.parametrize("command", ["oracle", "run", "campaign"])
+@pytest.mark.parametrize("flag,message", [
+    ("--max-steps", "step limit must be >= 1"),
+    ("--ca", "analysis cost must be > 0 when a tool is attached"),
+    ("--max-len", "max trace length must be >= 1"),
+], ids=["max-steps", "ca", "max-len"])
+def test_bad_run_setting_fails_before_the_native_pass(program_file, capsys, monkeypatch,
+                                                      command, flag, message):
+    def native(*args, **kwargs):
+        raise AssertionError("the native pass ran")
+
+    monkeypatch.setattr(harness, "native_run", native)
+    argv = [command, "--program", program_file, flag, "0"]
+    if command == "campaign":
+        argv += ["--runs", "2"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"dime: config error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--ca", "--cbc", "--cir"])
+@pytest.mark.parametrize("budget", [["--period", "10", "--budget", "5"], []],
+                         ids=["budgeted", "unlimited"])
+def test_cost_past_2_to_the_53_is_config_error(program_file, capsys, flag, budget):
+    # A cost of 10**400 used to overflow as a float in the budget server or
+    # in the slow-down ratio; 2**53 itself is accepted.
+    argv = ["run", "--program", program_file, *budget, flag]
+    assert main(argv + [str(2**53)]) == 0
+    capsys.readouterr()
+    for cost in (2**53 + 1, 10**400):
+        assert main(argv + [str(cost)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "dime: config error: costs must be <= 2**53\n"
+
+
 def drop_last_histogram(doc):
     del doc["runs"][-1]["overshoot_histogram"]
     return doc
