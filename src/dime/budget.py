@@ -79,12 +79,14 @@ class BudgetState:
         if now < self._period_end:
             return 1 if self.remaining > 0 else 0
         # The open period becomes the first k >= `first` with now < (k+1)*T.
-        # Most boundaries are crossed one at a time, which one multiply
-        # settles.  Otherwise floor division guesses k and the boundary test
-        # corrects the guess, so a float T crosses boundaries exactly as
-        # stepping one period at a time would; k * T is monotonic in k, so
-        # both ways find the same k.  Past 2**53 periods, k + 1 no longer
-        # changes as a float, and the correction could not end.
+        # One multiply settles a crossing of a single boundary.  On the
+        # switchstorm workload that is 46 % of crossings; the rest pay the
+        # multiply before the search, and its budgeted runs are still faster
+        # with the shortcut than without.  Otherwise floor division guesses
+        # k and the boundary test corrects the guess, so a float T crosses
+        # boundaries exactly as stepping one period at a time would; k * T is
+        # monotonic in k, so both ways find the same k.  Past 2**53 periods,
+        # k + 1 no longer changes as a float, and the correction could not end.
         period = self.period
         if not now < self._cap:
             raise BudgetContractError(

@@ -149,7 +149,9 @@ class RunConfig:
         return BudgetState(period=self.period, budget=self.budget)
 
 
-def _validate(config: RunConfig, tool) -> None:
+def validate(config: RunConfig, tool) -> None:
+    """Raise ConfigError for a setting run() cannot honour; `tool` is the
+    attached tool (or None), whose presence requires a positive analysis cost."""
     if config.granularity not in GRANULARITIES:
         raise ConfigError(f"unknown granularity {config.granularity!r}")
     if tool is not None and config.analysis_cost <= 0:
@@ -405,7 +407,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     Either way the run compiles each trace into its own cache and charges
     compile_cost for it, so a memo changes no result.
     """
-    _validate(config, tool)
+    validate(config, tool)
     if tool is None:
         raise ConfigError("run() needs an analysis tool; use native_run() for none")
     program = config.program

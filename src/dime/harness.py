@@ -35,8 +35,8 @@ from dataclasses import asdict, dataclass, replace
 
 from . import redundancy
 from .budget import BudgetState
-from .executor import (ConfigError, ExecutionOutcome, RunConfig, TraceMemo, _validate,
-                       native_run, run)
+from .executor import (ConfigError, ExecutionOutcome, RunConfig, TraceMemo, native_run,
+                       run, validate)
 from .redundancy import LogStore, STRATEGIES, _Intervals
 from .tools import make_tool
 
@@ -120,7 +120,7 @@ def run_oracle(config: RunConfig, memo: TraceMemo | None = None) -> OracleResult
     pass, so a bad setting costs no guest step.
     """
     tool = make_tool(config.tool)
-    _validate(config, tool)
+    validate(config, tool)
     seed = config.seed + 1
     native = native_run(config.program, seed, config.max_steps)
     full = replace(config, period=float("inf"), budget=float("inf"),

@@ -207,7 +207,6 @@ def test_bad_output_path_fails_before_the_oracle(program_file, tmp_path, capsys,
     assert log.read_bytes() == b"# dime-log v1 strategy=hash\nmain,999\n"
 
 
-
 @pytest.mark.parametrize("command", ["oracle", "run", "campaign"])
 @pytest.mark.parametrize("flag,message", [
     ("--max-steps", "step limit must be >= 1"),
