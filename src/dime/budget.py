@@ -57,7 +57,7 @@ class BudgetState:
     _cap: float = field(init=False, repr=False)  # MAX_PERIODS * T
 
     def __post_init__(self):
-        if self.period <= 0:
+        if not self.period > 0:  # nan included
             raise ValueError("period must be > 0")
         if not 0 <= self.budget <= self.period:
             raise ValueError("budget must satisfy 0 <= B <= T")
@@ -104,17 +104,20 @@ class BudgetState:
                 k -= 1
             end = (k + 1) * period
         # Close the open period, then the k - first empty ones after it, into
-        # the run-length history.  After the first, the last run's load
-        # equals `load`, so the empty periods join it iff load == 0.
+        # the run-length history.  A period joins the last run only if its
+        # load has that run's value and type (2 and 2.0 stay apart, as
+        # stepping each period keeps them).  After the first, the last run's
+        # load is `load`, so the empty periods, whose load is the int 0, join
+        # it iff it is the int 0.
         load = self.t_ins_this_period
         loads, runs = self._run_loads, self._run_periods
-        if loads and loads[-1] == load:
+        if loads and loads[-1] == load and type(loads[-1]) is type(load):
             runs[-1] += 1
         else:
             loads.append(load)
             runs.append(1)
         if k > first:
-            if load == 0:
+            if load == 0 and type(load) is int:
                 runs[-1] += k - first
             else:
                 loads.append(0)

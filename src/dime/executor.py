@@ -21,19 +21,29 @@ budget, leaves on the server the time its answer holds until
 reaches that time, reuses the answer at the points before it with one float
 compare, and checks once more at the last point when the run ends, so the
 server closes the same periods.  check_cost is still charged to the clock
-at every point.
+at every point.  An unlimited server (B = inf, so T = inf) is asked twice
+however long the run is, and charged once: no charge can change its
+answer, so run() sums analysis_cost per analysis call and charges the sum
+before the last check, which leaves the server's loads as the per-call
+charges would.  A run that raises leaves such a server uncharged.
 
 When execution leaves an instrumented trace (fall-through, taken exit,
 version switch, or halt), the portion from the trace start through the last
 instruction whose analysis call executed is committed to the log.
 
-A compiled trace is executed from its body, in which each maximal run of ops
-holding no instrumentation point is one item: ops touch no guest state, so
-the run adds its length to the step count and its summed cost to the clock
-in one step.  For the same reason no op is ever stepped, not even one that
-is an item of its own at `all` granularity: only the other instructions
-reach the guest, each as the (kind, target, arg) tuple that TraceMemo.code
-holds for its address, and an item whose address has no entry there is ops.
+A compiled trace is executed from its body.  Each item is one instruction
+that is not an op, as its (kind, target, arg) tuple from TraceMemo.code,
+together with the maximal run of ops before it that holds no
+instrumentation point: ops touch no guest state, so the item adds their
+cost to the clock in the same step, before the instruction's point check
+when it has one.  At `all` every op is a point and an item of its own.  An
+op run that ends the trace, or that a halt at `ctrl` ends, is an item
+without an instruction.  No op is ever stepped.  Steps are counted
+per trace exit: an entry executes the straight addresses pc .. pc+end-1,
+so run() adds `end` to the step count (and that range to a captured path)
+once.  The step limit is tested once per entry; only an entry that could
+pass it runs a cut body, which stops at the first instruction past the
+limit after that instruction's point check, and then raises.
 
 Trace walks and the native pass read the program's instruction columns, so
 no run builds an Instruction object.  The analyzed addresses are kept as
@@ -84,11 +94,13 @@ class TraceDescriptor:
     length: int
     version: int
     points: tuple[int, ...]  # instrumentation-point offsets within the trace
-    # The compiled body, in order: (offset, address, is a point, steps,
-    # cost) per instruction, except that each maximal run of ops holding no
-    # point is one item (offset, None, False, its length, its summed cost).
-    # Items hold numbers only, so the garbage collector stops tracking them
-    # and cached traces add little to its full scans.
+    # The compiled body, in order: (offset, address, is a point, lead,
+    # cost, (kind, target, arg)) per instruction, where lead is the summed
+    # cost of the ops folded in before it (an op at `all` has None for its
+    # instruction); an op run that no instruction ends is an item
+    # (offset, None, False, 0, its summed cost, None).  Items hold numbers,
+    # strings and the TraceMemo.code tuples only, so the garbage collector
+    # stops tracking them and cached traces add little to its full scans.
     # The body follows from the fields above, so it takes no part in equality.
     body: tuple = field(default=(), compare=False, repr=False)
 
@@ -166,10 +178,12 @@ def validate(config: RunConfig, tool) -> None:
         raise ConfigError("step limit must be >= 1")
 
 
-def _walk(program: Program, entry: int, max_len: int, every: bool) -> tuple:
+def _walk(program: Program, entry: int, max_len: int, every: bool, code) -> tuple:
     """(image, rel_start, length, body, points) of the walk from `entry`,
     closed at the first jmp/call/ret/halt (inclusive), at max_len or at the
-    image end, with its body compiled on the way (see TraceDescriptor)."""
+    image end, with its body compiled on the way (see TraceDescriptor).
+    `code` maps addresses to the (kind, target, arg) tuples that the body
+    shares, or is None to build them from the program's columns."""
     img = program.image_of(entry)
     if img is None:
         raise AddressError(f"address {entry} outside every image")
@@ -178,26 +192,37 @@ def _walk(program: Program, entry: int, max_len: int, every: bool) -> tuple:
     limit = min(max_len, len(kinds) - rel)  # max_len or the image end
     points: list[int] = []
     body: list[tuple] = []
-    ops = cost = 0  # the open run of ops, which hold no point
+    ops = lead = 0  # the open run of ops, which hold no point
     length = 0
     while True:
-        kind = kinds[rel + length]
+        i = rel + length
+        kind = kinds[i]
         if kind == OP and not every:
             ops += 1
-            cost += costs[rel + length]
+            lead += costs[i]
         else:
-            if ops:
-                body.append((length - ops, None, False, ops, cost))
-                ops = cost = 0
             point = every or kind in CONTROL_TRANSFERS
+            if ops and not point:
+                # A halt at `ctrl`.  Only points add a lead, so its ops stay
+                # an item: folding their cost into the halt's would change
+                # the order of additions to a float clock.
+                body.append((length - ops, None, False, 0, lead, None))
+                lead = 0
             if point:
                 points.append(length)
-            body.append((length, entry + length, point, 1, costs[rel + length]))
+            if kind == OP:
+                ins = None
+            elif code is None:
+                ins = (kind, img.targets[i], img.args[i])
+            else:
+                ins = code[entry + length]
+            body.append((length, entry + length, point, lead, costs[i], ins))
+            ops = lead = 0
         length += 1
         if kind in TERMINATORS or length == limit:
             break
     if ops:
-        body.append((length - ops, None, False, ops, cost))
+        body.append((length - ops, None, False, 0, lead, None))
     return img.name, rel, length, tuple(body), tuple(points)
 
 
@@ -213,21 +238,23 @@ def _cut(entry: int, length: int, cached_entries) -> int:
 
 def form_trace(program: Program, entry: int, version: int = V_INSTRUMENT,
                max_len: int = 16, cached_entries=frozenset(),
-               granularity: str = "ctrl") -> TraceDescriptor:
+               granularity: str = "ctrl", *, code=None) -> TraceDescriptor:
     """Walk from `entry` to the trace end, compiling the body as it goes.
 
     The trace closes at the first jmp/call/ret/halt (inclusive), at max_len,
     at the image end, or just before the entry point of an already-cached
     trace of the same version (`cached_entries`, a set of addresses).
+    The body's instructions are `code`'s tuples when it is given (a
+    TraceMemo.code), and new ones otherwise.
     """
     if max_len < 1:
         raise ConfigError("max trace length must be >= 1")
     every = granularity == "all"
-    image, rel, length, body, points = _walk(program, entry, max_len, every)
+    image, rel, length, body, points = _walk(program, entry, max_len, every, code)
     if cached_entries:
         cut = _cut(entry, length, cached_entries)
         if cut < length:
-            image, rel, length, body, points = _walk(program, entry, cut, every)
+            image, rel, length, body, points = _walk(program, entry, cut, every, code)
     return TraceDescriptor(image, rel, length, version, points, body)
 
 
@@ -261,14 +288,16 @@ class TraceMemo:
         would compile for these arguments, compiling it only on a miss."""
         walk = self._walks.get(entry)
         if walk is None:
-            desc = form_trace(self.program, entry, version, self.max_len, (), self.granularity)
+            desc = form_trace(self.program, entry, version, self.max_len, (), self.granularity,
+                              code=self.code)
             walk = self._walks[entry] = (desc.image, desc.rel_start, desc.length, desc.body)
         length = _cut(entry, walk[2], cached_entries)
         if length == walk[2]:
             return walk
         shape = self._cuts.get((entry, length))
         if shape is None:
-            desc = form_trace(self.program, entry, version, length, (), self.granularity)
+            desc = form_trace(self.program, entry, version, length, (), self.granularity,
+                              code=self.code)
             shape = self._cuts[(entry, length)] = (desc.image, desc.rel_start, length,
                                                    desc.body)
         return shape
@@ -417,7 +446,6 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
             program, config.max_trace_len, config.granularity):
         raise ConfigError("trace memo belongs to another program, max trace length "
                           "or granularity")
-    code = memo.code
     seed = config.seed if rng_seed is None else rng_seed
     guest = _GuestState(program, seed)
     # Per version (indexed by V_BASE and V_INSTRUMENT): entry ->
@@ -445,6 +473,10 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     answer = V_INSTRUMENT
     until = -math.inf
     now = None
+    # B = inf (and so T = inf): no charge can change an answer, so the
+    # analysis calls are summed here and charged once when the run ends.
+    unlimited = budget.budget == math.inf
+    spent = 0
 
     while not halted:
         cache = caches[version]
@@ -467,49 +499,63 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
             compiled = cache[pc] = (image, rel, length, body, analysis)
 
         image, rel, length, body, analysis = compiled
+        if steps + length > max_steps:
+            # This entry may pass the step limit.  Drop the items that start
+            # past it, and keep the point check and analysis call of the one
+            # whose instruction is the first past it, but never execute that
+            # instruction: the body then runs out where a test per item
+            # would have raised.
+            room = max_steps - steps
+            body = [item if item[0] < room else item[:5] + (None,)
+                    for item in body if item[0] <= room]
         last_analyzed: int | None = None
-        next_pc = pc + length  # where execution falls off the trace's end
-        for off, at, point, n, cost in body:
-            armed = False
+        # An exit sets `end`, the instructions this entry executed, and the
+        # next pc.
+        for off, at, point, lead, cost, ins in body:
             if point:
-                now = t
+                now = t = t + lead
                 if now >= until:
                     answer = check(now)
                     until = budget.horizon
                 t += check_cost
                 if answer != version:
                     version = answer  # abandon before this instruction executes
+                    end = off
                     next_pc = pc + off
                     break
                 if analysis:
-                    if not charge(analysis_cost, now):
+                    if unlimited:
+                        spent += analysis_cost
+                    elif not charge(analysis_cost, now):
                         answer = V_BASE
                         until = budget.horizon
                     t += analysis_cost
                     analyzed.add(at)
                     last_analyzed = off
-                    armed = True
-            steps += n
-            if steps > max_steps:
-                raise GuestError("step limit exceeded")
             t += cost
-            ins = code.get(at)
-            if ins is None:  # n ops, which touch no guest state
-                if path is not None:
-                    path.extend(range(pc + off, pc + off + n))
+            if ins is None:  # ops, which touch no guest state
                 continue
-            if path is not None:
-                path.append(at)
             nxt, record = step(at, ins)
             if record is not None:  # a taken transfer exits the trace
-                if armed:
+                if last_analyzed == off:
                     on_branch(*record)
+                end = off + 1
                 next_pc = nxt
                 break
             if nxt is None:
+                end = off + 1
+                next_pc = None
                 halted = True
                 break
+        else:  # execution falls off the trace's end, or a cut body ran out
+            if steps + length > max_steps:
+                raise GuestError("step limit exceeded")
+            end = length
+            next_pc = pc + length
 
+        steps += end
+        if path is not None:
+            path.extend(range(pc, pc + end))
         if last_analyzed is not None:
             prefix = last_analyzed + 1
             entry = (image, rel, prefix)
@@ -522,6 +568,10 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
         pc = next_pc
 
     if now is not None:
+        if spent:
+            # At the last point rather than the last call: a server may have
+            # been checked since, and an unlimited one records no charge time.
+            charge(spent, now)
         # Close the periods up to the last point, as checking there would.
         check(now)
     return ExecutionOutcome(

@@ -111,6 +111,22 @@ def test_period_history_tracks_skipped_periods():
     assert state.period_loads() == [2, 0, 0, 0]
 
 
+def test_period_history_keeps_the_type_of_each_load():
+    # Loads that compare equal but differ in type stay apart, as stepping
+    # each period keeps them: 2 and 2.0, and a 0.0 load and the empty (int 0)
+    # periods after it.
+    state = BudgetState(period=10, budget=3)
+    state.charge(2, 0)
+    state.check(10)
+    state.charge(2.0, 10)
+    state.check(20)
+    state.charge(0.0, 20)
+    state.check(45)
+    loads = state.period_loads()
+    assert loads == [2, 2.0, 0.0, 0, 0] == [2, 2, 0, 0, 0]
+    assert list(map(type, loads)) == [int, float, float, int, int]
+
+
 def test_negative_cost_rejected():
     state = BudgetState(period=10, budget=3)
     with pytest.raises(ValueError):

@@ -54,11 +54,13 @@ class EveryPoint(Counting):
 def points_passed(config, outcome, state):
     """The instrumentation points a run passed, from its virtual time: each
     point adds check_cost to the clock, each analysis call analysis_cost, and
-    each executed instruction its cost (compile_cost is 0)."""
+    each executed instruction its cost (compile_cost is 0).  The analysis
+    calls' cost is what the server was charged, which run() charges to an
+    unlimited server in one sum."""
     costs = {img.base + i: cost for img in config.program.images
              for i, cost in enumerate(img.costs)}
     guest = sum(costs[addr] for addr in outcome.addr_path)
-    analysis = config.analysis_cost * state.charges
+    analysis = sum(state.period_loads())
     return (outcome.virtual_time - guest - analysis) / config.check_cost
 
 
@@ -140,14 +142,41 @@ def test_unlimited_budget_run_checks_twice_whatever_its_length(monkeypatch, pass
     # The oracle's full run: every point analyzed, the budget never spent.
     program = parse_program(f"image m 0\nL: op 1\n    op 2\n    br L {'T' * passes}N\n"
                             "    halt\n")
-    checks = []
-    real_check = BudgetState.check
+    checks, charges = [], []
+    real_check, real_charge = BudgetState.check, BudgetState.charge
 
     def counting(self, now):
         checks.append(now)
         return real_check(self, now)
 
+    def counting_charges(self, cost, now):
+        charges.append(cost)
+        return real_charge(self, cost, now)
+
     monkeypatch.setattr(BudgetState, "check", counting)
+    monkeypatch.setattr(BudgetState, "charge", counting_charges)
     oracle = run_oracle(RunConfig(program=program, granularity="all"))
     assert len(oracle.record_stream) == passes
     assert len(checks) <= 2
+    assert len(charges) <= 1
+
+
+@pytest.mark.parametrize("analysis_cost", [3, 0.1])
+@pytest.mark.parametrize("server", [BudgetState, EveryPoint])
+def test_unlimited_run_loads_sum_the_analysis_calls(analysis_cost, server):
+    # At `all` with an unlimited budget and no log, every executed
+    # instruction is analyzed, so the server's one load is analysis_cost
+    # added once per step, in that order: 0.1 summed 22 times is not 22 * 0.1.
+    program = parse_program("image m 0\nL: op 1\n    op 2\n    br L TTTTTTN\n    halt\n")
+    config = RunConfig(program=program, granularity="all", analysis_cost=analysis_cost)
+    state = server(period=math.inf, budget=math.inf)
+    outcome = run(config, LogStore("none"), state, make_tool("branch"))
+    expected = 0
+    for _ in range(outcome.steps):
+        expected += analysis_cost
+    assert outcome.steps == 22
+    assert [(load, type(load)) for load in state.period_loads()] == [
+        (expected, type(analysis_cost))]
+    if isinstance(analysis_cost, float):
+        assert expected != outcome.steps * analysis_cost
+    assert (state.remaining, state.overshoot_log, state.period_index) == (math.inf, [], 0)

@@ -265,3 +265,13 @@ def test_malformed_report_is_config_error(program_file, tmp_path, capsys, malfor
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "dime: config error: not a dime report file\n"
+
+
+def test_nan_period_is_named_in_the_config_error(program_file, capsys):
+    # `nan <= 0` is false, so a test of that form let nan through to the
+    # budget test, whose message named the budget.
+    assert main(["run", "--program", program_file, "--period", "nan",
+                 "--budget", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "dime: config error: period must be > 0\n"

@@ -7,6 +7,7 @@ import pytest
 from dime import (BudgetState, ConfigError, GuestError, LogEntry, LogStore,
                   RunConfig, TraceDescriptor, executor, form_trace, make_tool, native_run,
                   parse_program, run, run_campaign)
+from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
 from dime.budget import V_BASE, V_INSTRUMENT
 from dime.corpus import random_program
@@ -264,6 +265,50 @@ def test_step_limit_exceeded():
         make_run(p, max_steps=50)
     with pytest.raises(GuestError, match="step limit"):
         native_run(p, max_steps=50)
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_step_limit_inside_an_op_run_before_a_point(granularity):
+    # Each pass is four ops closed by a br.  At `ctrl` the ops and the br are
+    # one body item, so most limits fall inside the ops before the point.
+    # Every limit short of the reference's step count stops the run with the
+    # same error, after the same commits and records as the reference, and
+    # after the analysis calls at every point up to the first instruction
+    # past the limit: its point check comes before the limit is tested.
+    program = parse_program("image m 0\nL: op 1\n    op 2\n    op 1\n    op 3\n"
+                            "    br L TTN\n    halt\n")
+    ref_records, _, ref_path = reference_run(program, seed=1)
+    full, _, _ = make_run(program, log_strategy="none", granularity=granularity)
+    assert full.steps == len(ref_path) == 16
+    for limit in range(1, len(ref_path)):
+        observer = CommitObserver()
+        config = RunConfig(program=program, granularity=granularity, max_steps=limit,
+                           period=10**6, budget=10**6)
+        budget, tool = config.make_budget(), make_tool("branch")
+        with pytest.raises(GuestError, match="^step limit exceeded$"):
+            run(config, LogStore("none"), budget, tool, rng_seed=1, observer=observer)
+        # The records of the transfers taken within the limit; the commits
+        # of the passes that ended within it, one whole pass each.
+        taken = sum(1 for i, addr in enumerate(ref_path[:limit])
+                    if addr == 4 and ref_path[i + 1] == 0)
+        assert tool.raw_records == ref_records[:taken]
+        assert observer.commits == [("m", 0, 5)] * min(taken, 1)
+        points = [addr for addr in ref_path[:limit + 1] if granularity == "all" or addr == 4]
+        assert budget.period_loads() == [len(points)]
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_step_limit_wins_over_an_empty_stack_ret_past_it(granularity):
+    # The ret that would fail is the first item past the limit, so the limit
+    # is reported; with room for the ret, its own error is.
+    program = parse_program("image m 0\n    op 1\n    op 1\n    ret\n")
+    for limit in (1, 2):
+        with pytest.raises(GuestError, match="^step limit exceeded$"):
+            make_run(program, granularity=granularity, max_steps=limit)
+        with pytest.raises(GuestError, match="^step limit exceeded$"):
+            native_run(program, max_steps=limit)
+    with pytest.raises(GuestError, match="empty call stack"):
+        make_run(program, granularity=granularity, max_steps=3)
 
 
 def test_ret_with_empty_stack_is_guest_error():
