@@ -4,9 +4,10 @@ Parses a small looping guest program, resolves addresses to image-relative
 form, and shows how traces are carved out of it: a trace runs from its entry
 to the first unconditional transfer, conditionals inside it are extra exits,
 and a jump into the middle of cached code starts a fresh trace at the target.
+Each trace shape comes from a TraceMemo, which compiles it once per campaign.
 """
 
-from dime import form_trace, parse_program
+from dime import TraceMemo, parse_program
 
 P1 = """\
 image main 1000
@@ -27,17 +28,25 @@ for ins in program.images[0].instructions:
 print("\nresolve(1002) ->", program.resolve(1002)[1:], "kind:",
       program.resolve(1002)[0].kind)
 
+ctrl = TraceMemo(program, max_len=16, granularity="ctrl")
+
+
+def show(shape):
+    """(image, rel_start, length) and the instrumentation-point offsets."""
+    image, rel_start, length, body = shape
+    points = tuple(off for off, _, point, *_ in body if point)
+    return f"{(image, rel_start, length)} points={points}"
+
+
 print("\ntrace from the loop head:")
-t = form_trace(program, 1000, granularity="ctrl")
-print(" ", t)
+print(" ", show(ctrl.shape(1000, set())))
 print("  (covers 1000..1004, ends at the jmp; the ndbr at offset 2 is a side exit)")
 
 print("\ntrace from a mid-region jump target:")
-print(" ", form_trace(program, 1003))
+print(" ", show(ctrl.shape(1003, set())))
 
 print("\nsame entry, but 1003 is already a cached trace start of this version:")
-print(" ", form_trace(program, 1000, cached_entries={1003}),
-      " <- stops right before the cached entry")
+print(" ", show(ctrl.shape(1000, {1003})), " <- stops right before the cached entry")
 
 print("\ninstrumentation points at granularity 'all':",
-      form_trace(program, 1000, granularity="all").points)
+      show(TraceMemo(program, max_len=16, granularity="all").shape(1000, set())))

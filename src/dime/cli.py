@@ -17,8 +17,8 @@ be read or written, a malformed report and a cost above 2**53), 2 guest
 error (including a run whose virtual time reaches 2**53 budget periods).
 The run settings are checked before the oracle's native pass.  The files a command
 will write (--log-file, --report, --tool-out) are checked before the oracle
-runs, so a bad output path fails before any run starts and leaves the log
-file as it was.
+runs, so a bad output path, or one that names the program or another
+output, fails before any run starts and leaves every file as it was.
 """
 
 from __future__ import annotations
@@ -88,10 +88,13 @@ def _load_config(args) -> RunConfig:
     )
 
 
-def _check_writable(*paths) -> None:
-    """Refuse an output file that cannot be written before any run starts:
-    the runs replace the log file before the outputs are written."""
-    for path in paths:
+def _check_writable(program: str, outputs: dict) -> None:
+    """Refuse an output file (`outputs` maps each flag to its path or None)
+    that cannot be written, or that names the program or another output,
+    before any run starts: the runs replace the log file before the outputs
+    are written."""
+    seen = {os.path.realpath(program): "--program"}
+    for flag, path in outputs.items():
         if path is None:
             continue
         directory = os.path.dirname(path) or "."
@@ -99,6 +102,10 @@ def _check_writable(*paths) -> None:
         if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(
                 target, os.W_OK):
             raise ConfigError(f"cannot write output file {path}")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{flag} {path} names the same file as {seen[real]}")
+        seen[real] = flag
 
 
 def _write_tool_output(path, tool_name: str, records) -> None:
@@ -112,7 +119,7 @@ def _write_tool_output(path, tool_name: str, records) -> None:
 
 def _cmd_oracle(args) -> int:
     config = _load_config(args)
-    _check_writable(args.tool_out)
+    _check_writable(args.program, {"--tool-out": args.tool_out})
     oracle = harness.run_oracle(config)
     if args.tool_out:
         _write_tool_output(args.tool_out, args.tool, oracle.record_stream)
@@ -133,7 +140,8 @@ def _log_target(config: RunConfig):
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    _check_writable(_log_target(config), args.tool_out)
+    _check_writable(args.program, {"--log-file": _log_target(config),
+                                   "--tool-out": args.tool_out})
     report, outcome, _ = harness.single_run(config, resume=args.resume)
     if args.tool_out:
         _write_tool_output(args.tool_out, args.tool, outcome.records)
@@ -143,7 +151,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_campaign(args) -> int:
     config = _load_config(args)
-    _check_writable(_log_target(config), args.report, args.tool_out)
+    _check_writable(args.program, {"--log-file": _log_target(config),
+                                   "--report": args.report, "--tool-out": args.tool_out})
     result = harness.run_campaign(config, args.runs)
     if args.report:
         harness.emit_report(result, args.report)

@@ -5,6 +5,8 @@ straight-line run of instructions with a single entry point: conditionals may
 sit anywhere (each is an exit), and the first jmp/call/ret/halt closes it.
 A run keeps one trace cache per version, keyed by entry address, and the
 trace shapes are kept in a TraceMemo that the runs of a campaign share.
+TraceMemo.shape is the only way to a shape: it applies the cut rule (_cut)
+and compiles each shape it has not seen with form_trace, once.
 
 Two versions exist per trace: V_INSTRUMENT carries analysis calls at its
 instrumentation points (when the redundancy log permits), V_BASE carries
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 
@@ -85,24 +87,6 @@ class ConfigError(ValueError):
 
 class GuestError(RuntimeError):
     """The guest program misbehaved (bad address, empty-stack ret, step limit)."""
-
-
-@dataclass(frozen=True)
-class TraceDescriptor:
-    image: str
-    rel_start: int
-    length: int
-    version: int
-    points: tuple[int, ...]  # instrumentation-point offsets within the trace
-    # The compiled body, in order: (offset, address, is a point, lead,
-    # cost, (kind, target, arg)) per instruction, where lead is the summed
-    # cost of the ops folded in before it (an op at `all` has None for its
-    # instruction); an op run that no instruction ends is an item
-    # (offset, None, False, 0, its summed cost, None).  Items hold numbers,
-    # strings and the TraceMemo.code tuples only, so the garbage collector
-    # stops tracking them and cached traces add little to its full scans.
-    # The body follows from the fields above, so it takes no part in equality.
-    body: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -178,19 +162,29 @@ def validate(config: RunConfig, tool) -> None:
         raise ConfigError("step limit must be >= 1")
 
 
-def _walk(program: Program, entry: int, max_len: int, every: bool, code) -> tuple:
-    """(image, rel_start, length, body, points) of the walk from `entry`,
-    closed at the first jmp/call/ret/halt (inclusive), at max_len or at the
-    image end, with its body compiled on the way (see TraceDescriptor).
-    `code` maps addresses to the (kind, target, arg) tuples that the body
-    shares, or is None to build them from the program's columns."""
-    img = program.image_of(entry)
+def form_trace(memo: TraceMemo, entry: int, max_len: int) -> tuple:
+    """(image, rel_start, length, body) of the trace from `entry` in
+    `memo`'s program at its granularity, closed at the first
+    jmp/call/ret/halt (inclusive), at max_len or at the image end, with its
+    body compiled on the way.
+
+    The body holds, in order, (offset, address, is a point, lead, cost,
+    (kind, target, arg)) per instruction, where lead is the summed cost of
+    the ops folded in before it and the tuple is the one in `memo.code` (an
+    op at `all` has None for it); an op run that no instruction ends is an
+    item (offset, None, False, 0, its summed cost, None).  Items hold
+    numbers, strings and the memo's code tuples only, so the garbage
+    collector stops tracking them and cached traces add little to its full
+    scans.
+    """
+    img = memo.program.image_of(entry)
     if img is None:
         raise AddressError(f"address {entry} outside every image")
+    every = memo.granularity == "all"
+    code = memo.code
     kinds, costs = img.kinds, img.costs
     rel = entry - img.base
     limit = min(max_len, len(kinds) - rel)  # max_len or the image end
-    points: list[int] = []
     body: list[tuple] = []
     ops = lead = 0  # the open run of ops, which hold no point
     length = 0
@@ -208,14 +202,7 @@ def _walk(program: Program, entry: int, max_len: int, every: bool, code) -> tupl
                 # the order of additions to a float clock.
                 body.append((length - ops, None, False, 0, lead, None))
                 lead = 0
-            if point:
-                points.append(length)
-            if kind == OP:
-                ins = None
-            elif code is None:
-                ins = (kind, img.targets[i], img.args[i])
-            else:
-                ins = code[entry + length]
+            ins = None if kind == OP else code[entry + length]
             body.append((length, entry + length, point, lead, costs[i], ins))
             ops = lead = 0
         length += 1
@@ -223,7 +210,7 @@ def _walk(program: Program, entry: int, max_len: int, every: bool, code) -> tupl
             break
     if ops:
         body.append((length - ops, None, False, 0, lead, None))
-    return img.name, rel, length, tuple(body), tuple(points)
+    return img.name, rel, length, tuple(body)
 
 
 def _cut(entry: int, length: int, cached_entries) -> int:
@@ -234,28 +221,6 @@ def _cut(entry: int, length: int, cached_entries) -> int:
     if cached_entries.isdisjoint(range(entry + 1, entry + length)):
         return length
     return next(i for i in range(1, length) if entry + i in cached_entries)
-
-
-def form_trace(program: Program, entry: int, version: int = V_INSTRUMENT,
-               max_len: int = 16, cached_entries=frozenset(),
-               granularity: str = "ctrl", *, code=None) -> TraceDescriptor:
-    """Walk from `entry` to the trace end, compiling the body as it goes.
-
-    The trace closes at the first jmp/call/ret/halt (inclusive), at max_len,
-    at the image end, or just before the entry point of an already-cached
-    trace of the same version (`cached_entries`, a set of addresses).
-    The body's instructions are `code`'s tuples when it is given (a
-    TraceMemo.code), and new ones otherwise.
-    """
-    if max_len < 1:
-        raise ConfigError("max trace length must be >= 1")
-    every = granularity == "all"
-    image, rel, length, body, points = _walk(program, entry, max_len, every, code)
-    if cached_entries:
-        cut = _cut(entry, length, cached_entries)
-        if cut < length:
-            image, rel, length, body, points = _walk(program, entry, cut, every, code)
-    return TraceDescriptor(image, rel, length, version, points, body)
 
 
 class TraceMemo:
@@ -273,6 +238,8 @@ class TraceMemo:
     """
 
     def __init__(self, program: Program, max_len: int, granularity: str):
+        if max_len < 1:
+            raise ConfigError("max trace length must be >= 1")
         self.program = program
         self.max_len = max_len
         self.granularity = granularity
@@ -283,23 +250,20 @@ class TraceMemo:
         self._walks: dict[int, tuple] = {}
         self._cuts: dict[tuple[int, int], tuple] = {}
 
-    def shape(self, entry: int, version: int, cached_entries) -> tuple:
-        """(image, rel_start, length, body) of the trace that form_trace
-        would compile for these arguments, compiling it only on a miss."""
+    def shape(self, entry: int, cached_entries) -> tuple:
+        """(image, rel_start, length, body) of the trace from `entry`, cut
+        just before the first of `cached_entries` (a set of addresses, the
+        entry points of already-cached traces of the running version) that
+        falls inside it, compiling it only on a miss."""
         walk = self._walks.get(entry)
         if walk is None:
-            desc = form_trace(self.program, entry, version, self.max_len, (), self.granularity,
-                              code=self.code)
-            walk = self._walks[entry] = (desc.image, desc.rel_start, desc.length, desc.body)
+            walk = self._walks[entry] = form_trace(self, entry, self.max_len)
         length = _cut(entry, walk[2], cached_entries)
         if length == walk[2]:
             return walk
         shape = self._cuts.get((entry, length))
         if shape is None:
-            desc = form_trace(self.program, entry, version, length, (), self.granularity,
-                              code=self.code)
-            shape = self._cuts[(entry, length)] = (desc.image, desc.rel_start, length,
-                                                   desc.body)
+            shape = self._cuts[(entry, length)] = form_trace(self, entry, length)
         return shape
 
 
@@ -484,7 +448,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
         if compiled is None:
             t += config.compile_cost
             try:
-                image, rel, length, body = memo.shape(pc, version, cache.keys())
+                image, rel, length, body = memo.shape(pc, cache.keys())
             except AddressError as exc:
                 raise GuestError(str(exc)) from None
             analysis = False
@@ -578,7 +542,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
         virtual_time=t,
         steps=steps,
         analyzed_addrs=_relative(program, analyzed),
-        records=tuple(tool.raw_records),
+        records=tuple(tool.records),
         commits=tuple(committed),
         queries=tuple(queries),
         overshoots=tuple(budget.overshoots()),

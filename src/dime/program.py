@@ -106,9 +106,6 @@ class ProgramImage:
         """One past the last instruction address."""
         return self.base + len(self.kinds)
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
-
     @cached_property
     def instructions(self) -> tuple[Instruction, ...]:
         """The columns as Instruction objects, built on first access."""
@@ -162,11 +159,6 @@ class Program:
         if img is None:
             raise AddressError(f"address {addr} outside every image")
         return img.instructions[addr - img.base], img.name, addr - img.base
-
-
-def resolve(program: Program, addr: int) -> tuple[Instruction, str, int]:
-    """Module-level form of `Program.resolve`."""
-    return program.resolve(addr)
 
 
 def parse_program(text: str) -> Program:

@@ -5,9 +5,8 @@ The branch profiler records every taken control transfer as
 through emits nothing.  The call-context-tree builder consumes the call and
 return records of such a stream after the run.
 
-A tool keeps its records as plain (kind, src, dst) tuples in `raw_records`,
-which the garbage collector stops tracking; `records` is the same stream as
-`BranchRecord` named tuples, built when it is read.  A plain triple and its
+A tool keeps its records as plain (kind, src, dst) tuples in `records`,
+which the garbage collector stops tracking.  A plain triple and its
 `BranchRecord` compare and hash equal, and `build_cct` and `write_records`
 accept either.
 """
@@ -29,22 +28,10 @@ class AnalysisTool:
     name = "null"
 
     def __init__(self):
-        self.raw_records: list[tuple[str, int, int]] = []
-        self._view: list[BranchRecord] = []
+        self.records: list[tuple[str, int, int]] = []
 
     def on_branch(self, kind: str, src: int, dst: int) -> None:
-        self.raw_records.append((kind, src, dst))
-
-    @property
-    def records(self) -> list[BranchRecord]:
-        """The records so far as `BranchRecord`s, built on a read after new
-        records arrived and otherwise the list the last read returned."""
-        if len(self._view) != len(self.raw_records):
-            self._view = list(map(BranchRecord._make, self.raw_records))
-        return self._view
-
-    def unique_records(self) -> frozenset:
-        return frozenset(self.raw_records)
+        self.records.append((kind, src, dst))
 
 
 class BranchProfiler(AnalysisTool):
@@ -60,7 +47,7 @@ class CallTraceTool(AnalysisTool):
 
     def on_branch(self, kind: str, src: int, dst: int) -> None:
         if kind in ("call", "return"):
-            self.raw_records.append((kind, src, dst))
+            self.records.append((kind, src, dst))
 
 
 TOOLS = {"branch": BranchProfiler, "cct": CallTraceTool}

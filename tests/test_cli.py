@@ -275,3 +275,51 @@ def test_nan_period_is_named_in_the_config_error(program_file, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "dime: config error: period must be > 0\n"
+
+
+@pytest.mark.parametrize("command,outputs", [
+    ("oracle", {"--tool-out": "p1.dime"}),
+    ("run", {"--log-file": "p1.dime"}),
+    ("run", {"--tool-out": "p1.dime"}),
+    ("run", {"--tool-out": "run.log"}),
+    ("campaign", {"--log-file": "sub/../p1.dime"}),
+    ("campaign", {"--report": "p1.dime"}),
+    ("campaign", {"--report": "run.log"}),
+    ("campaign", {"--report": "out.txt", "--tool-out": "out.txt"}),
+    ("campaign", {"--tool-out": "link.log"}),
+], ids=["oracle-tool-out-program", "run-log-program", "run-tool-out-program",
+        "run-tool-out-log", "campaign-log-program-dotdot", "campaign-report-program",
+        "campaign-report-log", "campaign-report-tool-out", "campaign-tool-out-log-symlink"])
+def test_output_naming_the_program_or_another_output_is_config_error(
+        program_file, tmp_path, capsys, monkeypatch, command, outputs):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(harness, "run_oracle", oracle)
+    (tmp_path / "sub").mkdir()
+    log = tmp_path / "run.log"
+    log.write_bytes(b"# dime-log v1 strategy=hash\nmain,999\n")
+    (tmp_path / "link.log").symlink_to(log)
+    files = {path: path.read_bytes() for path in (tmp_path / "p1.dime", log)}
+    argv = [command, *run_flags(program_file, tmp_path)]
+    if command == "oracle":
+        argv = [command, "--program", program_file]
+    for flag, name in outputs.items():
+        argv += [flag, str(tmp_path / name)]
+    if command == "campaign":
+        argv += ["--runs", "2"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("dime: config error:") and err.count("\n") == 1
+    assert "names the same file as" in err
+    assert {path: path.read_bytes() for path in files} == files
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_log_file_of_the_none_strategy_may_name_the_program(program_file, capsys):
+    # The none strategy writes no log, so its --log-file names nothing written.
+    before = open(program_file, "rb").read()
+    assert main(["run", "--program", program_file, "--log-strategy", "none",
+                 "--log-file", program_file]) == 0
+    assert open(program_file, "rb").read() == before

@@ -4,12 +4,11 @@ from collections import Counter
 
 import pytest
 
-from dime import (BudgetState, ConfigError, GuestError, LogEntry, LogStore,
-                  RunConfig, TraceDescriptor, executor, form_trace, make_tool, native_run,
-                  parse_program, run, run_campaign)
+from dime import (AddressError, BudgetState, ConfigError, GuestError, LogEntry, LogStore,
+                  RunConfig, TraceMemo, executor, make_tool, native_run, parse_program,
+                  run, run_campaign)
 from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
-from dime.budget import V_BASE, V_INSTRUMENT
 from dime.corpus import random_program
 
 from conftest import P1_DET
@@ -25,49 +24,78 @@ def make_run(program, log_strategy="hash", log=None, seed=1, **overrides):
     return outcome, log, budget
 
 
-# -- form_trace ----------------------------------------------------------------
+# -- form_trace, through TraceMemo.shape ---------------------------------------
+
+def shape(program, entry, max_len=16, granularity="ctrl", cached_entries=frozenset()):
+    """(image, rel_start, length, body) of the trace from `entry`, compiled
+    by a fresh memo."""
+    return TraceMemo(program, max_len, granularity).shape(entry, cached_entries)
+
+
+def points(trace):
+    """The instrumentation-point offsets of a shape: its point items'."""
+    return tuple(off for off, _, point, *_ in trace[3] if point)
+
 
 def test_form_trace_p1_whole_loop_body(p1):
-    t = form_trace(p1, 1000, max_len=16)
-    assert t == TraceDescriptor("main", 0, 5, V_INSTRUMENT, (2, 4))
+    t = shape(p1, 1000, max_len=16)
+    assert t[:3] == ("main", 0, 5)
+    assert points(t) == (2, 4)
 
 
 def test_form_trace_single_halt(p1):
-    assert form_trace(p1, 1005).length == 1
+    assert shape(p1, 1005)[2] == 1
 
 
 def test_form_trace_mid_region_target(p1):
-    t = form_trace(p1, 1003)
-    assert (t.image, t.rel_start, t.length) == ("main", 3, 2)
+    t = shape(p1, 1003)
+    assert t[:3] == ("main", 3, 2)
 
 
 def test_form_trace_stops_before_cached_same_version_entry(p1):
-    t = form_trace(p1, 1000, cached_entries={1003})
-    assert t.length == 3
+    t = shape(p1, 1000, cached_entries={1003})
+    assert t[2] == 3
     # a different version's entry point does not split
-    t2 = form_trace(p1, 1000, cached_entries=set())
-    assert t2.length == 5
+    t2 = shape(p1, 1000, cached_entries=set())
+    assert t2[2] == 5
 
 
 def test_form_trace_max_len(p1):
-    assert form_trace(p1, 1000, max_len=2).length == 2
+    assert shape(p1, 1000, max_len=2)[2] == 2
 
 
 def test_form_trace_stops_at_image_end():
     p = parse_program("image m 10\n    op 1\n    op 1\nL: br L T\n")
-    assert form_trace(p, 10).length == 3
+    assert shape(p, 10)[2] == 3
 
 
 def test_form_trace_points_granularities(p1):
-    assert form_trace(p1, 1000, granularity="all").points == (0, 1, 2, 3, 4)
-    assert form_trace(p1, 1000, granularity="ctrl").points == (2, 4)
-    assert form_trace(p1, 1005, granularity="all").points == (0,)  # halt is not ctrl
-    assert form_trace(p1, 1005, granularity="ctrl").points == ()
+    assert points(shape(p1, 1000, granularity="all")) == (0, 1, 2, 3, 4)
+    assert points(shape(p1, 1000, granularity="ctrl")) == (2, 4)
+    assert points(shape(p1, 1005, granularity="all")) == (0,)  # halt is not ctrl
+    assert points(shape(p1, 1005, granularity="ctrl")) == ()
 
 
 def test_form_trace_unresolvable_entry(p1):
-    with pytest.raises(Exception):
-        form_trace(p1, 999)
+    with pytest.raises(AddressError):
+        shape(p1, 999)
+
+
+@pytest.mark.parametrize("granularity,body", [
+    # At `ctrl` each op run rides in the item of the instruction that ends
+    # it, as that item's lead.
+    ("ctrl", ((2, 1002, True, 2, 1, ("ndbr", 1005, 0.5)),
+              (4, 1004, True, 1, 1, ("jmp", 1000, None)))),
+    # At `all` every op is a point and an item of its own, with no instruction.
+    ("all", ((0, 1000, True, 0, 1, None), (1, 1001, True, 0, 1, None),
+             (2, 1002, True, 0, 1, ("ndbr", 1005, 0.5)), (3, 1003, True, 0, 1, None),
+             (4, 1004, True, 0, 1, ("jmp", 1000, None)))),
+])
+def test_form_trace_body_of_the_p1_loop_head(p1, granularity, body):
+    memo = TraceMemo(p1, 16, granularity)
+    t = memo.shape(1000, set())
+    assert t == ("main", 0, 5, body)
+    assert all(ins is memo.code[at] for _, at, _, _, _, ins in t[3] if ins is not None)
 
 
 # -- run: the three budget regimes ----------------------------------------------
@@ -291,7 +319,7 @@ def test_step_limit_inside_an_op_run_before_a_point(granularity):
         # of the passes that ended within it, one whole pass each.
         taken = sum(1 for i, addr in enumerate(ref_path[:limit])
                     if addr == 4 and ref_path[i + 1] == 0)
-        assert tool.raw_records == ref_records[:taken]
+        assert tool.records == ref_records[:taken]
         assert observer.commits == [("m", 0, 5)] * min(taken, 1)
         points = [addr for addr in ref_path[:limit + 1] if granularity == "all" or addr == 4]
         assert budget.period_loads() == [len(points)]

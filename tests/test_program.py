@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from dime import (AddressError, ParseError, RunConfig, parse_program, resolve, run_campaign,
+from dime import (AddressError, ParseError, RunConfig, parse_program, run_campaign,
                   serialize_program)
 from dime.corpus import random_program
 from conftest import P1
@@ -68,7 +68,7 @@ def test_resolve_two_images():
     text = ("image a 1000\n    op 1\n    op 1\n    halt\n"
             "image b 2000\n    op 1\n    op 1\n    op 1\n    op 1\n    halt\n")
     p = parse_program(text)
-    ins, image, rel = resolve(p, 2003)
+    ins, image, rel = p.resolve(2003)
     assert (image, rel) == ("b", 3)
     assert ins.kind == "op"
 

@@ -4,8 +4,8 @@ trace shape is compiled once per campaign.
 Runs that share a memo reuse the shapes that earlier runs compiled, so the
 memo must be invisible: every ExecutionOutcome field and the final log equal
 those of runs that each start from an empty memo, and of runs that take
-every trace straight from form_trace, under tight budgets that make both
-versions switch and cut traces.
+every trace from a fresh memo, under tight budgets that make both versions
+switch and cut traces.
 """
 
 import gc
@@ -13,8 +13,8 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import (ConfigError, LogStore, RunConfig, V_BASE, V_INSTRUMENT, executor,
-                  form_trace, make_tool, parse_program, run, run_campaign)
+from dime import (ConfigError, LogStore, RunConfig, executor, form_trace, make_tool,
+                  parse_program, run, run_campaign)
 from dime.executor import GRANULARITIES, TraceMemo
 from dime.redundancy import STRATEGIES
 
@@ -25,13 +25,12 @@ RUNS = 3
 
 
 class Unshared(TraceMemo):
-    """A memo that remembers nothing: every shape comes from form_trace
+    """A memo that remembers nothing: every shape comes from a fresh memo
     with this run's cached entries, as when each run compiled its own."""
 
-    def shape(self, entry, version, cached_entries):
-        desc = form_trace(self.program, entry, version, self.max_len, cached_entries,
-                          self.granularity)
-        return desc.image, desc.rel_start, desc.length, desc.body
+    def shape(self, entry, cached_entries):
+        fresh = TraceMemo(self.program, self.max_len, self.granularity)
+        return fresh.shape(entry, cached_entries)
 
 
 def run_sequence(config, memos):
@@ -72,10 +71,10 @@ def recording_form_trace(monkeypatch):
     """Record (entry, length) of every form_trace call the executor makes."""
     calls = []
 
-    def recording(program, entry, *args, **kwargs):
-        desc = form_trace(program, entry, *args, **kwargs)
-        calls.append((entry, desc.length))
-        return desc
+    def recording(memo, entry, max_len):
+        shape = form_trace(memo, entry, max_len)
+        calls.append((entry, shape[2]))
+        return shape
 
     monkeypatch.setattr(executor, "form_trace", recording)
     return calls
@@ -89,7 +88,7 @@ def test_switching_runs_cut_traces_and_share_them(p1, monkeypatch):
                        log_strategy="none")
     memo = TraceMemo(p1, config.max_trace_len, config.granularity)
     outcomes, _ = run_sequence(config, [memo] * RUNS)
-    uncut = {entry: form_trace(p1, entry).length for entry, _ in calls}
+    uncut = {entry: form_trace(memo, entry, 16)[2] for entry, _ in calls}
     assert any(length < uncut[entry] for entry, length in calls)  # a cut shape
     assert len(calls) == len(set(calls))
     # The memo serves both versions and every run: far more traces were
@@ -121,8 +120,8 @@ def test_campaign_compiles_each_trace_shape_once(tmp_path, monkeypatch):
 def test_memo_shapes_are_untracked_by_the_collector(p1):
     for granularity in GRANULARITIES:
         memo = TraceMemo(p1, 16, granularity)
-        shapes = [memo.shape(entry, V_INSTRUMENT, set()) for entry in range(1000, 1006)]
-        shapes.append(memo.shape(1000, V_BASE, {1003}))
+        shapes = [memo.shape(entry, set()) for entry in range(1000, 1006)]
+        shapes.append(memo.shape(1000, {1003}))
         # A collection untracks a tuple whose items are untracked when it
         # reaches it, so the three levels (shape, body, item) take at most three.
         for _ in range(3):
@@ -137,3 +136,8 @@ def test_memo_of_other_settings_is_rejected(p1, p1_det):
         with pytest.raises(ConfigError, match="trace memo"):
             run(config, LogStore("none"), config.make_budget(), make_tool("branch"),
                 memo=memo)
+
+
+def test_memo_of_no_trace_length_is_rejected(p1):
+    with pytest.raises(ConfigError, match="max trace length must be >= 1"):
+        TraceMemo(p1, 0, "ctrl")
