@@ -29,8 +29,8 @@ tool = make_tool("cct")
 outcome = run(config, LogStore("none"), BudgetState.unlimited(), tool, rng_seed=0)
 
 print("call/return record stream:")
-for record in outcome.tool_output:
-    print(f"  {record.kind:>6} {record.src} -> {record.dst}")
+for kind, src, dst in outcome.tool_output:
+    print(f"  {kind:>6} {src} -> {dst}")
 
 tree = build_cct(outcome.tool_output)
 print("\ncall context tree (routine entry addresses):")

@@ -35,9 +35,9 @@ class BudgetState:
     period: float          # T, virtual time units; may be math.inf
     budget: float          # B per period, 0 <= B <= T; may be math.inf
     remaining: float = field(init=False)
-    period_index: int = 0
-    t_ins_this_period: float = 0
-    overshoot_log: list[tuple[float, float]] = field(default_factory=list)
+    period_index: int = field(default=0, init=False)
+    t_ins_this_period: float = field(default=0, init=False)
+    overshoot_log: list[tuple[float, float]] = field(default_factory=list, init=False)
     # The time before which check() keeps answering as it would now, unless
     # a charge spends the budget first (which sets a new one):
     # MAX_PERIODS * T while budget remains, since a boundary refills it to
@@ -49,9 +49,9 @@ class BudgetState:
     horizon: float = field(init=False)
     # t_ins of the closed periods, run-length encoded: run i is
     # _run_periods[i] consecutive periods that each had t_ins _run_loads[i]
-    _run_loads: list[float] = field(default_factory=list, repr=False)
-    _run_periods: list[int] = field(default_factory=list, repr=False)
-    _last_now: float = field(default=0, repr=False)
+    _run_loads: list[float] = field(default_factory=list, init=False, repr=False)
+    _run_periods: list[int] = field(default_factory=list, init=False, repr=False)
+    _last_now: float = field(default=0, init=False, repr=False)
     # (period_index + 1) * T: the time at which the open period closes
     _period_end: float = field(init=False, repr=False)
     _cap: float = field(init=False, repr=False)  # MAX_PERIODS * T
@@ -62,7 +62,7 @@ class BudgetState:
         if not 0 <= self.budget <= self.period:
             raise ValueError("budget must satisfy 0 <= B <= T")
         self.remaining = self.budget
-        self._period_end = (self.period_index + 1) * self.period
+        self._period_end = self.period
         self._cap = MAX_PERIODS * self.period
         self.horizon = self._cap if self.budget > 0 else self._period_end
 
@@ -136,12 +136,6 @@ class BudgetState:
     # or a wrapper around it sees only the checks that callers make.
     _advance = check
 
-    @property
-    def period_history(self) -> list[float]:
-        """t_ins of every closed period, in order."""
-        return [load for load, periods in zip(self._run_loads, self._run_periods)
-                for _ in range(periods)]
-
     def charge(self, cost: float, now: float) -> int:
         """Consume budget for an analysis call that started at `now`.
 
@@ -173,11 +167,10 @@ class BudgetState:
         return 0
 
     def period_loads(self) -> list[float]:
-        """t_ins of every period so far, the still-open one included."""
-        return self.period_history + [self.t_ins_this_period]
-
-    def overshoots(self) -> list[float]:
-        return [magnitude for _, magnitude in self.overshoot_log]
+        """t_ins of every period so far, in order: the closed ones, then the
+        still-open one."""
+        return [load for load, periods in zip(self._run_loads, self._run_periods)
+                for _ in range(periods)] + [self.t_ins_this_period]
 
 
 # Version identifiers shared by the executor and the budget protocol: a budget

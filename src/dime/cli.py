@@ -31,10 +31,10 @@ import sys
 
 from . import harness
 from .budget import BudgetContractError
-from .executor import ConfigError, GuestError, RunConfig
+from .executor import ConfigError, GRANULARITIES, GuestError, RunConfig
 from .program import ParseError, parse_program
 from .redundancy import LogFormatError, STRATEGIES
-from .tools import build_cct, write_records
+from .tools import TOOLS, build_cct, write_records
 
 
 def _time_units(text: str) -> float:
@@ -46,8 +46,8 @@ def _time_units(text: str) -> float:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--program", required=True, help="program file")
-    p.add_argument("--tool", default="branch", choices=("branch", "cct"))
-    p.add_argument("--granularity", default="ctrl", choices=("ctrl", "all"))
+    p.add_argument("--tool", default="branch", choices=tuple(TOOLS))
+    p.add_argument("--granularity", default="ctrl", choices=GRANULARITIES)
     p.add_argument("--budget", type=_time_units, default=math.inf,
                    help="instrumentation budget B per period (or 'inf')")
     p.add_argument("--period", type=_time_units, default=math.inf,
@@ -144,7 +144,7 @@ def _cmd_run(args) -> int:
                                    "--tool-out": args.tool_out})
     report, outcome, _ = harness.single_run(config, resume=args.resume)
     if args.tool_out:
-        _write_tool_output(args.tool_out, args.tool, outcome.records)
+        _write_tool_output(args.tool_out, args.tool, outcome.tool_output)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -158,7 +158,7 @@ def _cmd_campaign(args) -> int:
         harness.emit_report(result, args.report)
     if args.tool_out:
         # cumulative stream across runs, in execution order
-        records = [rec for outcome in result.outcomes for rec in outcome.records]
+        records = [rec for outcome in result.outcomes for rec in outcome.tool_output]
         _write_tool_output(args.tool_out, args.tool, records)
     print(json.dumps(harness.report_document(result), indent=2, sort_keys=True))
     return 0

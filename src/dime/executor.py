@@ -55,8 +55,8 @@ A run keeps what it reports as plain tuples of strings, numbers and bools,
 which the garbage collector stops tracking: the tool's (kind, src, dst)
 records, the committed (image, rel_addr, length) entries and the permit
 queries ((image, rel_addr, length), permitted).  The same triples go to
-LogStore.commit and to the observer.  ExecutionOutcome builds BranchRecord
-and LogEntry views of them only when they are read.
+LogStore.commit and to the observer, and ExecutionOutcome holds them as
+they are.
 """
 
 from __future__ import annotations
@@ -64,14 +64,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
 
 from .budget import BudgetState, V_BASE, V_INSTRUMENT
 from .program import (AddressError, CONTROL_TRANSFERS, Program, TERMINATORS,
                       BR, CALL, JMP, NDBR, OP, RET)
-from .redundancy import LogEntry, LogStore
-from .tools import AnalysisTool, BranchRecord
+from .redundancy import LogStore
+from .tools import AnalysisTool
 
 GRANULARITIES = ("ctrl", "all")
 
@@ -91,34 +90,17 @@ class GuestError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
-    """What one run did.  `records`, `commits` and `queries` are plain
-    tuples; `tool_output`, `committed_entries` and `permits` are the same
-    values as named tuples, built on first read and then cached.  Equality
-    compares the fields only, so it does not depend on which views were read."""
+    """What one run did.  Each record stream is a tuple of plain tuples,
+    which the garbage collector stops tracking."""
 
     virtual_time: float
     steps: int
     analyzed_addrs: frozenset
-    records: tuple    # (kind, src, dst) per tool record, in order
-    commits: tuple    # (image, rel_addr, length) per exit that committed
-    queries: tuple    # ((image, rel_addr, length), permitted) in query order
+    tool_output: tuple        # (kind, src, dst) per tool record, in order
+    committed_entries: tuple  # (image, rel_addr, length) per exit that committed
+    permits: tuple            # ((image, rel_addr, length), permitted) in query order
     overshoots: tuple
     addr_path: tuple | None = None
-
-    @cached_property
-    def tool_output(self) -> tuple:
-        """`records` as BranchRecords."""
-        return tuple(map(BranchRecord._make, self.records))
-
-    @cached_property
-    def committed_entries(self) -> tuple:
-        """`commits` as LogEntries."""
-        return tuple(map(LogEntry._make, self.commits))
-
-    @cached_property
-    def permits(self) -> tuple:
-        """`queries` as (candidate LogEntry, permitted) pairs."""
-        return tuple((LogEntry._make(c), ok) for c, ok in self.queries)
 
 
 @dataclass
@@ -393,7 +375,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     plain (image, rel_addr, length) tuple, as `log.commit` gets it.
     An exit that commits a prefix no longer than one this run already
     committed from the same compiled trace changes neither the log nor the
-    ground truth, so it is recorded in the outcome's `commits` only.
+    ground truth, so it is recorded in the outcome's `committed_entries` only.
 
     `memo` holds trace shapes compiled by earlier runs of the same program,
     max trace length and granularity; without one the run makes its own.
@@ -542,9 +524,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
         virtual_time=t,
         steps=steps,
         analyzed_addrs=_relative(program, analyzed),
-        records=tuple(tool.records),
-        commits=tuple(committed),
-        queries=tuple(queries),
-        overshoots=tuple(budget.overshoots()),
+        tool_output=tuple(tool.records),
+        committed_entries=tuple(committed),
+        permits=tuple(queries),
+        overshoots=tuple(magnitude for _, magnitude in budget.overshoot_log),
         addr_path=tuple(path) if path is not None else None,
     )

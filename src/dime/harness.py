@@ -21,9 +21,13 @@ It is kept as the same per-image interval union the redundancy log uses.
 The harness works on the runs' plain tuples: the observer gets
 (image, rel_addr, length) triples, which `GroundTruth` and `classify` accept
 as they accept a `LogEntry`, and the oracle's record stream, its unique
-records and the cumulative record set hold (kind, src, dst) triples, which
-compare and hash equal to `BranchRecord`s.  So a campaign builds neither
-named tuple.
+records and the cumulative record set hold (kind, src, dst) triples.  So a
+campaign builds no named tuple.
+
+A log read from a file must fit the program: every entry must name one of
+its images and lie within it.  Nothing binds a log to the program that
+wrote it, so a log from another program with the same image names and
+sizes still passes.
 """
 
 from __future__ import annotations
@@ -128,8 +132,8 @@ def run_oracle(config: RunConfig, memo: TraceMemo | None = None) -> OracleResult
     outcome = run(full, LogStore("none"), BudgetState.unlimited(), tool,
                   rng_seed=seed, memo=memo)
     return OracleResult(
-        record_stream=outcome.records,
-        unique_records=frozenset(outcome.records),
+        record_stream=outcome.tool_output,
+        unique_records=frozenset(outcome.tool_output),
         native_time=native.virtual_time,
         full_instrumentation_time=outcome.virtual_time,
     )
@@ -196,7 +200,9 @@ def _open_log(config: RunConfig, resume: bool = False, fresh: bool = False) -> L
 
     A new store for the ``none`` strategy, when `fresh`, or when the file is
     missing (an error under `resume`); otherwise the file's contents, which
-    must hold the configured strategy.
+    must hold the configured strategy and fit the program: each entry must
+    name one of its images and end within it (a hash entry's start must lie
+    in it).
     """
     strategy = config.log_strategy
     if strategy not in STRATEGIES:
@@ -213,6 +219,14 @@ def _open_log(config: RunConfig, resume: bool = False, fresh: bool = False) -> L
     if log.strategy != strategy:
         raise ConfigError(f"log file {config.log_path} holds strategy {log.strategy!r}, "
                           f"expected {strategy!r}")
+    sizes = {img.name: len(img.kinds) for img in config.program.images}
+    for image, end in log.ends().items():
+        if image not in sizes:
+            raise ConfigError(f"log file {config.log_path} names image {image!r}, "
+                              "which the program lacks")
+        if end > sizes[image]:
+            raise ConfigError(f"log file {config.log_path} reaches past the end of "
+                              f"image {image!r}")
     return log
 
 
@@ -278,7 +292,7 @@ def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
                       rng_seed=config.seed + k, observer=observer, memo=memo)
         if config.log_strategy != "none":
             log.finalize_and_save(config.log_path)
-        cumulative.update(outcome.records)
+        cumulative.update(outcome.tool_output)
         reports.append(_make_report(k, len(cumulative), oracle, outcome, observer))
         outcomes.append(outcome)
     return CampaignResult(tuple(reports), oracle, tuple(outcomes),

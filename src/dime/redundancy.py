@@ -23,7 +23,8 @@ or the plain tuple the executor passes.  Saving and loading build no
 
 The persisted file is line-oriented, sorted, and byte-deterministic:
 ``# dime-log v1 strategy=<s>`` then ``image,rel`` (hash) or
-``image,rel,length`` (bst/merger) per line.
+``image,rel,length`` (bst/merger) per line, each number in plain decimal as
+``str(int)`` writes it.  ``load`` accepts no other form.
 """
 
 from __future__ import annotations
@@ -146,6 +147,13 @@ class LogStore:
                 for start, end in zip(union.starts, union.ends):
                     yield image, start, end - start
 
+    def ends(self) -> dict[str, int]:
+        """Per image with entries, the first address past all of them (past
+        every logged start under ``hash``, whose entries keep no length)."""
+        if self.strategy == "hash":
+            return {image: max(addrs) + 1 for image, addrs in self._addrs.items()}
+        return {image: union.ends[-1] for image, union in self._union.items() if union.ends}
+
     def __len__(self) -> int:
         return sum(1 for _ in self._entries())
 
@@ -244,6 +252,9 @@ def load(path) -> LogStore:
             length = int(fields[2]) if want == 3 else 1
         except ValueError:
             raise LogFormatError(f"{path}:{lineno}: non-numeric field") from None
+        if str(rel) != fields[1] or (want == 3 and str(length) != fields[2]):
+            # int() also reads " 1", "+1", "1_0" and "01", which save never writes
+            raise LogFormatError(f"{path}:{lineno}: number not in the form save writes")
         if rel < 0 or length < 1:
             raise LogFormatError(f"{path}:{lineno}: bad interval")
         store.commit((fields[0], rel, length))

@@ -1,43 +1,30 @@
 """Guest-facing analysis routines driven by the executor's analysis calls.
 
-The branch profiler records every taken control transfer as
-(kind, source address, destination address); a conditional that falls
-through emits nothing.  The call-context-tree builder consumes the call and
-return records of such a stream after the run.
+The branch tool records every taken control transfer as
+(kind, source address, destination address), kind being "jump", "call" or
+"return"; a conditional that falls through emits nothing.  The
+call-context-tree builder consumes the call and return records of such a
+stream after the run.
 
 A tool keeps its records as plain (kind, src, dst) tuples in `records`,
-which the garbage collector stops tracking.  A plain triple and its
-`BranchRecord` compare and hash equal, and `build_cct` and `write_records`
-accept either.
+which the garbage collector stops tracking; `build_cct` and
+`write_records` take any iterable of such triples.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-
-class BranchRecord(NamedTuple):
-    kind: str  # "jump" | "call" | "return"
-    src: int
-    dst: int
-
 
 class AnalysisTool:
-    """Base tool: accumulates records appended by analysis calls."""
+    """The branch tool: records jump, call and return transfers, with source
+    and destination, as analysis calls report them."""
 
-    name = "null"
+    name = "branch"
 
     def __init__(self):
         self.records: list[tuple[str, int, int]] = []
 
     def on_branch(self, kind: str, src: int, dst: int) -> None:
         self.records.append((kind, src, dst))
-
-
-class BranchProfiler(AnalysisTool):
-    """Records jump, call, and return transfers with source and destination."""
-
-    name = "branch"
 
 
 class CallTraceTool(AnalysisTool):
@@ -50,7 +37,7 @@ class CallTraceTool(AnalysisTool):
             self.records.append((kind, src, dst))
 
 
-TOOLS = {"branch": BranchProfiler, "cct": CallTraceTool}
+TOOLS = {"branch": AnalysisTool, "cct": CallTraceTool}
 
 
 def make_tool(name: str) -> AnalysisTool:
@@ -75,7 +62,11 @@ class CallContextTree:
     def __init__(self):
         self.root = CCTNode(None, None)
         self.node_count = 1
-        self.edge_count = 0
+
+    @property
+    def edge_count(self) -> int:
+        """Every node but the root has one edge, from its parent."""
+        return self.node_count - 1
 
     def dump(self) -> str:
         """Indented text form with a nodes/edges trailer: each node, then its
@@ -93,7 +84,7 @@ class CallContextTree:
 
 def build_cct(records) -> CallContextTree:
     """Build a call-context tree from an ordered stream of (kind, src, dst)
-    records, plain tuples or `BranchRecord`s.
+    records.
 
     A call descends to the child named by the callee entry, creating it if
     absent; a return ascends.  A return at the root is tolerated (budget
@@ -108,7 +99,6 @@ def build_cct(records) -> CallContextTree:
                 child = CCTNode(dst, cursor)
                 cursor.children[dst] = child
                 tree.node_count += 1
-                tree.edge_count += 1
             cursor = child
         elif kind == "return":
             if cursor.parent is not None:
@@ -118,7 +108,7 @@ def build_cct(records) -> CallContextTree:
 
 def write_records(records, path) -> None:
     """Line-oriented kind,src,dst tool output file, from (kind, src, dst)
-    records, plain tuples or `BranchRecord`s."""
+    records."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for kind, src, dst in records:
             fh.write(f"{kind},{src},{dst}\n")

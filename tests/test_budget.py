@@ -94,6 +94,15 @@ def test_invalid_parameters_rejected():
         BudgetState(period=5, budget=math.inf)
 
 
+def test_period_and_budget_are_the_only_constructor_arguments():
+    with pytest.raises(TypeError):
+        BudgetState(period=10, budget=3, period_index=1)
+    for name in ("t_ins_this_period", "overshoot_log", "remaining", "horizon",
+                 "_run_loads", "_run_periods", "_last_now"):
+        with pytest.raises(TypeError):
+            BudgetState(10, 3, **{name: 0})
+
+
 def test_unlimited_budget_never_exhausts():
     state = BudgetState.unlimited()
     for now in range(0, 10_000, 97):
@@ -107,7 +116,7 @@ def test_period_history_tracks_skipped_periods():
     state = BudgetState(period=10, budget=3)
     state.charge(2, 0)
     state.check(35)  # jumps over periods 1 and 2
-    assert state.period_history == [2, 0, 0]
+    assert state.period_loads()[:-1] == [2, 0, 0]
     assert state.period_loads() == [2, 0, 0, 0]
 
 

@@ -319,7 +319,76 @@ def test_output_naming_the_program_or_another_output_is_config_error(
 
 def test_log_file_of_the_none_strategy_may_name_the_program(program_file, capsys):
     # The none strategy writes no log, so its --log-file names nothing written.
-    before = open(program_file, "rb").read()
+    with open(program_file, "rb") as fh:
+        before = fh.read()
     assert main(["run", "--program", program_file, "--log-strategy", "none",
                  "--log-file", program_file]) == 0
-    assert open(program_file, "rb").read() == before
+    with open(program_file, "rb") as fh:
+        assert fh.read() == before
+
+
+# Two images of 3 and 2 instructions.
+SHORT = """\
+image main 0
+    op 1
+    op 1
+    halt
+image lib 100
+    op 1
+    ret
+"""
+
+
+def run_short(tmp_path, strategy, body):
+    """`dime run --resume` of SHORT from a log holding `body`: the exit code
+    and whether the log file's bytes are unchanged."""
+    program = tmp_path / "short.dime"
+    program.write_text(SHORT)
+    log = tmp_path / "short.log"
+    log.write_bytes(f"# dime-log v1 strategy={strategy}\n".encode() + body)
+    before = log.read_bytes()
+    code = main(["run", "--program", str(program), "--log-strategy", strategy,
+                 "--log-file", str(log), "--budget", "3", "--period", "10", "--resume"])
+    return code, log.read_bytes() == before
+
+
+@pytest.mark.parametrize("strategy, body, message", [
+    ("hash", b"nosuch,5\n", "names image 'nosuch', which the program lacks"),
+    ("hash", b"main,10" + b"0" * 29 + b"\n", "reaches past the end of image 'main'"),
+    ("hash", b"main,3\n", "reaches past the end of image 'main'"),
+    ("hash", b"lib,1\nlib,2\n", "reaches past the end of image 'lib'"),
+    ("bst", b"main,0,4\n", "reaches past the end of image 'main'"),
+    ("bst", b"main,2,2\n", "reaches past the end of image 'main'"),
+    ("merger", b"lib,0,1\nlib,1,2\n", "reaches past the end of image 'lib'"),
+    ("merger", b"main,0,1\nother,0,1\n", "names image 'other', which the program lacks"),
+    ("bst", b"main, 0,1_0\n", ":2: number not in the form save writes"),
+    ("hash", b"main, 1\n", ":2: number not in the form save writes"),
+    ("hash", b"main,+1\n", ":2: number not in the form save writes"),
+    ("hash", b"main,01\n", ":2: number not in the form save writes"),
+    ("bst", b"main,0,2 \n", ":2: number not in the form save writes"),
+    ("bst", b"main,-0,2\n", ":2: number not in the form save writes"),
+    ("merger", b"main,0,1_0\n", ":2: number not in the form save writes"),
+], ids=["hash-no-image", "hash-10e29", "hash-at-end", "hash-lib-at-end", "bst-past-end",
+        "bst-overhang", "merger-overhang", "merger-no-image", "bst-space-underscore",
+        "hash-space", "hash-plus", "hash-leading-zero", "bst-trailing-space",
+        "bst-minus-zero", "merger-underscore"])
+def test_log_that_does_not_fit_the_program_is_config_error(tmp_path, capsys, strategy,
+                                                            body, message):
+    code, unchanged = run_short(tmp_path, strategy, body)
+    out, err = capsys.readouterr()
+    assert (code, out, unchanged) == (1, "", True)
+    assert err.startswith("dime: config error:") and err.count("\n") == 1
+    assert message in err and str(tmp_path / "short.log") in err
+
+
+@pytest.mark.parametrize("strategy, body", [
+    ("hash", b"main,0\nmain,2\nlib,1\n"),
+    ("bst", b"main,0,3\nlib,0,2\n"),
+    ("merger", b"main,1,2\nlib,1,1\n"),
+], ids=["hash", "bst", "merger"])
+def test_log_that_fits_the_program_runs(tmp_path, capsys, strategy, body):
+    # Entries that end exactly at an image's end (a hash start at its last
+    # instruction) fit.
+    code, _ = run_short(tmp_path, strategy, body)
+    assert code == 0
+    assert capsys.readouterr().err == ""

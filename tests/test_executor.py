@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from dime import (AddressError, BudgetState, ConfigError, GuestError, LogEntry, LogStore,
+from dime import (AddressError, BudgetState, ConfigError, GuestError, LogStore,
                   RunConfig, TraceMemo, executor, make_tool, native_run, parse_program,
                   run, run_campaign)
 from dime.executor import GRANULARITIES
@@ -105,11 +105,11 @@ def test_run_budget_exhaustion_truncates_commit(p1_det):
     # the fourth check fails and the version switches mid-trace.
     out, log, _ = make_run(p1_det, granularity="all", period=10, budget=3,
                            analysis_cost=1, check_cost=0, compile_cost=0)
-    assert out.committed_entries[0] == LogEntry("main", 0, 3)
+    assert out.committed_entries[0] == ("main", 0, 3)
     assert len({a for _, a in out.analyzed_addrs & {("main", 0), ("main", 1), ("main", 2)}}) == 3
     # values frozen from a hand-walk of the virtual clock
     assert out.virtual_time == 20
-    assert out.committed_entries == (LogEntry("main", 0, 3), LogEntry("main", 2, 3))
+    assert out.committed_entries == (("main", 0, 3), ("main", 2, 3))
     assert out.tool_output == (("jump", 1004, 1000),)
     assert out.analyzed_addrs == {("main", i) for i in range(5)}
     assert out.overshoots == ()
@@ -182,7 +182,7 @@ def test_ops_are_never_stepped(calls_program, monkeypatch):
     full_time = native_time + len(path)  # one analysis call of cost 1 per step
     out, _, _ = make_run(calls_program, log_strategy="none", granularity="all",
                          capture_path=True)
-    assert (out.records, out.addr_path, out.virtual_time) == (
+    assert (out.tool_output, out.addr_path, out.virtual_time) == (
         tuple(records), tuple(path), full_time)
     assert stepped == non_ops
     stepped.clear()
@@ -190,7 +190,7 @@ def test_ops_are_never_stepped(calls_program, monkeypatch):
     result = run_campaign(RunConfig(program=calls_program, granularity="all"), 2)
     assert (result.oracle.record_stream, result.oracle.native_time,
             result.oracle.full_instrumentation_time) == (tuple(records), native_time, full_time)
-    assert [(o.records, o.virtual_time) for o in result.outcomes] == [
+    assert [(o.tool_output, o.virtual_time) for o in result.outcomes] == [
         (tuple(records), full_time)] * 2
     assert stepped == Counter({kind: 4 * n for kind, n in non_ops.items()})
 
@@ -201,8 +201,8 @@ def test_committed_union_equals_analyzed_at_all_granularity():
         program = parse_program(random_program(rng, max_instructions=60))
         out, _, _ = make_run(program, granularity="all", period=11, budget=3,
                              seed=5)
-        union = {(e.image, a) for e in out.committed_entries
-                 for a in range(e.rel_addr, e.rel_addr + e.length)}
+        union = {(image, a) for image, rel_addr, length in out.committed_entries
+                 for a in range(rel_addr, rel_addr + length)}
         assert union == out.analyzed_addrs
 
 
@@ -212,12 +212,12 @@ def test_committed_union_contains_analyzed_at_ctrl_granularity():
         program = parse_program(random_program(rng, max_instructions=60))
         out, _, _ = make_run(program, granularity="ctrl", period=11, budget=3,
                              seed=6)
-        union = {(e.image, a) for e in out.committed_entries
-                 for a in range(e.rel_addr, e.rel_addr + e.length)}
+        union = {(image, a) for image, rel_addr, length in out.committed_entries
+                 for a in range(rel_addr, rel_addr + length)}
         assert out.analyzed_addrs <= union
         # every commit ends at an instruction whose analysis call ran
-        for e in out.committed_entries:
-            assert (e.image, e.rel_addr + e.length - 1) in out.analyzed_addrs
+        for image, rel_addr, length in out.committed_entries:
+            assert (image, rel_addr + length - 1) in out.analyzed_addrs
 
 
 class CountingLog(LogStore):
@@ -249,9 +249,9 @@ def test_exits_recommitting_a_logged_prefix_skip_the_log(p1_det, strategy):
     log, observer = CountingLog(strategy), CommitObserver()
     out = run(config, log, config.make_budget(), make_tool("branch"), rng_seed=1,
               observer=observer)
-    assert out.committed_entries == (LogEntry("main", 0, 5), LogEntry("main", 0, 5),
-                                     LogEntry("main", 0, 3), LogEntry("main", 5, 1))
-    assert log.commits == observer.commits == [LogEntry("main", 0, 5), LogEntry("main", 5, 1)]
+    assert out.committed_entries == (("main", 0, 5), ("main", 0, 5), ("main", 0, 3),
+                                     ("main", 5, 1))
+    assert log.commits == observer.commits == [("main", 0, 5), ("main", 5, 1)]
     replay = LogStore(strategy)
     for entry in out.committed_entries:
         replay.commit(entry)
@@ -260,7 +260,7 @@ def test_exits_recommitting_a_logged_prefix_skip_the_log(p1_det, strategy):
 
 def test_one_permit_query_per_instrumented_trace_entry(p1_det):
     out, _, _ = make_run(p1_det, granularity="all", period=10, budget=3)
-    starts = [(c.image, c.rel_addr) for c, _ in out.permits]
+    starts = [(image, rel_addr) for (image, rel_addr, _), _ in out.permits]
     assert len(starts) == len(set(starts))
 
 

@@ -1,13 +1,13 @@
-"""Runs keep plain tuples; the named-tuple views and the protocols that take
-either form must give the same values and answers."""
+"""Runs keep plain tuples: every outcome field holds them, and the protocols
+that take an (image, rel_addr, length) triple give the same answers for a
+`LogEntry`."""
 
 import random
-from dataclasses import fields
 
 import pytest
 
-from dime import (BranchRecord, GroundTruth, LogEntry, LogStore, RunConfig, build_cct,
-                  classify, make_tool, parse_program, run, run_campaign, write_records)
+from dime import (GroundTruth, LogEntry, LogStore, RunConfig, classify, make_tool,
+                  parse_program, run_campaign)
 from dime.corpus import loop_corpus, random_corpus
 
 from conftest import CALLS
@@ -28,37 +28,25 @@ def campaign_outcomes(tmp_path):
                 yield from result.outcomes
 
 
-def test_outcome_views_are_the_raw_fields_as_named_tuples(tmp_path):
+def is_triple(value, types):
+    return (type(value) is tuple and len(value) == 3
+            and all(type(v) is t for v, t in zip(value, types)))
+
+
+def test_outcome_fields_are_plain_tuples(tmp_path):
     seen = 0
     for outcome in campaign_outcomes(tmp_path):
-        assert outcome.tool_output == tuple(map(BranchRecord._make, outcome.records))
-        assert outcome.committed_entries == tuple(map(LogEntry._make, outcome.commits))
-        assert outcome.permits == tuple((LogEntry._make(c), ok) for c, ok in outcome.queries)
-        assert all(type(r) is BranchRecord for r in outcome.tool_output)
-        assert all(type(e) is LogEntry for e in outcome.committed_entries)
-        assert all(type(c) is LogEntry and type(ok) is bool for c, ok in outcome.permits)
-        assert all(type(r) is tuple for r in outcome.records + outcome.commits)
-        assert outcome.tool_output is outcome.tool_output
-        assert outcome.committed_entries is outcome.committed_entries
-        assert outcome.permits is outcome.permits
-        seen += bool(outcome.records and outcome.commits)
+        for field in (outcome.tool_output, outcome.committed_entries, outcome.permits,
+                      outcome.overshoots):
+            assert type(field) is tuple
+        assert all(is_triple(r, (str, int, int)) for r in outcome.tool_output)
+        assert all(is_triple(e, (str, int, int)) for e in outcome.committed_entries)
+        assert all(type(p) is tuple and len(p) == 2 and is_triple(p[0], (str, int, int))
+                   and type(p[1]) is bool for p in outcome.permits)
+        assert type(outcome.analyzed_addrs) is frozenset
+        assert all(type(a) is tuple for a in outcome.analyzed_addrs)
+        seen += bool(outcome.tool_output and outcome.committed_entries)
     assert seen > 10
-
-
-def test_outcome_equality_ignores_which_views_were_read(p1):
-    config = RunConfig(program=p1, granularity="all", period=10, budget=3)
-
-    def outcome():
-        return run(config, LogStore("bst"), config.make_budget(), make_tool("branch"),
-                   rng_seed=5)
-
-    read, unread = outcome(), outcome()
-    assert read.tool_output and read.committed_entries and read.permits
-    assert read == unread and hash(read) == hash(unread)
-    assert "tool_output" not in [f.name for f in fields(read)]
-    other = run(config, LogStore("bst"), config.make_budget(), make_tool("branch"),
-                rng_seed=6)
-    assert other.records != read.records and other != read
 
 
 @pytest.mark.parametrize("name", ["branch", "cct"])
@@ -73,16 +61,7 @@ def test_tool_records_are_plain_triples(name):
     assert all(type(r) is tuple for r in tool.records)
     kept = stream if name == "branch" else stream[1:3]
     assert tool.records == kept
-    assert frozenset(tool.records) == frozenset(map(BranchRecord._make, kept))
-
-
-def test_tool_output_is_the_same_for_named_and_plain_records(tmp_path):
-    for outcome in campaign_outcomes(tmp_path):
-        named, plain = outcome.tool_output, outcome.records
-        write_records(named, tmp_path / "named")
-        write_records(plain, tmp_path / "plain")
-        assert (tmp_path / "named").read_bytes() == (tmp_path / "plain").read_bytes()
-        assert build_cct(named).dump() == build_cct(plain).dump()
+    assert frozenset(tool.records) == frozenset(kept)
 
 
 def test_log_and_ground_truth_answer_the_same_for_either_form():

@@ -164,6 +164,36 @@ def test_load_rejects_hash_file_with_lengths(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("strategy, ends", [
+    ("hash", {"a": 31, "b": 8}), ("bst", {"a": 34, "b": 10}), ("merger", {"a": 34, "b": 10}),
+    ("none", {})])
+def test_ends_is_the_first_address_past_every_entry(strategy, ends):
+    store = store_with(strategy, LogEntry("a", 30, 4), LogEntry("a", 10, 2),
+                       LogEntry("b", 7, 3), LogEntry("a", 30, 1))
+    assert store.permit("c", 0, 1)  # a query about an image adds no end for it
+    assert store.ends() == ends
+
+
+@pytest.mark.parametrize("field", [" 1", "1 ", "+1", "01", "00", "-0", "1_0"])
+def test_load_rejects_numbers_that_save_never_writes(tmp_path, field):
+    path = tmp_path / "log"
+    for text in (f"hash\nmain,{field}\n", f"bst\nmain,{field},2\n",
+                 f"merger\nmain,3,{field}\n"):
+        path.write_text("# dime-log v1 strategy=" + text)
+        with pytest.raises(LogFormatError, match=":2: "):
+            load(path)
+
+
+def test_load_reads_the_numbers_that_save_writes(tmp_path):
+    path = tmp_path / "log"
+    big = 10**29
+    path.write_text(f"# dime-log v1 strategy=bst\nmain,0,{big}\nmain,{big},10\n")
+    store = load(path)
+    assert list(store.entries()) == [("main", 0, big), ("main", big, 10)]
+    store.save(tmp_path / "again")
+    assert (tmp_path / "again").read_bytes() == path.read_bytes()
+
+
 def test_load_rejects_missing_header(tmp_path):
     path = tmp_path / "log"
     path.write_text("main,100,20\n")
