@@ -11,8 +11,12 @@ A check's answer can change only at a charge that spends the budget or at
 the next period boundary.  Every check and charge leaves in `horizon` the
 time before which a check keeps giving the current answer, so a caller
 that reuses the answer reads one attribute and makes no further call.
-A check that crosses a boundary closes the periods into a run-length
-history in place, so each budget event is one call.
+The server also publishes the answer from the horizon on: with B > 0 the
+boundary after a spending charge refills the budget, so check() answers 1
+from there until `refill` (MAX_PERIODS * T), and a caller takes that 1
+without asking.  The next charge, or the caller's last check, closes the
+periods that no check crossed into a run-length history in place, so a
+run with B > 0 asks the server twice however many periods it spans.
 """
 
 from __future__ import annotations
@@ -47,6 +51,14 @@ class BudgetState:
     # period-count limit.  The open period ends at (k + 1) * T with
     # k < MAX_PERIODS, never past the cap.
     horizon: float = field(init=False)
+    # The time until which check() answers 1 from `horizon` on, unless a
+    # charge spends the budget first: MAX_PERIODS * T when B > 0, since
+    # every boundary refills the budget to B, and -inf when B = 0.  It
+    # matters after a charge that spent the budget, whose horizon is the end
+    # of the open period: a caller may then take 1 from there up to the cap
+    # without a check, and the next charge or check closes the periods it
+    # skipped as checking at each of them would.
+    refill: float = field(init=False)
     # t_ins of the closed periods, run-length encoded: run i is
     # _run_periods[i] consecutive periods that each had t_ins _run_loads[i]
     _run_loads: list[float] = field(default_factory=list, init=False, repr=False)
@@ -65,6 +77,7 @@ class BudgetState:
         self._period_end = self.period
         self._cap = MAX_PERIODS * self.period
         self.horizon = self._cap if self.budget > 0 else self._period_end
+        self.refill = self._cap if self.budget > 0 else -math.inf
 
     @classmethod
     def unlimited(cls) -> "BudgetState":
@@ -139,7 +152,9 @@ class BudgetState:
     def charge(self, cost: float, now: float) -> int:
         """Consume budget for an analysis call that started at `now`.
 
-        Must follow a check at the same `now` that returned 1.  The call is
+        Must follow a check at the same `now` that returned 1, or come at or
+        past the horizon of a charge that spent the budget and before
+        `refill`; it then first closes the periods since.  The call is
         atomic: remaining may transiently go negative, in which case the
         deficit is logged as an overshoot and remaining clamps to 0.
         Returns what check(now) would answer after the charge: 0 once the

@@ -19,15 +19,18 @@ check passes, the call completes even if it spends the budget past zero.
 The check's answer can change only at a charge that spends the budget or at
 the next period boundary.  Each check, and each charge that spends the
 budget, leaves on the server the time its answer holds until
-(BudgetState.horizon).  So run() asks the server only when the clock
-reaches that time, reuses the answer at the points before it with one float
-compare, and checks once more at the last point when the run ends, so the
-server closes the same periods.  check_cost is still charged to the clock
-at every point.  An unlimited server (B = inf, so T = inf) is asked twice
-however long the run is, and charged once: no charge can change its
-answer, so run() sums analysis_cost per analysis call and charges the sum
-before the last check, which leaves the server's loads as the per-call
-charges would.  A run that raises leaves such a server uncharged.
+(BudgetState.horizon), and the server publishes the time until which the
+answer is 1 from there on (BudgetState.refill: with B > 0, every boundary
+refills the budget).  So run() reuses the answer at the points before the
+horizon with one float compare, takes 1 past the horizon of a spending
+charge without asking, asks the server only when neither holds, and checks
+once more at the last point when the run ends, so the server closes the
+same periods.  check_cost is still charged to the clock at every point.
+An unlimited server (B = inf, so T = inf) is asked twice however long the
+run is, and charged once: no charge can change its answer, so run() sums
+analysis_cost per analysis call and charges the sum before the last check,
+which leaves the server's loads as the per-call charges would.  A run that
+raises leaves such a server uncharged.
 
 When execution leaves an instrumented trace (fall-through, taken exit,
 version switch, or halt), the portion from the trace start through the last
@@ -40,12 +43,20 @@ instrumentation point: ops touch no guest state, so the item adds their
 cost to the clock in the same step, before the instruction's point check
 when it has one.  At `all` every op is a point and an item of its own.  An
 op run that ends the trace, or that a halt at `ctrl` ends, is an item
-without an instruction.  No op is ever stepped.  Steps are counted
+without an instruction.  run() dispatches each item's instruction inline
+from its tuple, with no call per instruction, and no op is ever
+dispatched; a tool record is built only for a taken transfer whose
+analysis call ran.  The native pass dispatches the instruction that ends
+each of its cached straight runs inline in the same way.  Steps are counted
 per trace exit: an entry executes the straight addresses pc .. pc+end-1,
 so run() adds `end` to the step count (and that range to a captured path)
 once.  The step limit is tested once per entry; only an entry that could
 pass it runs a cut body, which stops at the first instruction past the
 limit after that instruction's point check, and then raises.
+
+An instrumented trace keeps the longest (image, rel_start, prefix) entry
+that the run committed from it, and an exit with the same prefix records
+that very tuple again, so a loop's repeated commits share one.
 
 Trace walks and the native pass read the program's instruction columns, so
 no run builds an Instruction object.  The analyzed addresses are kept as
@@ -62,9 +73,9 @@ they are.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from itertools import count
+from random import Random
 
 from .budget import BudgetState, V_BASE, V_INSTRUMENT
 from .program import (AddressError, CONTROL_TRANSFERS, Program, TERMINATORS,
@@ -73,6 +84,9 @@ from .redundancy import LogStore
 from .tools import AnalysisTool
 
 GRANULARITIES = ("ctrl", "all")
+
+# The tool record's kind for a taken transfer of each instruction kind.
+RECORD_KINDS = {JMP: "jump", BR: "jump", NDBR: "jump", CALL: "call", RET: "return"}
 
 # The largest analysis, check or compile cost a run accepts: every cost up to
 # it converts to a float exactly, as the budget arithmetic and the slow-down
@@ -132,12 +146,12 @@ def validate(config: RunConfig, tool) -> None:
     attached tool (or None), whose presence requires a positive analysis cost."""
     if config.granularity not in GRANULARITIES:
         raise ConfigError(f"unknown granularity {config.granularity!r}")
-    if tool is not None and config.analysis_cost <= 0:
+    if tool is not None and not config.analysis_cost > 0:  # nan included
         raise ConfigError("analysis cost must be > 0 when a tool is attached")
-    if config.check_cost < 0 or config.compile_cost < 0:
-        raise ConfigError("costs must be >= 0")
-    if max(config.analysis_cost, config.check_cost, config.compile_cost) > MAX_COST:
-        raise ConfigError("costs must be <= 2**53")
+    for cost in (config.analysis_cost, config.check_cost, config.compile_cost):
+        if not 0 <= cost <= MAX_COST:  # nan included
+            raise ConfigError("costs must be <= 2**53" if cost > MAX_COST
+                              else "costs must be >= 0")
     if config.max_trace_len < 1:
         raise ConfigError("max trace length must be >= 1")
     if config.max_steps < 1:
@@ -214,7 +228,7 @@ class TraceMemo:
     shape that the cut rule asks for.  Shapes are plain tuples of numbers
     and strings, which the garbage collector stops tracking, and V_BASE and
     V_INSTRUMENT traces share them.  `code` maps the address of each
-    instruction that does something when stepped (every kind but op), at
+    instruction that does something when executed (every kind but op), at
     both granularities, to its (kind, target, arg), read from the
     program's columns.
     """
@@ -249,45 +263,6 @@ class TraceMemo:
         return shape
 
 
-class _GuestState:
-    """Guest-visible machine state: branch-pattern cursors, the ndbr RNG, and
-    the call stack.  Instrumentation never touches it, so the executed address
-    sequence is identical with instrumentation on or off."""
-
-    def __init__(self, program: Program, seed: int):
-        self.program = program
-        self.rng = random.Random(seed)
-        self.pattern_pos: dict[int, int] = {}
-        self.call_stack: list[int] = []
-
-    def step(self, addr, ins):
-        """Execute the instruction at `addr`, given as its (kind, target,
-        arg): (next pc or None on halt, taken-transfer record).  It is never
-        an op: an op touches no guest state, so neither interpreter steps one."""
-        kind, target, arg = ins
-        if kind == JMP:
-            return target, ("jump", addr, target)
-        if kind == BR:
-            pos = self.pattern_pos.get(addr, 0)
-            self.pattern_pos[addr] = pos + 1
-            if arg[pos % len(arg)] == "T":
-                return target, ("jump", addr, target)
-            return addr + 1, None
-        if kind == NDBR:
-            if self.rng.random() < arg:
-                return target, ("jump", addr, target)
-            return addr + 1, None
-        if kind == CALL:
-            self.call_stack.append(addr + 1)
-            return target, ("call", addr, target)
-        if kind == RET:
-            if not self.call_stack:
-                raise GuestError(f"ret at {addr} with empty call stack")
-            dst = self.call_stack.pop()
-            return dst, ("return", addr, dst)
-        return None, None  # halt
-
-
 @dataclass(frozen=True)
 class NativeOutcome:
     virtual_time: float
@@ -296,10 +271,10 @@ class NativeOutcome:
 
 
 def _native_block(program: Program, pc: int) -> tuple:
-    """(steps, cost, addr, ins) of the straight run from `pc`: its leading
-    ops and the instruction at `addr` that ends them, as its (kind, target,
-    arg), or the ops alone, with `addr` and `ins` None, when they reach the
-    end of their image."""
+    """(steps, cost, addr, kind, target, arg) of the straight run from `pc`:
+    its leading ops and the instruction at `addr` that ends them, or the ops
+    alone, with None for the last four, when they reach the end of their
+    image."""
     img = program.image_of(pc)
     if img is None:
         raise GuestError(f"address {pc} outside every image")
@@ -309,9 +284,9 @@ def _native_block(program: Program, pc: int) -> tuple:
     while i < len(kinds):
         cost += costs[i]
         if kinds[i] != OP:
-            return i + 1 - start, cost, img.base + i, (kinds[i], img.targets[i], img.args[i])
+            return i + 1 - start, cost, img.base + i, kinds[i], img.targets[i], img.args[i]
         i += 1
-    return i - start, cost, None, None
+    return i - start, cost, None, None, None, None
 
 
 def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
@@ -319,9 +294,12 @@ def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
     """Run the guest with no instrumentation at all: pure guest cost.
 
     Straight runs are looked up once and then cached by start address, so
-    each later visit executes its ops in one step.
+    each later visit executes its ops in one step and dispatches the
+    instruction that ends them inline.
     """
-    guest = _GuestState(program, seed)
+    random = Random(seed).random
+    pattern_pos: dict[int, int] = {}
+    call_stack: list[int] = []
     blocks: dict[int, tuple] = {}
     pc = program.entry
     t = 0
@@ -331,18 +309,30 @@ def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
         block = blocks.get(pc)
         if block is None:
             block = blocks[pc] = _native_block(program, pc)
-        n, cost, at, ins = block
+        n, cost, at, kind, nxt, arg = block
         steps += n
         if steps > max_steps:
             raise GuestError("step limit exceeded")
         if path is not None:
             path.extend(range(pc, pc + n))
         t += cost
-        if at is None:  # fall through to the next image, or off every image
-            pc += n
-            continue
-        nxt, _ = guest.step(at, ins)
-        if nxt is None:
+        if kind == BR:
+            pos = pattern_pos.get(at, 0)
+            pattern_pos[at] = pos + 1
+            if arg[pos % len(arg)] != "T":
+                nxt = at + 1
+        elif kind == NDBR:
+            if not random() < arg:
+                nxt = at + 1
+        elif kind == CALL:
+            call_stack.append(at + 1)
+        elif kind == RET:
+            if not call_stack:
+                raise GuestError(f"ret at {at} with empty call stack")
+            nxt = call_stack.pop()
+        elif kind is None:  # fall through to the next image, or off every image
+            nxt = pc + n
+        elif kind != JMP:  # halt
             return NativeOutcome(t, steps, tuple(path) if path is not None else None)
         pc = nxt
 
@@ -392,16 +382,22 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
             program, config.max_trace_len, config.granularity):
         raise ConfigError("trace memo belongs to another program, max trace length "
                           "or granularity")
-    seed = config.seed if rng_seed is None else rng_seed
-    guest = _GuestState(program, seed)
+    # Guest-visible state: branch-pattern cursors, the ndbr RNG and the call
+    # stack.  Instrumentation never touches it, so the executed address
+    # sequence is the same with instrumentation on or off.
+    random = Random(config.seed if rng_seed is None else rng_seed).random
+    pattern_pos: dict[int, int] = {}
+    call_stack: list[int] = []
     # Per version (indexed by V_BASE and V_INSTRUMENT): entry ->
     # (image, rel_start, length, body, analysis attached).  A cache's keys
     # are the entry points that cut later walks of its version.
     caches: tuple[dict[int, tuple], dict[int, tuple]] = ({}, {})
-    # entry -> longest prefix committed from its trace, per instrumented trace
-    longest: dict[int, int] = {}
+    # entry -> the longest (image, rel_start, prefix) committed from its
+    # trace, per instrumented trace; an exit that commits the same prefix
+    # again records this tuple, so a loop's repeated commits share one.
+    longest: dict[int, tuple[str, int, int]] = {}
     check, charge = budget.check, budget.charge
-    step, on_branch = guest.step, tool.on_branch
+    on_branch = tool.on_branch
     check_cost = config.check_cost
     analysis_cost = config.analysis_cost
     max_steps = config.max_steps
@@ -414,10 +410,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     queries: list[tuple[tuple[str, int, int], bool]] = []
     path = [] if config.capture_path else None
     halted = False
-    # The budget's last answer and the time it holds until; `now` is the
-    # time of the last instrumentation point.
+    # The budget's last answer and the time it holds until, then the time
+    # until which V_INSTRUMENT holds from `until` on (the server's refill
+    # after a charge that spent the budget); `now` is the time of the last
+    # instrumentation point.
     answer = V_INSTRUMENT
-    until = -math.inf
+    until = refilled = -math.inf
     now = None
     # B = inf (and so T = inf): no charge can change an answer, so the
     # analysis calls are summed here and charged once when the run ends.
@@ -441,7 +439,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                 if observer is not None:
                     observer.on_permit(candidate, analysis)
                 if analysis:
-                    longest[pc] = 0
+                    longest[pc] = (image, rel, 0)
             compiled = cache[pc] = (image, rel, length, body, analysis)
 
         image, rel, length, body, analysis = compiled
@@ -461,8 +459,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
             if point:
                 now = t = t + lead
                 if now >= until:
-                    answer = check(now)
-                    until = budget.horizon
+                    if now < refilled:
+                        answer = V_INSTRUMENT
+                        until = refilled
+                    else:
+                        answer = check(now)
+                        until = refilled = budget.horizon
                 t += check_cost
                 if answer != version:
                     version = answer  # abandon before this instruction executes
@@ -475,24 +477,41 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                     elif not charge(analysis_cost, now):
                         answer = V_BASE
                         until = budget.horizon
+                        # The refill starts at the horizon, so only a horizon
+                        # past the charge, where its 0 holds, can have one.
+                        refilled = budget.refill if until > now else until
                     t += analysis_cost
                     analyzed.add(at)
                     last_analyzed = off
             t += cost
             if ins is None:  # ops, which touch no guest state
                 continue
-            nxt, record = step(at, ins)
-            if record is not None:  # a taken transfer exits the trace
-                if last_analyzed == off:
-                    on_branch(*record)
-                end = off + 1
-                next_pc = nxt
-                break
-            if nxt is None:
+            kind, nxt, arg = ins
+            if kind == BR:
+                pos = pattern_pos.get(at, 0)
+                pattern_pos[at] = pos + 1
+                if arg[pos % len(arg)] != "T":
+                    continue  # not taken: on to the next item
+            elif kind == NDBR:
+                if not random() < arg:
+                    continue
+            elif kind == CALL:
+                call_stack.append(at + 1)
+            elif kind == RET:
+                if not call_stack:
+                    raise GuestError(f"ret at {at} with empty call stack")
+                nxt = call_stack.pop()
+            elif kind != JMP:  # halt
                 end = off + 1
                 next_pc = None
                 halted = True
                 break
+            # A taken transfer exits the trace.
+            if last_analyzed == off:
+                on_branch(RECORD_KINDS[kind], at, nxt)
+            end = off + 1
+            next_pc = nxt
+            break
         else:  # execution falls off the trace's end, or a cut body ran out
             if steps + length > max_steps:
                 raise GuestError("step limit exceeded")
@@ -504,12 +523,14 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
             path.extend(range(pc, pc + end))
         if last_analyzed is not None:
             prefix = last_analyzed + 1
-            entry = (image, rel, prefix)
-            if prefix > longest[pc]:
-                longest[pc] = prefix
+            entry = longest[pc]
+            if prefix > entry[2]:
+                entry = longest[pc] = (image, rel, prefix)
                 log.commit(entry)
                 if observer is not None:
                     observer.on_commit(entry)
+            elif prefix < entry[2]:
+                entry = (image, rel, prefix)
             committed.append(entry)
         pc = next_pc
 

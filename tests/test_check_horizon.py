@@ -9,7 +9,10 @@ it are the reference.  They must agree with runs against the real server
 field for field, in the periods closed, the per-period loads, the overshoots
 and the final log, and a run must stop at the period-count limit at the same
 point.  The reference must really be asked at every point, or the
-comparison would pit the real server against itself.
+comparison would pit the real server against itself.  After a charge that
+spends the budget, the real server's refill (BudgetState.refill) lets run()
+take the answer 1 past that charge's horizon without asking; a horizon of
+-inf carries no refill, so the reference is still asked.
 """
 
 import math
@@ -180,3 +183,61 @@ def test_unlimited_run_loads_sum_the_analysis_calls(analysis_cost, server):
     if isinstance(analysis_cost, float):
         assert expected != outcome.steps * analysis_cost
     assert (state.remaining, state.overshoot_log, state.period_index) == (math.inf, [], 0)
+
+
+@pytest.mark.parametrize("share", [0.5, 1])
+def test_period_count_limit_stops_a_spending_run_at_the_same_point(share):
+    # The program of the test above with an empty log: the br's analysis
+    # call costs 1, more than B, so every pass spends the budget and the
+    # next pass takes the refill's answer without a check, up to the cap.
+    program = parse_program("image m 0\nL: op 1000000000\n    br L "
+                            + "T" * 30 + "N\n    halt\n")
+    config = RunConfig(program=program, period=1e-6, budget=1e-6 * share,
+                       log_strategy="hash", max_steps=1000)
+    errors, checks, charges = [], [], []
+    for server in (Counting, EveryPoint):
+        state = server(period=config.period, budget=config.budget)
+        with pytest.raises(BudgetContractError, match="2\\*\\*53") as exc:
+            run(config, LogStore("hash"), state, make_tool("branch"))
+        errors.append(str(exc.value))
+        checks.append(state.checks)
+        charges.append(state.charges)
+    assert errors[0] == errors[1]
+    # Both charged at the br of each of the first nine passes.  The
+    # reference checked there and at the tenth, which is past the cap; the
+    # real server was asked at the first br and at the tenth, where its
+    # refill no longer holds.
+    assert charges == [9, 9]
+    assert checks == [2, 10]
+
+
+def test_a_run_that_spends_every_period_checks_twice():
+    # Each pass is 5 units of guest time and the period 10, so every period
+    # holds a br whose analysis call (3 units, over B = 2) spends the budget.
+    program = parse_program("image m 0\nL: op 5\n    br L " + "T" * 200 + "N\n    halt\n")
+    config = RunConfig(program=program, period=10, budget=2, analysis_cost=3,
+                       log_strategy="none", capture_path=True)
+    found = []
+    for server in (Counting, EveryPoint):
+        state = server(period=config.period, budget=config.budget)
+        outcome = run(config, LogStore("none"), state, make_tool("branch"))
+        found.append((outcome, state.period_index, state.period_loads(),
+                      state.overshoot_log, state.charges))
+        if server is Counting:
+            assert state.checks <= 2
+    assert found[0] == found[1]
+    loads = found[0][2]
+    assert len(loads) > 100
+    assert all(load == 3 for load in loads)
+
+
+def test_repeated_full_prefix_commits_share_one_entry():
+    # Each taken br exits the loop's trace with the same prefix, which the
+    # run commits once and then records as the same tuple.
+    program = parse_program("image m 0\nL: op 1\n    op 2\n    br L " + "T" * 20 + "N\n"
+                            "    halt\n")
+    outcome = run(RunConfig(program=program, granularity="all"), LogStore("hash"),
+                  BudgetState.unlimited(), make_tool("branch"))
+    loop = [entry for entry in outcome.committed_entries if entry == ("m", 0, 3)]
+    assert len(loop) == 20
+    assert len({id(entry) for entry in loop}) == 1

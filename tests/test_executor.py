@@ -1,12 +1,11 @@
 import math
 import random
-from collections import Counter
 
 import pytest
 
 from dime import (AddressError, BudgetState, ConfigError, GuestError, LogStore,
-                  RunConfig, TraceMemo, executor, make_tool, native_run, parse_program,
-                  run, run_campaign)
+                  RunConfig, TraceMemo, harness, make_tool, native_run,
+                  parse_program, run, run_campaign)
 from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
 from dime.corpus import random_program
@@ -165,34 +164,54 @@ def test_instrumentation_is_transparent(p1):
             assert out.addr_path == reference
 
 
-def test_ops_are_never_stepped(calls_program, monkeypatch):
-    # An op touches no guest state, so no interpreter hands one to the guest,
-    # not even at `all` granularity, where every op is a body item of its own.
-    stepped = Counter()
-    step = executor._GuestState.step
+class RecordingMemo(TraceMemo):
+    """A trace memo that keeps every shape it hands to a run."""
 
-    def counting(self, addr, ins):
-        stepped[ins[0]] += 1
-        return step(self, addr, ins)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.shapes = []
 
-    monkeypatch.setattr(executor._GuestState, "step", counting)
+    def shape(self, entry, cached_entries):
+        found = super().shape(entry, cached_entries)
+        self.shapes.append(found)
+        return found
+
+
+def test_ops_are_never_stepped(calls_program):
+    # An op touches no guest state, so no body item carries an op for the
+    # interpreter to dispatch, not even at `all` granularity, where every op
+    # is a body item of its own; and every other instruction the guest
+    # executes is dispatched from an item that carries its own tuple.
     records, native_time, path = reference_run(calls_program, seed=1)
-    non_ops = Counter(calls_program.instruction_at(a).kind for a in path)
-    del non_ops["op"]
-    full_time = native_time + len(path)  # one analysis call of cost 1 per step
-    out, _, _ = make_run(calls_program, log_strategy="none", granularity="all",
-                         capture_path=True)
-    assert (out.tool_output, out.addr_path, out.virtual_time) == (
-        tuple(records), tuple(path), full_time)
-    assert stepped == non_ops
-    stepped.clear()
-    # The oracle's native and full runs and two budgeted runs.
-    result = run_campaign(RunConfig(program=calls_program, granularity="all"), 2)
-    assert (result.oracle.record_stream, result.oracle.native_time,
-            result.oracle.full_instrumentation_time) == (tuple(records), native_time, full_time)
-    assert [(o.tool_output, o.virtual_time) for o in result.outcomes] == [
-        (tuple(records), full_time)] * 2
-    assert stepped == Counter({kind: 4 * n for kind, n in non_ops.items()})
+    non_ops = {a for a in path if calls_program.instruction_at(a).kind != "op"}
+    for granularity in GRANULARITIES:
+        memo = RecordingMemo(calls_program, 16, granularity)
+        config = RunConfig(program=calls_program, granularity=granularity,
+                           capture_path=True)
+        out = run(config, LogStore("none"), config.make_budget(), make_tool("branch"),
+                  rng_seed=1, memo=memo)
+        carried = set()
+        for _, _, _, body in memo.shapes:
+            for _, at, _, _, _, ins in body:
+                if ins is not None:
+                    assert ins[0] != "op"
+                    assert calls_program.instruction_at(at).kind != "op"
+                    assert ins is memo.code[at]
+                    carried.add(at)
+        assert non_ops <= carried
+        # One analysis call of cost 1 per point passed.
+        calls = sum(1 for a in path if granularity == "all"
+                    or calls_program.instruction_at(a).kind in CONTROL_TRANSFERS)
+        full_time = native_time + calls
+        assert (out.tool_output, out.addr_path, out.virtual_time) == (
+            tuple(records), tuple(path), full_time)
+        # The oracle's native and full runs and two budgeted runs.
+        result = run_campaign(RunConfig(program=calls_program, granularity=granularity), 2)
+        assert (result.oracle.record_stream, result.oracle.native_time,
+                result.oracle.full_instrumentation_time) == (
+                    tuple(records), native_time, full_time)
+        assert [(o.tool_output, o.virtual_time) for o in result.outcomes] == [
+            (tuple(records), full_time)] * 2
 
 
 def test_committed_union_equals_analyzed_at_all_granularity():
@@ -354,6 +373,21 @@ def test_fall_off_image_end_is_guest_error():
 def test_nonpositive_analysis_cost_rejected(p1):
     with pytest.raises(ConfigError, match="analysis cost"):
         make_run(p1, analysis_cost=0)
+
+
+@pytest.mark.parametrize("cost", ["analysis_cost", "check_cost", "compile_cost"])
+def test_nan_cost_is_config_error_before_any_guest_step(p1, monkeypatch, cost):
+    # nan fails every comparison, so a test of `cost < 0` or `cost > 2**53`
+    # lets it through, and the budget server then dies on a nan clock.
+    def native(*args, **kwargs):
+        raise AssertionError("the native pass ran")
+
+    monkeypatch.setattr(harness, "native_run", native)
+    config = RunConfig(program=p1, period=10, budget=5, **{cost: math.nan})
+    with pytest.raises(ConfigError, match="cost"):
+        run_campaign(config, 1)
+    with pytest.raises(ConfigError, match="cost"):
+        run(config, LogStore("none"), config.make_budget(), make_tool("branch"))
 
 
 def test_unknown_granularity_rejected(p1):
