@@ -14,9 +14,11 @@ that reuses the answer reads one attribute and makes no further call.
 The server also publishes the answer from the horizon on: with B > 0 the
 boundary after a spending charge refills the budget, so check() answers 1
 from there until `refill` (MAX_PERIODS * T), and a caller takes that 1
-without asking.  The next charge, or the caller's last check, closes the
-periods that no check crossed into a run-length history in place, so a
-run with B > 0 asks the server twice however many periods it spans.
+without asking.  A check or charge whose time is past the open period
+closes every period up to it in one step (`_close`), which both share, so
+a run with B > 0 asks the server twice however many periods it spans.
+The closed periods are kept as one record per charged period; every other
+period's load is the int 0.
 """
 
 from __future__ import annotations
@@ -59,10 +61,15 @@ class BudgetState:
     # without a check, and the next charge or check closes the periods it
     # skipped as checking at each of them would.
     refill: float = field(init=False)
-    # t_ins of the closed periods, run-length encoded: run i is
-    # _run_periods[i] consecutive periods that each had t_ins _run_loads[i]
-    _run_loads: list[float] = field(default_factory=list, init=False, repr=False)
-    _run_periods: list[int] = field(default_factory=list, init=False, repr=False)
+    # The closed periods, one record per charged period (one whose load is
+    # not the int 0): the number of uncharged periods between it and the
+    # record before it in _gaps, and its load in _loads.  Every other closed
+    # period's load is the int 0, so a run of uncharged periods takes no
+    # room, however long.  _recorded is the index of the first period after
+    # the last record.
+    _gaps: list[int] = field(default_factory=list, init=False, repr=False)
+    _loads: list[float] = field(default_factory=list, init=False, repr=False)
+    _recorded: int = field(default=0, init=False, repr=False)
     _last_now: float = field(default=0, init=False, repr=False)
     # (period_index + 1) * T: the time at which the open period closes
     _period_end: float = field(init=False, repr=False)
@@ -89,65 +96,47 @@ class BudgetState:
         if now < self._last_now:
             raise BudgetContractError(f"clock moved backwards: {now} < {self._last_now}")
         self._last_now = now
-        if now < self._period_end:
-            return 1 if self.remaining > 0 else 0
+        if not now < self._period_end:
+            self._close(now)
+        return 1 if self.remaining > 0 else 0
+
+    def _close(self, now: float) -> None:
+        """Close the open period and every later one that ends at or before
+        `now`, which is at or past the open period's end, and open the
+        period that holds `now` with the budget refilled."""
         # The open period becomes the first k >= `first` with now < (k+1)*T.
-        # One multiply settles a crossing of a single boundary.  On the
-        # switchstorm workload that is 46 % of crossings; the rest pay the
-        # multiply before the search, and its budgeted runs are still faster
-        # with the shortcut than without.  Otherwise floor division guesses
-        # k and the boundary test corrects the guess, so a float T crosses
-        # boundaries exactly as stepping one period at a time would; k * T is
-        # monotonic in k, so both ways find the same k.  Past 2**53 periods,
-        # k + 1 no longer changes as a float, and the correction could not end.
-        period = self.period
-        if not now < self._cap:
+        # Floor division guesses k and the boundary tests correct the guess,
+        # so a float T crosses boundaries exactly as stepping one period at a
+        # time would; k * T is monotonic in k, so both ways find the same k.
+        # Past 2**53 periods, k + 1 no longer changes as a float, and the
+        # correction could not end.
+        period, cap = self.period, self._cap
+        if not now < cap:
             raise BudgetContractError(
                 f"time {now} is 2**53 or more periods of {period} in; "
                 "period counts that large are not exact in floating point")
-        first = self.period_index + 1
-        end = (first + 1) * period
-        if now < end:
+        index = self.period_index
+        first = index + 1
+        k = int(now // period)
+        if k < first:
             k = first
-        else:
-            k = max(first, int(now // period))
-            while now >= (k + 1) * period:
-                k += 1
-            while k > first and now < k * period:
-                k -= 1
+        end = (k + 1) * period
+        while now >= end:
+            k += 1
             end = (k + 1) * period
-        # Close the open period, then the k - first empty ones after it, into
-        # the run-length history.  A period joins the last run only if its
-        # load has that run's value and type (2 and 2.0 stay apart, as
-        # stepping each period keeps them).  After the first, the last run's
-        # load is `load`, so the empty periods, whose load is the int 0, join
-        # it iff it is the int 0.
+        while k > first and now < k * period:
+            k -= 1
+            end = (k + 1) * period
         load = self.t_ins_this_period
-        loads, runs = self._run_loads, self._run_periods
-        if loads and loads[-1] == load and type(loads[-1]) is type(load):
-            runs[-1] += 1
-        else:
-            loads.append(load)
-            runs.append(1)
-        if k > first:
-            if load == 0 and type(load) is int:
-                runs[-1] += k - first
-            else:
-                loads.append(0)
-                runs.append(k - first)
+        if load or type(load) is not int:
+            self._gaps.append(index - self._recorded)
+            self._loads.append(load)
+            self._recorded = first
         self.period_index = k
         self._period_end = end
         self.t_ins_this_period = 0
         self.remaining = budget = self.budget
-        if budget > 0:
-            self.horizon = self._cap
-            return 1
-        self.horizon = end
-        return 0
-
-    # Charges advance the clock through this alias, so an override of check()
-    # or a wrapper around it sees only the checks that callers make.
-    _advance = check
+        self.horizon = cap if budget > 0 else end
 
     def charge(self, cost: float, now: float) -> int:
         """Consume budget for an analysis call that started at `now`.
@@ -163,13 +152,15 @@ class BudgetState:
         """
         if cost < 0:
             raise ValueError("cost must be >= 0")
-        if self._last_now <= now < self._period_end:
-            self._last_now = now  # no boundary since the last check: check's fast path
-        else:
-            self._advance(now)
-        if self.remaining <= 0:
+        if now < self._last_now:
+            raise BudgetContractError(f"clock moved backwards: {now} < {self._last_now}")
+        self._last_now = now
+        if not now < self._period_end:
+            self._close(now)
+        remaining = self.remaining
+        if remaining <= 0:
             raise BudgetContractError("charge without a passing budget check")
-        remaining = self.remaining - cost
+        remaining -= cost
         self.t_ins_this_period += cost
         if remaining > 0:
             self.remaining = remaining
@@ -184,8 +175,11 @@ class BudgetState:
     def period_loads(self) -> list[float]:
         """t_ins of every period so far, in order: the closed ones, then the
         still-open one."""
-        return [load for load, periods in zip(self._run_loads, self._run_periods)
-                for _ in range(periods)] + [self.t_ins_this_period]
+        loads = []
+        for gap, load in zip(self._gaps, self._loads):
+            loads += [0] * gap
+            loads.append(load)
+        return loads + [0] * (self.period_index - self._recorded) + [self.t_ins_this_period]
 
 
 # Version identifiers shared by the executor and the budget protocol: a budget

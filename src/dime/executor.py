@@ -59,8 +59,11 @@ that the run committed from it, and an exit with the same prefix records
 that very tuple again, so a loop's repeated commits share one.
 
 Trace walks and the native pass read the program's instruction columns, so
-no run builds an Instruction object.  The analyzed addresses are kept as
-plain absolute ints and mapped to (image, rel_addr) once, when the run ends.
+no run builds an Instruction object.  An analysis call does no bookkeeping
+beyond its clock and its charge: every point that an entry reaches before
+its exit either switches versions, which ends the entry, or is analyzed,
+so the points an entry analyzed are those of its committed prefix, and the
+run reads its analyzed addresses off the longest prefixes when it ends.
 
 A run keeps what it reports as plain tuples of strings, numbers and bools,
 which the garbage collector stops tracking: the tool's (kind, src, dst)
@@ -337,22 +340,6 @@ def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
         pc = nxt
 
 
-def _relative(program: Program, addrs) -> frozenset:
-    """The (image, rel_addr) of each address in `addrs`, every one inside
-    some image: one sweep of the sorted addresses over the images by base."""
-    images = iter(sorted((img for img in program.images if img.kinds),
-                         key=lambda img: img.base))
-    img = next(images)
-    name, base, end = img.name, img.base, img.end
-    out = []
-    for addr in sorted(addrs):
-        while addr >= end:
-            img = next(images)
-            name, base, end = img.name, img.base, img.end
-        out.append((name, addr - base))
-    return frozenset(out)
-
-
 def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisTool,
         rng_seed: int | None = None, observer=None,
         memo: TraceMemo | None = None) -> ExecutionOutcome:
@@ -405,7 +392,6 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     steps = 0
     version = V_INSTRUMENT
     pc = program.entry
-    analyzed: set[int] = set()  # absolute addresses, mapped to images on output
     committed: list[tuple[str, int, int]] = []
     queries: list[tuple[tuple[str, int, int], bool]] = []
     path = [] if config.capture_path else None
@@ -481,7 +467,6 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
                         # past the charge, where its 0 holds, can have one.
                         refilled = budget.refill if until > now else until
                     t += analysis_cost
-                    analyzed.add(at)
                     last_analyzed = off
             t += cost
             if ins is None:  # ops, which touch no guest state
@@ -541,10 +526,15 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
             charge(spent, now)
         # Close the periods up to the last point, as checking there would.
         check(now)
+    # The points an entry analyzed are those of its committed prefix.
+    instrumented = caches[V_INSTRUMENT]
+    analyzed = frozenset(
+        (image, rel + off) for pc, (image, rel, prefix) in longest.items()
+        for off, _, point, _, _, _ in instrumented[pc][3] if point and off < prefix)
     return ExecutionOutcome(
         virtual_time=t,
         steps=steps,
-        analyzed_addrs=_relative(program, analyzed),
+        analyzed_addrs=analyzed,
         tool_output=tuple(tool.records),
         committed_entries=tuple(committed),
         permits=tuple(queries),

@@ -28,13 +28,22 @@ class AnalysisTool:
 
 
 class CallTraceTool(AnalysisTool):
-    """Records only call and return transfers, for call-context-tree building."""
+    """Records only call and return transfers, for call-context-tree building.
+
+    A run makes the same few calls and returns over and over, so `records`
+    holds one shared tuple per distinct (kind, src, dst).
+    """
 
     name = "cct"
 
+    def __init__(self):
+        super().__init__()
+        self._shared: dict[tuple[str, int, int], tuple[str, int, int]] = {}
+
     def on_branch(self, kind: str, src: int, dst: int) -> None:
         if kind in ("call", "return"):
-            self.records.append((kind, src, dst))
+            record = (kind, src, dst)
+            self.records.append(self._shared.setdefault(record, record))
 
 
 TOOLS = {"branch": AnalysisTool, "cct": CallTraceTool}

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import time
 
@@ -97,8 +98,9 @@ def test_invalid_parameters_rejected():
 def test_period_and_budget_are_the_only_constructor_arguments():
     with pytest.raises(TypeError):
         BudgetState(period=10, budget=3, period_index=1)
-    for name in ("t_ins_this_period", "overshoot_log", "remaining", "horizon",
-                 "_run_loads", "_run_periods", "_last_now"):
+    hidden = [f.name for f in dataclasses.fields(BudgetState) if not f.init]
+    assert {"period_index", "remaining", "horizon", "refill"} <= set(hidden)
+    for name in hidden:
         with pytest.raises(TypeError):
             BudgetState(10, 3, **{name: 0})
 
@@ -134,6 +136,25 @@ def test_period_history_keeps_the_type_of_each_load():
     loads = state.period_loads()
     assert loads == [2, 2.0, 0.0, 0, 0] == [2, 2, 0, 0, 0]
     assert list(map(type, loads)) == [int, float, float, int, int]
+
+
+def test_int_zero_charge_reads_as_the_skipped_periods_after_it():
+    state = BudgetState(period=10, budget=3)
+    state.charge(0, 0)
+    state.check(35)
+    loads = state.period_loads()
+    assert loads == [0, 0, 0, 0]
+    assert list(map(type, loads)) == [int] * 4
+
+
+def test_float_zero_charge_keeps_its_float_load():
+    state = BudgetState(period=10, budget=3)
+    state.check(12)
+    state.charge(0.0, 12)
+    state.check(41)
+    loads = state.period_loads()
+    assert loads == [0, 0.0, 0, 0, 0]
+    assert list(map(type, loads)) == [int, float, int, int, int]
 
 
 def test_negative_cost_rejected():
@@ -264,6 +285,25 @@ def test_closed_form_advance_matches_stepping_each_period(period, share, steps, 
         assert loads(state.period_loads()) == loads(model.history + [model.load])
         assert state.remaining == model.remaining
     assert state.overshoot_log == model.overshoots
+
+
+@settings(deadline=None)
+@given(
+    period=st.one_of(st.sampled_from([0.1, 1 / 3, 1, 2.5, 7, math.inf]),
+                     st.floats(min_value=0.01, max_value=20)),
+    share=st.one_of(st.sampled_from([0, 1]), st.floats(min_value=0, max_value=1)),
+    steps=st.lists(st.tuples(st.one_of(st.integers(0, 40), st.floats(0, 40),
+                                       st.tuples(st.integers(1, 3),
+                                                 st.sampled_from([-1, 0, 1]))),
+                             st.one_of(st.just(0.0), st.floats(0, 5))), max_size=60),
+    probes=st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=4),
+)
+def test_closed_form_advance_matches_stepping_each_period_with_float_costs(
+        period, share, steps, probes):
+    # The same replay with float costs, 0.0 among them: a period charged
+    # only 0.0 keeps that float load, unlike an uncharged period's int 0.
+    test_closed_form_advance_matches_stepping_each_period.hypothesis.inner_test(
+        period, share, steps, probes)
 
 
 def test_one_huge_op_closes_twenty_million_periods_in_one_check():

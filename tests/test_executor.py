@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dime import (AddressError, BudgetState, ConfigError, GuestError, LogStore,
                   RunConfig, TraceMemo, harness, make_tool, native_run,
@@ -9,9 +10,11 @@ from dime import (AddressError, BudgetState, ConfigError, GuestError, LogStore,
 from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
 from dime.corpus import random_program
+from dime.redundancy import STRATEGIES
 
 from conftest import P1_DET
 from reference import reference_run
+from test_differential import programs
 
 
 def make_run(program, log_strategy="hash", log=None, seed=1, **overrides):
@@ -237,6 +240,31 @@ def test_committed_union_contains_analyzed_at_ctrl_granularity():
         # every commit ends at an instruction whose analysis call ran
         for image, rel_addr, length in out.committed_entries:
             assert (image, rel_addr + length - 1) in out.analyzed_addrs
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=programs(), seed=st.integers(0, 99),
+       granularity=st.sampled_from(GRANULARITIES), max_len=st.integers(1, 16),
+       strategy=st.sampled_from(STRATEGIES), period=st.sampled_from((2, 2.5, math.inf)),
+       share=st.sampled_from((0, 0.4, 1)))
+def test_analyzed_addrs_are_the_points_of_the_committed_entries(
+        texts, seed, granularity, max_len, strategy, period, share):
+    # Under any budget, and on a second run against the same log: every
+    # point inside a committed entry was analyzed, and nothing else was.
+    program = parse_program(texts[0])
+    config = RunConfig(program=program, granularity=granularity, period=period,
+                       budget=period * share if share else 0, max_trace_len=max_len,
+                       seed=seed, log_strategy=strategy)
+    kinds = {img.name: img.kinds for img in program.images}
+    log = LogStore(strategy)
+    for k in (1, 2):
+        out = run(config, log, config.make_budget(), make_tool(config.tool),
+                  rng_seed=seed + k)
+        log.finalize()
+        assert out.analyzed_addrs == {
+            (image, a) for image, rel_addr, length in out.committed_entries
+            for a in range(rel_addr, rel_addr + length)
+            if granularity == "all" or kinds[image][a] in CONTROL_TRANSFERS}
 
 
 class CountingLog(LogStore):

@@ -28,6 +28,15 @@ def test_call_trace_tool_drops_jumps():
     assert [kind for kind, _, _ in tool.records] == ["call", "return"]
 
 
+def test_call_trace_tool_shares_one_tuple_per_distinct_record():
+    tool = CallTraceTool()
+    for _ in range(3):
+        tool.on_branch("call", 3, 4)
+        tool.on_branch("return", 5, 6)
+    assert tool.records == [rec("call", 3, 4), rec("return", 5, 6)] * 3
+    assert len({id(record) for record in tool.records}) == 2
+
+
 def test_make_tool():
     branch, cct = make_tool("branch"), make_tool("cct")
     assert (type(branch), branch.name) == (AnalysisTool, "branch")
