@@ -12,9 +12,10 @@ log when the file is missing) instead of an empty log.  So `dime run
 ..., execute the runs of `dime campaign --seed s` and save the same log
 files; each report scores its run on its own.
 
-Exit codes: 0 success, 1 configuration error (including a file that cannot
-be read or written, a malformed report and a cost above 2**53), 2 guest
-error (including a run whose virtual time reaches 2**53 budget periods).
+Exit codes: 0 success, 1 configuration error (including a malformed flag,
+a file that cannot be read or written, a malformed report and a cost above
+2**53), 2 guest error (including a run whose virtual time reaches 2**53
+budget periods).
 The run settings are checked before the oracle's native pass.  The files a command
 will write (--log-file, --report, --tool-out) are checked before the oracle
 runs, so a bad output path, or one that names the program or another
@@ -188,9 +189,17 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed flag as a configuration error: one line and exit
+    1, not argparse's usage text and exit 2, which is the guest-error code.
+    Subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(1, f"dime: config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dime",
-                                     description="time-aware instrumentation simulator")
+    parser = _Parser(prog="dime", description="time-aware instrumentation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("oracle", help="native and fully instrumented reference run")

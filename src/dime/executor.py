@@ -63,7 +63,7 @@ no run builds an Instruction object.  An analysis call does no bookkeeping
 beyond its clock and its charge: every point that an entry reaches before
 its exit either switches versions, which ends the entry, or is analyzed,
 so the points an entry analyzed are those of its committed prefix, and the
-run reads its analyzed addresses off the longest prefixes when it ends.
+committed entries are the run's only record of them.
 
 A run keeps what it reports as plain tuples of strings, numbers and bools,
 which the garbage collector stops tracking: the tool's (kind, src, dst)
@@ -112,7 +112,6 @@ class ExecutionOutcome:
 
     virtual_time: float
     steps: int
-    analyzed_addrs: frozenset
     tool_output: tuple        # (kind, src, dst) per tool record, in order
     committed_entries: tuple  # (image, rel_addr, length) per exit that committed
     permits: tuple            # ((image, rel_addr, length), permitted) in query order
@@ -239,6 +238,8 @@ class TraceMemo:
     def __init__(self, program: Program, max_len: int, granularity: str):
         if max_len < 1:
             raise ConfigError("max trace length must be >= 1")
+        if granularity not in GRANULARITIES:
+            raise ConfigError(f"unknown granularity {granularity!r}")
         self.program = program
         self.max_len = max_len
         self.granularity = granularity
@@ -526,15 +527,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
             charge(spent, now)
         # Close the periods up to the last point, as checking there would.
         check(now)
-    # The points an entry analyzed are those of its committed prefix.
-    instrumented = caches[V_INSTRUMENT]
-    analyzed = frozenset(
-        (image, rel + off) for pc, (image, rel, prefix) in longest.items()
-        for off, _, point, _, _, _ in instrumented[pc][3] if point and off < prefix)
     return ExecutionOutcome(
         virtual_time=t,
         steps=steps,
-        analyzed_addrs=analyzed,
         tool_output=tuple(tool.records),
         committed_entries=tuple(committed),
         permits=tuple(queries),

@@ -4,6 +4,7 @@ import signal
 import pytest
 
 from dime import parse_program
+from dime.program import CONTROL_TRANSFERS
 
 
 @contextlib.contextmanager
@@ -20,6 +21,17 @@ def wall_budget(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def committed_points(program, granularity, outcome):
+    """The (image, rel_addr) instrumentation points inside a run's committed
+    entries: every instruction at `all`, the control transfers at `ctrl`.
+    These are the points the run analyzed."""
+    kinds = {img.name: img.kinds for img in program.images}
+    return {(image, a) for image, rel_addr, length in outcome.committed_entries
+            for a in range(rel_addr, rel_addr + length)
+            if granularity == "all" or kinds[image][a] in CONTROL_TRANSFERS}
+
 
 # Canonical 6-instruction program: a loop whose exit is a nondeterministic branch.
 P1 = """\

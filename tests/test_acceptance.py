@@ -14,6 +14,7 @@ import pytest
 from dime import (BudgetState, LogEntry, LogStore, RunConfig, emit_report,
                   make_tool, parse_program, run, run_campaign)
 from dime.corpus import loop_corpus, random_corpus
+from conftest import committed_points
 from reference import reference_run
 
 PASS_LINE = "acceptance {num} ({label}): PASS in {dt:.2f}s"
@@ -121,11 +122,12 @@ def test_criterion_2_multi_exit_scenario(tmp_path):
         assert TAIL_RECORD not in cumulative(result, 1)
 
     assert TAIL_RECORD in cumulative(results["hash"], 2)  # recovered in run 2
+    program = parse_program(SCENARIO)
     for strategy in ("bst", "merger"):
         result = results[strategy]
         assert TAIL_RECORD not in cumulative(result, 3)
         for outcome in result.outcomes:
-            assert not (outcome.analyzed_addrs & TAIL_ADDRS)
+            assert not (committed_points(program, "ctrl", outcome) & TAIL_ADDRS)
 
     unique = {s: results[s].reports[-1].unique_records for s in results}
     assert unique["hash"] > unique["merger"] >= unique["bst"]

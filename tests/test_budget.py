@@ -60,6 +60,16 @@ def test_charge_overshoot_clamps_and_logs():
     assert state.t_ins_this_period == 6
 
 
+def test_charge_that_leaves_exactly_0_spends_the_budget():
+    # Spent, not overshot: the answer is 0 until the period ends, and no
+    # deficit is logged.
+    state = BudgetState(10, 3)
+    assert state.charge(3, 0) == 0
+    assert state.remaining == 0
+    assert state.horizon == 10
+    assert state.overshoot_log == []
+
+
 def test_charge_without_passing_check_is_contract_violation():
     state = BudgetState(period=10, budget=3)
     state.charge(3, 0)

@@ -121,6 +121,32 @@ def test_parse_error_is_config_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--program", "P", "--ca", "abc"],
+    ["campaign", "--program", "P"],
+    ["run", "--program", "P", "--budget", "x"],
+    ["replay", "--program", "P"],
+    [],
+], ids=["bad-int", "missing-runs", "bad-budget", "unknown-command", "no-command"])
+def test_malformed_flags_are_one_line_config_errors(argv, capsys):
+    # Exit 2 is the guest-error code, so argparse's own exit status and
+    # usage text would read as a guest failure.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dime: config error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: dime" in capsys.readouterr().out
+
+
 def test_guest_error_exit_code(tmp_path, capsys):
     loop = tmp_path / "loop.dime"
     loop.write_text("image m 0\nL: jmp L\n")

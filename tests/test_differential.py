@@ -4,10 +4,10 @@
 compiled trace's op runs in one step; on generated programs both must walk
 the reference's address sequence with its time, step count and records, and
 a step limit one below the reference's step count must stop them.  With an
-unlimited budget, run() must analyze every instrumentation point on that
-path, reported relative to its image.  The main code is cut into adjacent
-images, so execution falls through from one image into the next, and its
-routines sit in an image below it.
+unlimited budget, run()'s committed entries must hold every instrumentation
+point on that path, relative to its image, and no other.  The main code is
+cut into adjacent images, so execution falls through from one image into the
+next, and its routines sit in an image below it.
 
 Each program also comes without its final halt, so that execution falls off
 the end of its last image.  A step limit that leaves no room for the last
@@ -25,6 +25,7 @@ from dime import (BudgetState, GuestError, LogStore, RunConfig, make_tool, nativ
 from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
 
+from conftest import committed_points
 from reference import reference_run
 
 COSTS = st.sampled_from((0, 1, 1, 2, 3))
@@ -110,7 +111,7 @@ def test_interpreters_match_reference(texts, seed, granularity, max_len):
     assert (out.tool_output, out.addr_path, out.steps) == (
         tuple(records), tuple(path), steps)
     # Unlimited budget: every instrumentation point on the path is analyzed.
-    assert out.analyzed_addrs == {
+    assert committed_points(program, granularity, out) == {
         (image, rel) for ins, image, rel in map(program.resolve, set(path))
         if granularity == "all" or ins.kind in CONTROL_TRANSFERS}
     with pytest.raises(GuestError, match="step limit"):

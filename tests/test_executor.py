@@ -2,7 +2,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dime import (AddressError, BudgetState, ConfigError, GuestError, LogStore,
                   RunConfig, TraceMemo, harness, make_tool, native_run,
@@ -10,11 +9,9 @@ from dime import (AddressError, BudgetState, ConfigError, GuestError, LogStore,
 from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
 from dime.corpus import random_program
-from dime.redundancy import STRATEGIES
 
-from conftest import P1_DET
+from conftest import P1_DET, committed_points
 from reference import reference_run
-from test_differential import programs
 
 
 def make_run(program, log_strategy="hash", log=None, seed=1, **overrides):
@@ -108,12 +105,13 @@ def test_run_budget_exhaustion_truncates_commit(p1_det):
     out, log, _ = make_run(p1_det, granularity="all", period=10, budget=3,
                            analysis_cost=1, check_cost=0, compile_cost=0)
     assert out.committed_entries[0] == ("main", 0, 3)
-    assert len({a for _, a in out.analyzed_addrs & {("main", 0), ("main", 1), ("main", 2)}}) == 3
+    analyzed = committed_points(p1_det, "all", out)
+    assert len({a for _, a in analyzed & {("main", 0), ("main", 1), ("main", 2)}}) == 3
     # values frozen from a hand-walk of the virtual clock
     assert out.virtual_time == 20
     assert out.committed_entries == (("main", 0, 3), ("main", 2, 3))
     assert out.tool_output == (("jump", 1004, 1000),)
-    assert out.analyzed_addrs == {("main", i) for i in range(5)}
+    assert analyzed == {("main", i) for i in range(5)}
     assert out.overshoots == ()
 
 
@@ -126,7 +124,7 @@ def test_run_unconstrained_budget_equals_oracle(p1_det):
         ("main", a - 1000) for a in ref_path
         if p1_det.instruction_at(a).kind in CONTROL_TRANSFERS
     }
-    assert out.analyzed_addrs == executed_transfers
+    assert committed_points(p1_det, "ctrl", out) == executed_transfers
 
 
 def test_run_zero_budget_is_pure_overhead(p1_det):
@@ -135,7 +133,7 @@ def test_run_zero_budget_is_pure_overhead(p1_det):
                            check_cost=0, compile_cost=0)
     assert out.tool_output == ()
     assert out.committed_entries == ()
-    assert out.analyzed_addrs == frozenset()
+    assert committed_points(p1_det, "all", out) == set()
     assert out.virtual_time == native.virtual_time
     assert len(log) == 0
     out2, _, _ = make_run(p1_det, granularity="all", period=10, budget=0,
@@ -217,54 +215,16 @@ def test_ops_are_never_stepped(calls_program):
             (tuple(records), full_time)] * 2
 
 
-def test_committed_union_equals_analyzed_at_all_granularity():
-    rng = random.Random(3)
-    for _ in range(12):
-        program = parse_program(random_program(rng, max_instructions=60))
-        out, _, _ = make_run(program, granularity="all", period=11, budget=3,
-                             seed=5)
-        union = {(image, a) for image, rel_addr, length in out.committed_entries
-                 for a in range(rel_addr, rel_addr + length)}
-        assert union == out.analyzed_addrs
-
-
 def test_committed_union_contains_analyzed_at_ctrl_granularity():
     rng = random.Random(4)
     for _ in range(12):
         program = parse_program(random_program(rng, max_instructions=60))
         out, _, _ = make_run(program, granularity="ctrl", period=11, budget=3,
                              seed=6)
-        union = {(image, a) for image, rel_addr, length in out.committed_entries
-                 for a in range(rel_addr, rel_addr + length)}
-        assert out.analyzed_addrs <= union
+        analyzed = committed_points(program, "ctrl", out)
         # every commit ends at an instruction whose analysis call ran
         for image, rel_addr, length in out.committed_entries:
-            assert (image, rel_addr + length - 1) in out.analyzed_addrs
-
-
-@settings(max_examples=150, deadline=None)
-@given(texts=programs(), seed=st.integers(0, 99),
-       granularity=st.sampled_from(GRANULARITIES), max_len=st.integers(1, 16),
-       strategy=st.sampled_from(STRATEGIES), period=st.sampled_from((2, 2.5, math.inf)),
-       share=st.sampled_from((0, 0.4, 1)))
-def test_analyzed_addrs_are_the_points_of_the_committed_entries(
-        texts, seed, granularity, max_len, strategy, period, share):
-    # Under any budget, and on a second run against the same log: every
-    # point inside a committed entry was analyzed, and nothing else was.
-    program = parse_program(texts[0])
-    config = RunConfig(program=program, granularity=granularity, period=period,
-                       budget=period * share if share else 0, max_trace_len=max_len,
-                       seed=seed, log_strategy=strategy)
-    kinds = {img.name: img.kinds for img in program.images}
-    log = LogStore(strategy)
-    for k in (1, 2):
-        out = run(config, log, config.make_budget(), make_tool(config.tool),
-                  rng_seed=seed + k)
-        log.finalize()
-        assert out.analyzed_addrs == {
-            (image, a) for image, rel_addr, length in out.committed_entries
-            for a in range(rel_addr, rel_addr + length)
-            if granularity == "all" or kinds[image][a] in CONTROL_TRANSFERS}
+            assert (image, rel_addr + length - 1) in analyzed
 
 
 class CountingLog(LogStore):

@@ -141,3 +141,9 @@ def test_memo_of_other_settings_is_rejected(p1, p1_det):
 def test_memo_of_no_trace_length_is_rejected(p1):
     with pytest.raises(ConfigError, match="max trace length must be >= 1"):
         TraceMemo(p1, 0, "ctrl")
+
+
+@pytest.mark.parametrize("granularity", ["ALL", "insn", ""])
+def test_memo_of_unknown_granularity_is_rejected(p1, granularity):
+    with pytest.raises(ConfigError, match="unknown granularity"):
+        TraceMemo(p1, 16, granularity)
