@@ -26,7 +26,7 @@ G:  op 1
 program = parse_program(PROGRAM)
 config = RunConfig(program=program, tool="cct")
 tool = make_tool("cct")
-outcome = run(config, LogStore("none"), BudgetState.unlimited(), tool, rng_seed=0)
+outcome = run(config, LogStore("none"), BudgetState.unlimited(), tool)
 
 print("call/return record stream:")
 for kind, src, dst in outcome.tool_output:

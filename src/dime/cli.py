@@ -16,10 +16,11 @@ Exit codes: 0 success, 1 configuration error (including a malformed flag,
 a file that cannot be read or written, a malformed report and a cost above
 2**53), 2 guest error (including a run whose virtual time reaches 2**53
 budget periods).
-The run settings are checked before the oracle's native pass.  The files a command
-will write (--log-file, --report, --tool-out) are checked before the oracle
-runs, so a bad output path, or one that names the program or another
-output, fails before any run starts and leaves every file as it was.
+Every run setting, the --budget/--period pair included, is checked before
+the oracle's native pass, under `dime oracle` too.  The files a command will
+write (--log-file, --report, --tool-out) are checked before the oracle runs,
+so a bad output path, or one that names the program or another output,
+fails before any run starts and leaves every file as it was.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ from .tools import TOOLS, build_cct, write_records
 def _time_units(text: str) -> float:
     if text.lower() in ("inf", "infinity"):
         return math.inf
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number or 'inf': {text!r}") from None
     return int(value) if value.is_integer() else value
 
 

@@ -65,6 +65,12 @@ its exit either switches versions, which ends the entry, or is analyzed,
 so the points an entry analyzed are those of its committed prefix, and the
 committed entries are the run's only record of them.
 
+Both interpreters take every setting from one RunConfig and return an
+ExecutionOutcome.  native_run reads only the program, seed, step limit and
+capture_path, and leaves the outcome's record fields empty.  validate()
+checks every setting, the period and budget included, so a caller can
+reject a bad one before the native pass.
+
 A run keeps what it reports as plain tuples of strings, numbers and bools,
 which the garbage collector stops tracking: the tool's (kind, src, dst)
 records, the committed (image, rel_addr, length) entries and the permit
@@ -108,7 +114,7 @@ class GuestError(RuntimeError):
 @dataclass(frozen=True)
 class ExecutionOutcome:
     """What one run did.  Each record stream is a tuple of plain tuples,
-    which the garbage collector stops tracking."""
+    which the garbage collector stops tracking; native_run leaves them empty."""
 
     virtual_time: float
     steps: int
@@ -143,12 +149,12 @@ class RunConfig:
         return BudgetState(period=self.period, budget=self.budget)
 
 
-def validate(config: RunConfig, tool) -> None:
-    """Raise ConfigError for a setting run() cannot honour; `tool` is the
-    attached tool (or None), whose presence requires a positive analysis cost."""
+def validate(config: RunConfig) -> None:
+    """Raise ConfigError for a setting run() cannot honour, and BudgetState's
+    ValueError for a period and budget it rejects."""
     if config.granularity not in GRANULARITIES:
         raise ConfigError(f"unknown granularity {config.granularity!r}")
-    if tool is not None and not config.analysis_cost > 0:  # nan included
+    if not config.analysis_cost > 0:  # nan included
         raise ConfigError("analysis cost must be > 0 when a tool is attached")
     for cost in (config.analysis_cost, config.check_cost, config.compile_cost):
         if not 0 <= cost <= MAX_COST:  # nan included
@@ -158,6 +164,8 @@ def validate(config: RunConfig, tool) -> None:
         raise ConfigError("max trace length must be >= 1")
     if config.max_steps < 1:
         raise ConfigError("step limit must be >= 1")
+    # Not make_budget(): the benchmark's tracer counts runs by its calls.
+    BudgetState(config.period, config.budget)
 
 
 def form_trace(memo: TraceMemo, entry: int, max_len: int) -> tuple:
@@ -267,13 +275,6 @@ class TraceMemo:
         return shape
 
 
-@dataclass(frozen=True)
-class NativeOutcome:
-    virtual_time: float
-    steps: int
-    addr_path: tuple | None = None
-
-
 def _native_block(program: Program, pc: int) -> tuple:
     """(steps, cost, addr, kind, target, arg) of the straight run from `pc`:
     its leading ops and the instruction at `addr` that ends them, or the ops
@@ -293,22 +294,25 @@ def _native_block(program: Program, pc: int) -> tuple:
     return i - start, cost, None, None, None, None
 
 
-def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
-               capture_path: bool = False) -> NativeOutcome:
+def native_run(config: RunConfig) -> ExecutionOutcome:
     """Run the guest with no instrumentation at all: pure guest cost.
 
-    Straight runs are looked up once and then cached by start address, so
-    each later visit executes its ops in one step and dispatches the
-    instruction that ends them inline.
+    Reads only the config's program, seed, max_steps and capture_path, and
+    returns an outcome whose record fields are empty.  Straight runs are
+    looked up once and then cached by start address, so each later visit
+    executes its ops in one step and dispatches the instruction that ends
+    them inline.
     """
-    random = Random(seed).random
+    program = config.program
+    max_steps = config.max_steps
+    random = Random(config.seed).random
     pattern_pos: dict[int, int] = {}
     call_stack: list[int] = []
     blocks: dict[int, tuple] = {}
     pc = program.entry
     t = 0
     steps = 0
-    path = [] if capture_path else None
+    path = [] if config.capture_path else None
     while True:
         block = blocks.get(pc)
         if block is None:
@@ -337,18 +341,19 @@ def native_run(program: Program, seed: int = 0, max_steps: int = 100_000,
         elif kind is None:  # fall through to the next image, or off every image
             nxt = pc + n
         elif kind != JMP:  # halt
-            return NativeOutcome(t, steps, tuple(path) if path is not None else None)
+            return ExecutionOutcome(t, steps, (), (), (), (),
+                                    tuple(path) if path is not None else None)
         pc = nxt
 
 
 def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisTool,
-        rng_seed: int | None = None, observer=None,
-        memo: TraceMemo | None = None) -> ExecutionOutcome:
+        observer=None, memo: TraceMemo | None = None) -> ExecutionOutcome:
     """Execute the guest under the budget server and redundancy log.
 
-    Deterministic for a fixed (config, seed, initial log).  The optional
-    observer sees permit decisions and commits in event order, which is what
-    the campaign harness uses to classify decisions against live ground truth:
+    Deterministic for a fixed config and initial log; the guest's ndbr
+    draws come from config.seed.  The optional observer sees permit
+    decisions and commits in event order, which is what the campaign harness
+    uses to classify decisions against live ground truth:
     `on_permit(candidate, permitted)` and `on_commit(entry)`, each entry a
     plain (image, rel_addr, length) tuple, as `log.commit` gets it.
     An exit that commits a prefix no longer than one this run already
@@ -360,9 +365,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     Either way the run compiles each trace into its own cache and charges
     compile_cost for it, so a memo changes no result.
     """
-    validate(config, tool)
     if tool is None:
         raise ConfigError("run() needs an analysis tool; use native_run() for none")
+    validate(config)
     program = config.program
     if memo is None:
         memo = TraceMemo(program, config.max_trace_len, config.granularity)
@@ -373,7 +378,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     # Guest-visible state: branch-pattern cursors, the ndbr RNG and the call
     # stack.  Instrumentation never touches it, so the executed address
     # sequence is the same with instrumentation on or off.
-    random = Random(config.seed if rng_seed is None else rng_seed).random
+    random = Random(config.seed).random
     pattern_pos: dict[int, int] = {}
     call_stack: list[int] = []
     # Per version (indexed by V_BASE and V_INSTRUMENT): entry ->

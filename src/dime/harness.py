@@ -118,19 +118,16 @@ class OracleResult:
 def run_oracle(config: RunConfig, memo: TraceMemo | None = None) -> OracleResult:
     """Native and fully instrumented reference executions.
 
-    Uses the campaign's run-1 seed so the guest path matches run 1 exactly.
-    The full run compiles its traces through `memo` when one is given.
-    The config is validated as run() would validate it before the native
-    pass, so a bad setting costs no guest step.
+    Both passes use the campaign's run-1 seed so the guest path matches run 1
+    exactly.  The full run compiles its traces through `memo` when one is
+    given.  The config is validated as run() would validate it before the
+    native pass, so a bad setting costs no guest step.
     """
     tool = make_tool(config.tool)
-    validate(config, tool)
-    seed = config.seed + 1
-    native = native_run(config.program, seed, config.max_steps)
-    full = replace(config, period=float("inf"), budget=float("inf"),
-                   log_strategy="none", capture_path=False)
-    outcome = run(full, LogStore("none"), BudgetState.unlimited(), tool,
-                  rng_seed=seed, memo=memo)
+    validate(config)
+    oracle = replace(config, seed=config.seed + 1, capture_path=False)
+    native = native_run(oracle)
+    outcome = run(oracle, LogStore("none"), BudgetState.unlimited(), tool, memo=memo)
     return OracleResult(
         record_stream=outcome.tool_output,
         unique_records=frozenset(outcome.tool_output),
@@ -288,8 +285,8 @@ def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
         if k > 1:
             log = _open_log(config)
         observer = MetricsObserver(ground_truth)
-        outcome = run(config, log, config.make_budget(), make_tool(config.tool),
-                      rng_seed=config.seed + k, observer=observer, memo=memo)
+        outcome = run(replace(config, seed=config.seed + k), log, config.make_budget(),
+                      make_tool(config.tool), observer=observer, memo=memo)
         if config.log_strategy != "none":
             log.finalize_and_save(config.log_path)
         cumulative.update(outcome.tool_output)

@@ -8,8 +8,7 @@ budget that the test enforces.
 import json
 import random
 import time
-
-import pytest
+from dataclasses import replace
 
 from dime import (BudgetState, LogEntry, LogStore, RunConfig, emit_report,
                   make_tool, parse_program, run, run_campaign)
@@ -146,10 +145,10 @@ def test_criterion_3_oracle_equivalence():
         seed = 1000 + i
         ref_records, ref_time, ref_path = reference_run(program, seed=seed)
         for granularity in ("ctrl", "all"):
-            config = RunConfig(program=program, granularity=granularity,
+            config = RunConfig(program=program, granularity=granularity, seed=seed,
                                capture_path=True)
             out = run(config, LogStore("none"), BudgetState.unlimited(),
-                      make_tool("branch"), rng_seed=seed)
+                      make_tool("branch"))
             assert list(out.tool_output) == ref_records  # order and multiplicity
             assert out.addr_path == tuple(ref_path)
     _done(3, "oracle equivalence", t0, 10.0)
@@ -175,8 +174,8 @@ def test_criterion_4_budget_respect():
         log = LogStore(rng.choice(("hash", "bst", "merger")))
         for _ in range(rng.randrange(1, 4)):  # shared log across a short campaign
             budget = BudgetState(period=period, budget=budget_units)
-            out = run(config, log, budget, make_tool("branch"),
-                      rng_seed=rng.randrange(10 ** 6))
+            out = run(replace(config, seed=rng.randrange(10 ** 6)), log, budget,
+                      make_tool("branch"))
             for load in budget.period_loads():
                 assert load <= budget_units + analysis_cost
             for magnitude in out.overshoots:

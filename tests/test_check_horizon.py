@@ -18,6 +18,7 @@ take the answer 1 past that charge's horizon without asking; a horizon of
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,7 +86,8 @@ def run_sequence(config, server):
     runs = []
     for k in range(1, RUNS + 1):
         state = server(period=config.period, budget=config.budget)
-        outcome = run(config, log, state, make_tool(config.tool), rng_seed=config.seed + k)
+        outcome = run(replace(config, seed=config.seed + k), log, state,
+                      make_tool(config.tool))
         log.finalize()
         if server is EveryPoint and config.check_cost:
             # One check per point passed, and one more after the last point.

@@ -121,22 +121,26 @@ def test_parse_error_is_config_error(tmp_path, capsys):
     assert "line 2" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["oracle", "--program", "P", "--ca", "abc"],
-    ["campaign", "--program", "P"],
-    ["run", "--program", "P", "--budget", "x"],
-    ["replay", "--program", "P"],
-    [],
-], ids=["bad-int", "missing-runs", "bad-budget", "unknown-command", "no-command"])
-def test_malformed_flags_are_one_line_config_errors(argv, capsys):
+@pytest.mark.parametrize("argv,named", [
+    (["oracle", "--program", "P", "--ca", "abc"], "--ca"),
+    (["campaign", "--program", "P"], "--runs"),
+    (["run", "--program", "P", "--budget", "x"], "--budget"),
+    (["run", "--program", "P", "--period", "x"], "--period"),
+    (["replay", "--program", "P"], "'replay'"),
+    ([], "command"),
+], ids=["bad-int", "missing-runs", "bad-budget", "bad-period", "unknown-command",
+        "no-command"])
+def test_malformed_flags_are_one_line_config_errors(argv, named, capsys):
     # Exit 2 is the guest-error code, so argparse's own exit status and
-    # usage text would read as a guest failure.
+    # usage text would read as a guest failure.  The line names the flag,
+    # never the function that parses its value.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("dime: config error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert named in err and "_time_units" not in err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
@@ -234,18 +238,22 @@ def test_bad_output_path_fails_before_the_oracle(program_file, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["oracle", "run", "campaign"])
-@pytest.mark.parametrize("flag,message", [
-    ("--max-steps", "step limit must be >= 1"),
-    ("--ca", "analysis cost must be > 0 when a tool is attached"),
-    ("--max-len", "max trace length must be >= 1"),
-], ids=["max-steps", "ca", "max-len"])
+@pytest.mark.parametrize("flags,message", [
+    (["--max-steps", "0"], "step limit must be >= 1"),
+    (["--ca", "0"], "analysis cost must be > 0 when a tool is attached"),
+    (["--max-len", "0"], "max trace length must be >= 1"),
+    (["--budget", "200", "--period", "100"], "budget must satisfy 0 <= B <= T"),
+    (["--budget", "-1"], "budget must satisfy 0 <= B <= T"),
+    (["--period", "0"], "period must be > 0"),
+], ids=["max-steps", "ca", "max-len", "budget-past-period", "negative-budget",
+        "zero-period"])
 def test_bad_run_setting_fails_before_the_native_pass(program_file, capsys, monkeypatch,
-                                                      command, flag, message):
+                                                      command, flags, message):
     def native(*args, **kwargs):
         raise AssertionError("the native pass ran")
 
     monkeypatch.setattr(harness, "native_run", native)
-    argv = [command, "--program", program_file, flag, "0"]
+    argv = [command, "--program", program_file, *flags]
     if command == "campaign":
         argv += ["--runs", "2"]
     assert main(argv) == 1

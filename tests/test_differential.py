@@ -89,23 +89,25 @@ def test_interpreters_match_reference(texts, seed, granularity, max_len):
     records, native_time, path = reference_run(program, seed)
     steps = len(path)  # the halt is the last step; without it, execution falls off
 
-    native = native_run(program, seed, max_steps=steps, capture_path=True)
-    assert (native.virtual_time, native.steps, native.addr_path) == (
-        native_time, steps, tuple(path))
+    config = RunConfig(program=program, granularity=granularity, max_trace_len=max_len,
+                       max_steps=steps, seed=seed, capture_path=True)
+
+    def native(program, max_steps):
+        return native_run(replace(config, program=program, max_steps=max_steps))
+
+    out = native(program, steps)
+    assert (out.virtual_time, out.steps, out.addr_path) == (native_time, steps, tuple(path))
     with pytest.raises(GuestError, match="step limit"):
-        native_run(program, seed, max_steps=steps - 1)
+        native(program, steps - 1)
     with pytest.raises(GuestError, match="outside every image"):
-        native_run(falling, seed, max_steps=steps - 1)
+        native(falling, steps - 1)
     if steps > 2:
         with pytest.raises(GuestError, match="step limit"):
-            native_run(falling, seed, max_steps=steps - 2)
-
-    config = RunConfig(program=program, granularity=granularity, max_trace_len=max_len,
-                       max_steps=steps, capture_path=True)
+            native(falling, steps - 2)
 
     def instrumented(program, max_steps):
         return run(replace(config, program=program, max_steps=max_steps), LogStore("none"),
-                   BudgetState.unlimited(), make_tool("branch"), rng_seed=seed)
+                   BudgetState.unlimited(), make_tool("branch"))
 
     out = instrumented(program, steps)
     assert (out.tool_output, out.addr_path, out.steps) == (

@@ -1,25 +1,26 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from dime import (AddressError, BudgetState, ConfigError, GuestError, LogStore,
-                  RunConfig, TraceMemo, harness, make_tool, native_run,
-                  parse_program, run, run_campaign)
+from dime import (AddressError, ConfigError, ExecutionOutcome, GuestError, LogStore,
+                  RunConfig, TraceMemo, harness, make_tool, native_run, parse_program,
+                  run, run_campaign)
 from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
 from dime.corpus import random_program
 
-from conftest import P1_DET, committed_points
+from conftest import committed_points
 from reference import reference_run
 
 
 def make_run(program, log_strategy="hash", log=None, seed=1, **overrides):
-    config = RunConfig(program=program, **overrides)
+    config = RunConfig(program=program, seed=seed, **overrides)
     log = log if log is not None else LogStore(log_strategy)
     budget = config.make_budget()
     tool = make_tool(config.tool)
-    outcome = run(config, log, budget, tool, rng_seed=seed)
+    outcome = run(config, log, budget, tool)
     return outcome, log, budget
 
 
@@ -128,7 +129,7 @@ def test_run_unconstrained_budget_equals_oracle(p1_det):
 
 
 def test_run_zero_budget_is_pure_overhead(p1_det):
-    native = native_run(p1_det, seed=1)
+    native = native_run(RunConfig(program=p1_det, seed=1))
     out, log, _ = make_run(p1_det, granularity="all", period=10, budget=0,
                            check_cost=0, compile_cost=0)
     assert out.tool_output == ()
@@ -139,6 +140,24 @@ def test_run_zero_budget_is_pure_overhead(p1_det):
     out2, _, _ = make_run(p1_det, granularity="all", period=10, budget=0,
                           check_cost=1, compile_cost=2)
     assert out2.virtual_time > native.virtual_time
+
+
+def test_native_run_reads_only_program_seed_step_limit_and_capture(p1):
+    # Every instrumentation setting leaves the native pass as it is: its
+    # outcome holds the reference's time, steps and path, and no records.
+    _, ref_time, ref_path = reference_run(p1, seed=5)
+    config = RunConfig(program=p1, seed=5, capture_path=True)
+    variants = [config,
+                replace(config, granularity="all", max_trace_len=1),
+                replace(config, analysis_cost=7, check_cost=3, compile_cost=11),
+                replace(config, period=10, budget=0),
+                replace(config, period=7, budget=2, log_strategy="hash",
+                        log_path="never-written.log"),
+                replace(config, tool="cct")]
+    assert {native_run(variant) for variant in variants} == {
+        ExecutionOutcome(virtual_time=ref_time, steps=len(ref_path), tool_output=(),
+                         committed_entries=(), permits=(), overshoots=(),
+                         addr_path=tuple(ref_path))}
 
 
 # -- invariants -----------------------------------------------------------------
@@ -156,7 +175,7 @@ def test_different_seed_changes_ndbr_outcome(p1):
 
 def test_instrumentation_is_transparent(p1):
     # Executed address sequence never depends on budget, log, or granularity.
-    reference = native_run(p1, seed=9, capture_path=True).addr_path
+    reference = native_run(RunConfig(program=p1, seed=9, capture_path=True)).addr_path
     for strategy in ("none", "hash", "bst", "merger"):
         for budget, period in ((math.inf, math.inf), (2, 9), (0, 5)):
             out, _, _ = make_run(p1, log_strategy=strategy, seed=9,
@@ -187,10 +206,10 @@ def test_ops_are_never_stepped(calls_program):
     non_ops = {a for a in path if calls_program.instruction_at(a).kind != "op"}
     for granularity in GRANULARITIES:
         memo = RecordingMemo(calls_program, 16, granularity)
-        config = RunConfig(program=calls_program, granularity=granularity,
+        config = RunConfig(program=calls_program, granularity=granularity, seed=1,
                            capture_path=True)
         out = run(config, LogStore("none"), config.make_budget(), make_tool("branch"),
-                  rng_seed=1, memo=memo)
+                  memo=memo)
         carried = set()
         for _, _, _, body in memo.shapes:
             for _, at, _, _, _, ins in body:
@@ -252,10 +271,9 @@ class CommitObserver:
 def test_exits_recommitting_a_logged_prefix_skip_the_log(p1_det, strategy):
     # The loop body is one trace, so every exit after the first re-commits a
     # prefix the log already holds; only exits that lengthen it reach the log.
-    config = RunConfig(program=p1_det, granularity="all")
+    config = RunConfig(program=p1_det, granularity="all", seed=1)
     log, observer = CountingLog(strategy), CommitObserver()
-    out = run(config, log, config.make_budget(), make_tool("branch"), rng_seed=1,
-              observer=observer)
+    out = run(config, log, config.make_budget(), make_tool("branch"), observer=observer)
     assert out.committed_entries == (("main", 0, 5), ("main", 0, 5), ("main", 0, 3),
                                      ("main", 5, 1))
     assert log.commits == observer.commits == [("main", 0, 5), ("main", 5, 1)]
@@ -277,9 +295,9 @@ def test_budget_respected_per_period():
         program = parse_program(random_program(rng, max_instructions=80))
         ca = rng.randrange(1, 5)
         config = RunConfig(program=program, granularity="all", period=20,
-                           budget=4, analysis_cost=ca)
+                           budget=4, analysis_cost=ca, seed=2)
         budget = config.make_budget()
-        out = run(config, LogStore("hash"), budget, make_tool("branch"), rng_seed=2)
+        out = run(config, LogStore("hash"), budget, make_tool("branch"))
         for load in budget.period_loads():
             assert load <= 4 + ca
         for magnitude in out.overshoots:
@@ -299,7 +317,7 @@ def test_step_limit_exceeded():
     with pytest.raises(GuestError, match="step limit"):
         make_run(p, max_steps=50)
     with pytest.raises(GuestError, match="step limit"):
-        native_run(p, max_steps=50)
+        native_run(RunConfig(program=p, max_steps=50))
 
 
 @pytest.mark.parametrize("granularity", GRANULARITIES)
@@ -318,10 +336,10 @@ def test_step_limit_inside_an_op_run_before_a_point(granularity):
     for limit in range(1, len(ref_path)):
         observer = CommitObserver()
         config = RunConfig(program=program, granularity=granularity, max_steps=limit,
-                           period=10**6, budget=10**6)
+                           period=10**6, budget=10**6, seed=1)
         budget, tool = config.make_budget(), make_tool("branch")
         with pytest.raises(GuestError, match="^step limit exceeded$"):
-            run(config, LogStore("none"), budget, tool, rng_seed=1, observer=observer)
+            run(config, LogStore("none"), budget, tool, observer=observer)
         # The records of the transfers taken within the limit; the commits
         # of the passes that ended within it, one whole pass each.
         taken = sum(1 for i, addr in enumerate(ref_path[:limit])
@@ -341,7 +359,7 @@ def test_step_limit_wins_over_an_empty_stack_ret_past_it(granularity):
         with pytest.raises(GuestError, match="^step limit exceeded$"):
             make_run(program, granularity=granularity, max_steps=limit)
         with pytest.raises(GuestError, match="^step limit exceeded$"):
-            native_run(program, max_steps=limit)
+            native_run(RunConfig(program=program, max_steps=limit))
     with pytest.raises(GuestError, match="empty call stack"):
         make_run(program, granularity=granularity, max_steps=3)
 

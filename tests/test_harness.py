@@ -8,9 +8,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import (ConfigError, GroundTruth, LogEntry, LogStore,
-                  MetricsObserver, RunConfig, classify, emit_report, load, parse_program,
-                  run_campaign, run_oracle, serialize_program, single_run)
+from dime import (ConfigError, GroundTruth, LogEntry, MetricsObserver, RunConfig,
+                  classify, emit_report, load, parse_program, run_campaign, run_oracle,
+                  serialize_program, single_run)
 from dime.cli import main
 from dime.harness import FN, FP, TRUE_PERMIT, TRUE_REJECT, report_document
 from dime.corpus import loop_corpus, random_corpus

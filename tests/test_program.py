@@ -8,7 +8,6 @@ import pytest
 from dime import (AddressError, ParseError, RunConfig, parse_program, run_campaign,
                   serialize_program)
 from dime.corpus import random_program
-from conftest import P1
 
 import random
 

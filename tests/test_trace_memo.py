@@ -9,6 +9,7 @@ switch and cut traces.
 """
 
 import gc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,8 +40,8 @@ def run_sequence(config, memos):
     log = LogStore(config.log_strategy)
     outcomes = []
     for k, memo in zip(range(1, RUNS + 1), memos):
-        outcomes.append(run(config, log, config.make_budget(), make_tool(config.tool),
-                            rng_seed=config.seed + k, memo=memo))
+        outcomes.append(run(replace(config, seed=config.seed + k), log,
+                            config.make_budget(), make_tool(config.tool), memo=memo))
         log.finalize()
     return outcomes, log
 
