@@ -4,10 +4,11 @@ Parses a small looping guest program, resolves addresses to image-relative
 form, and shows how traces are carved out of it: a trace runs from its entry
 to the first unconditional transfer, conditionals inside it are extra exits,
 and a jump into the middle of cached code starts a fresh trace at the target.
-Each trace shape comes from a TraceMemo, which compiles it once per campaign.
+Each trace shape comes from a TraceMemo, which compiles it once per campaign
+for the program, max trace length and granularity of a run config.
 """
 
-from dime import TraceMemo, parse_program
+from dime import RunConfig, TraceMemo, parse_program
 
 P1 = """\
 image main 1000
@@ -25,10 +26,11 @@ for ins in program.images[0].instructions:
     print(f"  {ins.addr}: {ins.kind}"
           + (f" -> {ins.target}" if ins.target is not None else ""))
 
-print("\nresolve(1002) ->", program.resolve(1002)[1:], "kind:",
-      program.resolve(1002)[0].kind)
+image = program.image_of(1002)
+print("\nresolve(1002) ->", (image.name, 1002 - image.base), "kind:",
+      program.instruction_at(1002).kind)
 
-ctrl = TraceMemo(program, max_len=16, granularity="ctrl")
+ctrl = TraceMemo(RunConfig(program=program, max_trace_len=16, granularity="ctrl"))
 
 
 def show(shape):
@@ -49,4 +51,5 @@ print("\nsame entry, but 1003 is already a cached trace start of this version:")
 print(" ", show(ctrl.shape(1000, {1003})), " <- stops right before the cached entry")
 
 print("\ninstrumentation points at granularity 'all':",
-      show(TraceMemo(program, max_len=16, granularity="all").shape(1000, set())))
+      show(TraceMemo(RunConfig(program=program, max_trace_len=16, granularity="all"))
+           .shape(1000, set())))

@@ -16,11 +16,13 @@ Exit codes: 0 success, 1 configuration error (including a malformed flag,
 a file that cannot be read or written, a malformed report and a cost above
 2**53), 2 guest error (including a run whose virtual time reaches 2**53
 budget periods).
-Every run setting, the --budget/--period pair included, is checked before
-the oracle's native pass, under `dime oracle` too.  The files a command will
-write (--log-file, --report, --tool-out) are checked before the oracle runs,
-so a bad output path, or one that names the program or another output,
-fails before any run starts and leaves every file as it was.
+A command checks its inputs before any run starts, in this order, and
+reports only the first error: the program file, then every run setting
+(the --budget/--period pair included, under `dime oracle` too) as its
+RunConfig is built, then the files it will write (--log-file, --report,
+--tool-out).  So a bad setting is named even when an output path is bad as
+well, and a bad setting or output path, or one that names the program or
+another output, leaves every file as it was.
 """
 
 from __future__ import annotations

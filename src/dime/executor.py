@@ -67,9 +67,9 @@ committed entries are the run's only record of them.
 
 Both interpreters take every setting from one RunConfig and return an
 ExecutionOutcome.  native_run reads only the program, seed, step limit and
-capture_path, and leaves the outcome's record fields empty.  validate()
-checks every setting, the period and budget included, so a caller can
-reject a bad one before the native pass.
+capture_path, and leaves the outcome's record fields empty.  A RunConfig
+checks every setting, the period and budget included, when it is built, so
+no pass, native or instrumented, starts from a bad one.
 
 A run keeps what it reports as plain tuples of strings, numbers and bools,
 which the garbage collector stops tracking: the tool's (kind, src, dst)
@@ -125,9 +125,15 @@ class ExecutionOutcome:
     addr_path: tuple | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one run consumes; the CLI and campaign driver fill it."""
+    """Everything one run consumes; the CLI and campaign driver fill it.
+
+    A config checks itself when it is built, dataclasses.replace included:
+    a setting that run() cannot honour raises ConfigError, and a period and
+    budget that BudgetState rejects raise its ValueError.  So every config
+    that exists is valid, and a bad setting fails before any guest step.
+    """
 
     program: Program
     program_path: str | None = None
@@ -145,27 +151,24 @@ class RunConfig:
     tool: str = "branch"
     capture_path: bool = False
 
+    def __post_init__(self):
+        if self.granularity not in GRANULARITIES:
+            raise ConfigError(f"unknown granularity {self.granularity!r}")
+        if not self.analysis_cost > 0:  # nan included
+            raise ConfigError("analysis cost must be > 0 when a tool is attached")
+        for cost in (self.analysis_cost, self.check_cost, self.compile_cost):
+            if not 0 <= cost <= MAX_COST:  # nan included
+                raise ConfigError("costs must be " + ("<= 2**53" if cost > MAX_COST
+                                                      else ">= 0"))
+        if self.max_trace_len < 1:
+            raise ConfigError("max trace length must be >= 1")
+        if self.max_steps < 1:
+            raise ConfigError("step limit must be >= 1")
+        # Not make_budget(): the benchmark's tracer counts runs by its calls.
+        BudgetState(self.period, self.budget)
+
     def make_budget(self) -> BudgetState:
         return BudgetState(period=self.period, budget=self.budget)
-
-
-def validate(config: RunConfig) -> None:
-    """Raise ConfigError for a setting run() cannot honour, and BudgetState's
-    ValueError for a period and budget it rejects."""
-    if config.granularity not in GRANULARITIES:
-        raise ConfigError(f"unknown granularity {config.granularity!r}")
-    if not config.analysis_cost > 0:  # nan included
-        raise ConfigError("analysis cost must be > 0 when a tool is attached")
-    for cost in (config.analysis_cost, config.check_cost, config.compile_cost):
-        if not 0 <= cost <= MAX_COST:  # nan included
-            raise ConfigError("costs must be <= 2**53" if cost > MAX_COST
-                              else "costs must be >= 0")
-    if config.max_trace_len < 1:
-        raise ConfigError("max trace length must be >= 1")
-    if config.max_steps < 1:
-        raise ConfigError("step limit must be >= 1")
-    # Not make_budget(): the benchmark's tracer counts runs by its calls.
-    BudgetState(config.period, config.budget)
 
 
 def form_trace(memo: TraceMemo, entry: int, max_len: int) -> tuple:
@@ -230,8 +233,9 @@ def _cut(entry: int, length: int, cached_entries) -> int:
 
 
 class TraceMemo:
-    """Trace shapes compiled for one program, max trace length and
-    granularity, shared by every run that passes it to run().
+    """Trace shapes compiled for the program, max trace length and
+    granularity of a config, shared by every run that passes it to run()
+    with a config that agrees on those three.
 
     A shape depends on nothing else, so a campaign compiles each one once:
     per entry address the uncut walk, and per (entry, length) each shorter
@@ -243,14 +247,10 @@ class TraceMemo:
     program's columns.
     """
 
-    def __init__(self, program: Program, max_len: int, granularity: str):
-        if max_len < 1:
-            raise ConfigError("max trace length must be >= 1")
-        if granularity not in GRANULARITIES:
-            raise ConfigError(f"unknown granularity {granularity!r}")
-        self.program = program
-        self.max_len = max_len
-        self.granularity = granularity
+    def __init__(self, config: RunConfig):
+        self.program = program = config.program
+        self.max_len = config.max_trace_len
+        self.granularity = config.granularity
         self.code = {addr: (kind, target, arg) for img in program.images
                      for addr, kind, target, arg in zip(count(img.base), img.kinds,
                                                         img.targets, img.args)
@@ -367,10 +367,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     """
     if tool is None:
         raise ConfigError("run() needs an analysis tool; use native_run() for none")
-    validate(config)
     program = config.program
     if memo is None:
-        memo = TraceMemo(program, config.max_trace_len, config.granularity)
+        memo = TraceMemo(config)
     elif (memo.program, memo.max_len, memo.granularity) != (
             program, config.max_trace_len, config.granularity):
         raise ConfigError("trace memo belongs to another program, max trace length "

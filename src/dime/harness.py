@@ -39,8 +39,7 @@ from dataclasses import asdict, dataclass, replace
 
 from . import redundancy
 from .budget import BudgetState
-from .executor import (ConfigError, ExecutionOutcome, RunConfig, TraceMemo, native_run,
-                       run, validate)
+from .executor import ConfigError, ExecutionOutcome, RunConfig, TraceMemo, native_run, run
 from .redundancy import LogStore, STRATEGIES, _Intervals
 from .tools import make_tool
 
@@ -120,11 +119,10 @@ def run_oracle(config: RunConfig, memo: TraceMemo | None = None) -> OracleResult
 
     Both passes use the campaign's run-1 seed so the guest path matches run 1
     exactly.  The full run compiles its traces through `memo` when one is
-    given.  The config is validated as run() would validate it before the
-    native pass, so a bad setting costs no guest step.
+    given.  A config is checked when it is built, so a bad setting costs no
+    guest step.
     """
     tool = make_tool(config.tool)
-    validate(config)
     oracle = replace(config, seed=config.seed + 1, capture_path=False)
     native = native_run(oracle)
     outcome = run(oracle, LogStore("none"), BudgetState.unlimited(), tool, memo=memo)
@@ -276,7 +274,7 @@ def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
     campaign seed + k.  The oracle's full run and the budgeted runs share one
     trace memo, and the budgeted runs share one ground truth.
     """
-    memo = TraceMemo(config.program, config.max_trace_len, config.granularity)
+    memo = TraceMemo(config)
     oracle = run_oracle(config, memo=memo)
     ground_truth = GroundTruth()
     cumulative: set = set()

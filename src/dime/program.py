@@ -27,8 +27,8 @@ None) and `args` (the br pattern, the ndbr probability, or None).  They hold
 only strings, numbers and None, so the garbage collector stops tracking
 them, and a large program adds next to nothing to its full collections.
 `Instruction` objects are built only at the public edges that return them:
-`ProgramImage.instructions` (built on first access, then cached),
-`Program.instruction_at` and `Program.resolve`.
+`ProgramImage.instructions` (built on first access, then cached) and
+`Program.instruction_at`.
 """
 
 from __future__ import annotations
@@ -152,13 +152,6 @@ class Program:
         if img is None:
             return None
         return img.instructions[addr - img.base]
-
-    def resolve(self, addr: int) -> tuple[Instruction, str, int]:
-        """Map an absolute address to (instruction, image name, relative address)."""
-        img = self.image_of(addr)
-        if img is None:
-            raise AddressError(f"address {addr} outside every image")
-        return img.instructions[addr - img.base], img.name, addr - img.base
 
 
 def parse_program(text: str) -> Program:

@@ -262,6 +262,30 @@ def test_bad_run_setting_fails_before_the_native_pass(program_file, capsys, monk
     assert err == f"dime: config error: {message}\n"
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("campaign", "--report"), ("campaign", "--tool-out"), ("run", "--tool-out"),
+])
+@pytest.mark.parametrize("setting,message", [
+    (["--max-steps", "0"], "step limit must be >= 1"),
+    (["--period", "0"], "period must be > 0"),
+], ids=["max-steps", "zero-period"])
+def test_bad_setting_is_named_before_a_bad_output_path(program_file, tmp_path, capsys,
+                                                       command, flag, setting, message):
+    # The setting fails as the config is built, before the output paths are
+    # checked, so the one error line names it and no file changes.
+    log = tmp_path / "run.log"
+    log.write_bytes(b"# dime-log v1 strategy=hash\nmain,999\n")
+    argv = [command, *run_flags(program_file, tmp_path), *setting,
+            flag, str(tmp_path / "nodir" / "out")]
+    if command == "campaign":
+        argv += ["--runs", "3"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"dime: config error: {message}\n"
+    assert log.read_bytes() == b"# dime-log v1 strategy=hash\nmain,999\n"
+
+
 @pytest.mark.parametrize("flag", ["--ca", "--cbc", "--cir"])
 @pytest.mark.parametrize("budget", [["--period", "10", "--budget", "5"], []],
                          ids=["budgeted", "unlimited"])

@@ -114,8 +114,8 @@ def test_interpreters_match_reference(texts, seed, granularity, max_len):
         tuple(records), tuple(path), steps)
     # Unlimited budget: every instrumentation point on the path is analyzed.
     assert committed_points(program, granularity, out) == {
-        (image, rel) for ins, image, rel in map(program.resolve, set(path))
-        if granularity == "all" or ins.kind in CONTROL_TRANSFERS}
+        (img.name, addr - img.base) for addr in set(path) for img in [program.image_of(addr)]
+        if granularity == "all" or program.instruction_at(addr).kind in CONTROL_TRANSFERS}
     with pytest.raises(GuestError, match="step limit"):
         instrumented(program, steps - 1)
     with pytest.raises(GuestError, match="outside every image"):

@@ -1,6 +1,7 @@
 import math
 import random
-from dataclasses import replace
+import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -29,7 +30,8 @@ def make_run(program, log_strategy="hash", log=None, seed=1, **overrides):
 def shape(program, entry, max_len=16, granularity="ctrl", cached_entries=frozenset()):
     """(image, rel_start, length, body) of the trace from `entry`, compiled
     by a fresh memo."""
-    return TraceMemo(program, max_len, granularity).shape(entry, cached_entries)
+    config = RunConfig(program=program, max_trace_len=max_len, granularity=granularity)
+    return TraceMemo(config).shape(entry, cached_entries)
 
 
 def points(trace):
@@ -92,7 +94,7 @@ def test_form_trace_unresolvable_entry(p1):
              (4, 1004, True, 0, 1, ("jmp", 1000, None)))),
 ])
 def test_form_trace_body_of_the_p1_loop_head(p1, granularity, body):
-    memo = TraceMemo(p1, 16, granularity)
+    memo = TraceMemo(RunConfig(program=p1, granularity=granularity))
     t = memo.shape(1000, set())
     assert t == ("main", 0, 5, body)
     assert all(ins is memo.code[at] for _, at, _, _, _, ins in t[3] if ins is not None)
@@ -187,8 +189,8 @@ def test_instrumentation_is_transparent(p1):
 class RecordingMemo(TraceMemo):
     """A trace memo that keeps every shape it hands to a run."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, config):
+        super().__init__(config)
         self.shapes = []
 
     def shape(self, entry, cached_entries):
@@ -205,9 +207,9 @@ def test_ops_are_never_stepped(calls_program):
     records, native_time, path = reference_run(calls_program, seed=1)
     non_ops = {a for a in path if calls_program.instruction_at(a).kind != "op"}
     for granularity in GRANULARITIES:
-        memo = RecordingMemo(calls_program, 16, granularity)
         config = RunConfig(program=calls_program, granularity=granularity, seed=1,
                            capture_path=True)
+        memo = RecordingMemo(config)
         out = run(config, LogStore("none"), config.make_budget(), make_tool("branch"),
                   memo=memo)
         carried = set()
@@ -389,16 +391,67 @@ def test_nan_cost_is_config_error_before_any_guest_step(p1, monkeypatch, cost):
         raise AssertionError("the native pass ran")
 
     monkeypatch.setattr(harness, "native_run", native)
-    config = RunConfig(program=p1, period=10, budget=5, **{cost: math.nan})
     with pytest.raises(ConfigError, match="cost"):
-        run_campaign(config, 1)
-    with pytest.raises(ConfigError, match="cost"):
-        run(config, LogStore("none"), config.make_budget(), make_tool("branch"))
+        run_campaign(RunConfig(program=p1, period=10, budget=5, **{cost: math.nan}), 1)
 
 
 def test_unknown_granularity_rejected(p1):
     with pytest.raises(ConfigError, match="granularity"):
         make_run(p1, granularity="weird")
+
+
+# -- RunConfig: every rule, checked whenever a config is built -----------------
+
+VALID = {"period": 10, "budget": 5}
+ANALYSIS_COST = "analysis cost must be > 0 when a tool is attached"
+BAD_SETTINGS = [
+    *[({"granularity": g}, ConfigError, f"unknown granularity {g!r}")
+      for g in ("weird", "ALL", "insn", "")],
+    ({"analysis_cost": 0}, ConfigError, ANALYSIS_COST),
+    ({"analysis_cost": math.nan}, ConfigError, ANALYSIS_COST),
+    # The analysis cost's own rule comes first, so a negative one fails there.
+    ({"analysis_cost": -1}, ConfigError, ANALYSIS_COST),
+    ({"analysis_cost": 2**53 + 1}, ConfigError, "costs must be <= 2**53"),
+    *[({cost: value}, ConfigError, message) for cost in ("check_cost", "compile_cost")
+      for value, message in ((-1, "costs must be >= 0"), (math.nan, "costs must be >= 0"),
+                             (2**53 + 1, "costs must be <= 2**53"))],
+    ({"max_trace_len": 0}, ConfigError, "max trace length must be >= 1"),
+    ({"max_steps": 0}, ConfigError, "step limit must be >= 1"),
+    # The period and budget are BudgetState's, with its ValueError.
+    ({"budget": 20}, ValueError, "budget must satisfy 0 <= B <= T"),
+    ({"budget": -1}, ValueError, "budget must satisfy 0 <= B <= T"),
+    ({"period": 0}, ValueError, "period must be > 0"),
+    ({"period": math.nan}, ValueError, "period must be > 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides,error,message", BAD_SETTINGS,
+    ids=[",".join(f"{k}={v}" for k, v in overrides.items()) for overrides, *_ in BAD_SETTINGS])
+def test_each_rule_is_checked_whenever_a_config_is_built(p1, overrides, error, message):
+    valid = RunConfig(program=p1, **VALID)
+    match = f"^{re.escape(message)}$"
+    with pytest.raises(error, match=match) as built:
+        RunConfig(program=p1, **{**VALID, **overrides})
+    with pytest.raises(error, match=match) as replaced:
+        replace(valid, **overrides)
+    assert type(built.value) is type(replaced.value) is error
+
+
+def test_each_rule_admits_its_boundary(p1):
+    for overrides in ({"analysis_cost": 2**53, "check_cost": 2**53, "compile_cost": 2**53},
+                      {"check_cost": 0, "compile_cost": 0, "analysis_cost": 0.5},
+                      {"max_trace_len": 1, "max_steps": 1},
+                      {"budget": 10}, {"budget": 0}, {"period": 1e-300, "budget": 1e-300}):
+        config = replace(RunConfig(program=p1, **VALID), **overrides)
+        assert {k: getattr(config, k) for k in overrides} == overrides
+
+
+def test_config_fields_cannot_be_assigned(p1):
+    config = RunConfig(program=p1)
+    for field in fields(RunConfig):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, field.name, getattr(config, field.name))
 
 
 def test_run_requires_tool(p1):

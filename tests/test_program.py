@@ -5,8 +5,7 @@ import re
 
 import pytest
 
-from dime import (AddressError, ParseError, RunConfig, parse_program, run_campaign,
-                  serialize_program)
+from dime import ParseError, RunConfig, parse_program, run_campaign, serialize_program
 from dime.corpus import random_program
 
 import random
@@ -55,27 +54,30 @@ def test_image_of_with_images_out_of_base_order():
 
 
 def test_resolve_p1(p1):
-    ins, image, rel = p1.resolve(1002)
-    assert (ins.kind, image, rel) == ("ndbr", "main", 2)
-    with pytest.raises(AddressError):
-        p1.resolve(999)
-    with pytest.raises(AddressError):
-        p1.resolve(1006)
+    img, ins = p1.image_of(1002), p1.instruction_at(1002)
+    assert (ins.addr, ins.kind, img.name, 1002 - img.base) == (1002, "ndbr", "main", 2)
+    for outside in (999, 1006):
+        assert p1.image_of(outside) is None
+        assert p1.instruction_at(outside) is None
 
 
 def test_resolve_two_images():
     text = ("image a 1000\n    op 1\n    op 1\n    halt\n"
             "image b 2000\n    op 1\n    op 1\n    op 1\n    op 1\n    halt\n")
     p = parse_program(text)
-    ins, image, rel = p.resolve(2003)
-    assert (image, rel) == ("b", 3)
-    assert ins.kind == "op"
+    img, ins = p.image_of(2003), p.instruction_at(2003)
+    assert (img.name, 2003 - img.base) == ("b", 3)
+    assert (ins.addr, ins.kind) == (2003, "op")
+    assert p.image_of(1003) is None and p.instruction_at(1003) is None
 
 
 def test_resolve_roundtrip(p1):
     for addr in range(1000, 1006):
-        _, image, rel = p1.resolve(addr)
-        assert p1.image(image).base + rel == addr
+        img = p1.image_of(addr)
+        rel = addr - img.base
+        assert p1.image(img.name).base + rel == addr
+        assert p1.instruction_at(addr) is img.instructions[rel]
+        assert p1.instruction_at(addr).addr == addr
 
 
 @pytest.mark.parametrize("text,match", [

@@ -30,7 +30,8 @@ class Unshared(TraceMemo):
     with this run's cached entries, as when each run compiled its own."""
 
     def shape(self, entry, cached_entries):
-        fresh = TraceMemo(self.program, self.max_len, self.granularity)
+        fresh = TraceMemo(RunConfig(program=self.program, max_trace_len=self.max_len,
+                                    granularity=self.granularity))
         return fresh.shape(entry, cached_entries)
 
 
@@ -59,11 +60,10 @@ def test_shared_memo_changes_no_outcome(texts, seed, granularity, max_len, strat
                        budget=period * share, analysis_cost=analysis_cost,
                        compile_cost=compile_cost, max_trace_len=max_len, seed=seed,
                        log_strategy=strategy, capture_path=True)
-    memo = TraceMemo(program, max_len, granularity)
+    memo = TraceMemo(config)
     shared, shared_log = run_sequence(config, [memo] * RUNS)
-    fresh, fresh_log = run_sequence(
-        config, [TraceMemo(program, max_len, granularity) for _ in range(RUNS)])
-    direct, direct_log = run_sequence(config, [Unshared(program, max_len, granularity)] * RUNS)
+    fresh, fresh_log = run_sequence(config, [TraceMemo(config) for _ in range(RUNS)])
+    direct, direct_log = run_sequence(config, [Unshared(config)] * RUNS)
     assert shared == fresh == direct
     assert shared_log == fresh_log == direct_log
 
@@ -87,7 +87,7 @@ def test_switching_runs_cut_traces_and_share_them(p1, monkeypatch):
     calls = recording_form_trace(monkeypatch)
     config = RunConfig(program=p1, granularity="all", period=3, budget=1, seed=4,
                        log_strategy="none")
-    memo = TraceMemo(p1, config.max_trace_len, config.granularity)
+    memo = TraceMemo(config)
     outcomes, _ = run_sequence(config, [memo] * RUNS)
     uncut = {entry: form_trace(memo, entry, 16)[2] for entry, _ in calls}
     assert any(length < uncut[entry] for entry, length in calls)  # a cut shape
@@ -120,7 +120,7 @@ def test_campaign_compiles_each_trace_shape_once(tmp_path, monkeypatch):
 
 def test_memo_shapes_are_untracked_by_the_collector(p1):
     for granularity in GRANULARITIES:
-        memo = TraceMemo(p1, 16, granularity)
+        memo = TraceMemo(RunConfig(program=p1, granularity=granularity))
         shapes = [memo.shape(entry, set()) for entry in range(1000, 1006)]
         shapes.append(memo.shape(1000, {1003}))
         # A collection untracks a tuple whose items are untracked when it
@@ -132,19 +132,9 @@ def test_memo_shapes_are_untracked_by_the_collector(p1):
 
 def test_memo_of_other_settings_is_rejected(p1, p1_det):
     config = RunConfig(program=p1, granularity="ctrl", max_trace_len=8)
-    for memo in (TraceMemo(p1_det, 8, "ctrl"), TraceMemo(p1, 16, "ctrl"),
-                 TraceMemo(p1, 8, "all")):
+    for memo in (TraceMemo(replace(config, program=p1_det)),
+                 TraceMemo(replace(config, max_trace_len=16)),
+                 TraceMemo(replace(config, granularity="all"))):
         with pytest.raises(ConfigError, match="trace memo"):
             run(config, LogStore("none"), config.make_budget(), make_tool("branch"),
                 memo=memo)
-
-
-def test_memo_of_no_trace_length_is_rejected(p1):
-    with pytest.raises(ConfigError, match="max trace length must be >= 1"):
-        TraceMemo(p1, 0, "ctrl")
-
-
-@pytest.mark.parametrize("granularity", ["ALL", "insn", ""])
-def test_memo_of_unknown_granularity_is_rejected(p1, granularity):
-    with pytest.raises(ConfigError, match="unknown granularity"):
-        TraceMemo(p1, 16, granularity)
