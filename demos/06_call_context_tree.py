@@ -6,8 +6,7 @@ for that callee in that context if new), a return ascends.  The same routine
 called from two different contexts becomes two nodes.
 """
 
-from dime import (BudgetState, LogStore, RunConfig, build_cct, make_tool,
-                  parse_program, run)
+from dime import BudgetState, LogStore, RunConfig, build_cct, parse_program, run
 
 PROGRAM = """\
 image main 100
@@ -25,8 +24,7 @@ G:  op 1
 
 program = parse_program(PROGRAM)
 config = RunConfig(program=program, tool="cct")
-tool = make_tool("cct")
-outcome = run(config, LogStore("none"), BudgetState.unlimited(), tool)
+outcome = run(config, LogStore("none"), BudgetState.unlimited())
 
 print("call/return record stream:")
 for kind, src, dst in outcome.tool_output:

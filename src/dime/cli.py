@@ -18,11 +18,12 @@ a file that cannot be read or written, a malformed report and a cost above
 budget periods).
 A command checks its inputs before any run starts, in this order, and
 reports only the first error: the program file, then every run setting
-(the --budget/--period pair included, under `dime oracle` too) as its
-RunConfig is built, then the files it will write (--log-file, --report,
---tool-out).  So a bad setting is named even when an output path is bad as
-well, and a bad setting or output path, or one that names the program or
-another output, leaves every file as it was.
+(the --budget/--period pair and a --log-strategy without --log-file
+included, under `dime oracle` too) as its RunConfig is built, then the
+files it will write (--log-file, --report, --tool-out).  So a bad setting
+is named even when an output path is bad as well, and a bad setting or
+output path, or one that names the program or another output, leaves
+every file as it was.
 """
 
 from __future__ import annotations

@@ -67,9 +67,10 @@ committed entries are the run's only record of them.
 
 Both interpreters take every setting from one RunConfig and return an
 ExecutionOutcome.  native_run reads only the program, seed, step limit and
-capture_path, and leaves the outcome's record fields empty.  A RunConfig
-checks every setting, the period and budget included, when it is built, so
-no pass, native or instrumented, starts from a bad one.
+capture_path, and leaves the outcome's record fields empty; run() builds
+its analysis tool from the config's tool name.  A RunConfig checks every
+setting, the period and budget, tool and log strategy included, when it is
+built, so no pass, native or instrumented, starts from a bad one.
 
 A run keeps what it reports as plain tuples of strings, numbers and bools,
 which the garbage collector stops tracking: the tool's (kind, src, dst)
@@ -90,7 +91,7 @@ from .budget import BudgetState, V_BASE, V_INSTRUMENT
 from .program import (AddressError, CONTROL_TRANSFERS, Program, TERMINATORS,
                       BR, CALL, JMP, NDBR, OP, RET)
 from .redundancy import LogStore
-from .tools import AnalysisTool
+from .tools import make_tool
 
 GRANULARITIES = ("ctrl", "all")
 
@@ -127,12 +128,13 @@ class ExecutionOutcome:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run consumes; the CLI and campaign driver fill it.
+    """Every setting of one run; the CLI and campaign driver fill it.
 
     A config checks itself when it is built, dataclasses.replace included:
     a setting that run() cannot honour raises ConfigError, and a period and
-    budget that BudgetState rejects raise its ValueError.  So every config
-    that exists is valid, and a bad setting fails before any guest step.
+    budget, tool name or log strategy that BudgetState, make_tool or
+    LogStore rejects raises their ValueError.  So every config that exists
+    is valid, and a bad setting fails before any guest step.
     """
 
     program: Program
@@ -155,17 +157,21 @@ class RunConfig:
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"unknown granularity {self.granularity!r}")
         if not self.analysis_cost > 0:  # nan included
-            raise ConfigError("analysis cost must be > 0 when a tool is attached")
+            raise ConfigError("analysis cost must be > 0")
         for cost in (self.analysis_cost, self.check_cost, self.compile_cost):
             if not 0 <= cost <= MAX_COST:  # nan included
                 raise ConfigError("costs must be " + ("<= 2**53" if cost > MAX_COST
                                                       else ">= 0"))
-        if self.max_trace_len < 1:
+        if not self.max_trace_len >= 1:  # nan included
             raise ConfigError("max trace length must be >= 1")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ConfigError("step limit must be >= 1")
         # Not make_budget(): the benchmark's tracer counts runs by its calls.
         BudgetState(self.period, self.budget)
+        make_tool(self.tool)
+        LogStore(self.log_strategy)
+        if self.log_strategy != "none" and self.log_path is None:
+            raise ConfigError("log strategy requires a log file path")
 
     def make_budget(self) -> BudgetState:
         return BudgetState(period=self.period, budget=self.budget)
@@ -346,14 +352,17 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
         pc = nxt
 
 
-def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisTool,
-        observer=None, memo: TraceMemo | None = None) -> ExecutionOutcome:
-    """Execute the guest under the budget server and redundancy log.
+def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
+        memo: TraceMemo | None = None) -> ExecutionOutcome:
+    """Execute the guest under the budget server and redundancy log, with
+    the analysis tool that config.tool names, built afresh for the run.
 
-    Deterministic for a fixed config and initial log; the guest's ndbr
-    draws come from config.seed.  The optional observer sees permit
-    decisions and commits in event order, which is what the campaign harness
-    uses to classify decisions against live ground truth:
+    Every setting comes from `config`; `log`, `budget` and `memo` are the
+    state the run starts from.  Deterministic for a fixed config and initial
+    log; the guest's ndbr draws come from config.seed.  The optional
+    observer sees permit decisions and commits in event order, which is
+    what the campaign harness uses to classify decisions against live
+    ground truth:
     `on_permit(candidate, permitted)` and `on_commit(entry)`, each entry a
     plain (image, rel_addr, length) tuple, as `log.commit` gets it.
     An exit that commits a prefix no longer than one this run already
@@ -365,9 +374,8 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, tool: AnalysisToo
     Either way the run compiles each trace into its own cache and charges
     compile_cost for it, so a memo changes no result.
     """
-    if tool is None:
-        raise ConfigError("run() needs an analysis tool; use native_run() for none")
     program = config.program
+    tool = make_tool(config.tool)
     if memo is None:
         memo = TraceMemo(config)
     elif (memo.program, memo.max_len, memo.granularity) != (

@@ -40,8 +40,7 @@ from dataclasses import asdict, dataclass, replace
 from . import redundancy
 from .budget import BudgetState
 from .executor import ConfigError, ExecutionOutcome, RunConfig, TraceMemo, native_run, run
-from .redundancy import LogStore, STRATEGIES, _Intervals
-from .tools import make_tool
+from .redundancy import LogStore, _Intervals
 
 FP = "FP"
 FN = "FN"
@@ -122,10 +121,9 @@ def run_oracle(config: RunConfig, memo: TraceMemo | None = None) -> OracleResult
     given.  A config is checked when it is built, so a bad setting costs no
     guest step.
     """
-    tool = make_tool(config.tool)
     oracle = replace(config, seed=config.seed + 1, capture_path=False)
     native = native_run(oracle)
-    outcome = run(oracle, LogStore("none"), BudgetState.unlimited(), tool, memo=memo)
+    outcome = run(oracle, LogStore("none"), BudgetState.unlimited(), memo=memo)
     return OracleResult(
         record_stream=outcome.tool_output,
         unique_records=frozenset(outcome.tool_output),
@@ -191,7 +189,8 @@ def _config_echo(config: RunConfig, runs: int) -> dict:
 
 
 def _open_log(config: RunConfig, resume: bool = False, fresh: bool = False) -> LogStore:
-    """Validate the log settings and return the log a run starts from.
+    """The log a run starts from; the config has already checked that a
+    strategy other than ``none`` comes with a log file path.
 
     A new store for the ``none`` strategy, when `fresh`, or when the file is
     missing (an error under `resume`); otherwise the file's contents, which
@@ -200,10 +199,6 @@ def _open_log(config: RunConfig, resume: bool = False, fresh: bool = False) -> L
     in it).
     """
     strategy = config.log_strategy
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown log strategy {strategy!r}")
-    if strategy != "none" and config.log_path is None:
-        raise ConfigError("log strategy requires a log file path")
     if strategy == "none" or fresh:
         return LogStore(strategy)
     if not os.path.exists(config.log_path):
@@ -284,7 +279,7 @@ def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
             log = _open_log(config)
         observer = MetricsObserver(ground_truth)
         outcome = run(replace(config, seed=config.seed + k), log, config.make_budget(),
-                      make_tool(config.tool), observer=observer, memo=memo)
+                      observer=observer, memo=memo)
         if config.log_strategy != "none":
             log.finalize_and_save(config.log_path)
         cumulative.update(outcome.tool_output)

@@ -10,8 +10,8 @@ import random
 import time
 from dataclasses import replace
 
-from dime import (BudgetState, LogEntry, LogStore, RunConfig, emit_report,
-                  make_tool, parse_program, run, run_campaign)
+from dime import (BudgetState, LogEntry, LogStore, RunConfig, emit_report, parse_program,
+                  run, run_campaign)
 from dime.corpus import loop_corpus, random_corpus
 from conftest import committed_points
 from reference import reference_run
@@ -147,8 +147,7 @@ def test_criterion_3_oracle_equivalence():
         for granularity in ("ctrl", "all"):
             config = RunConfig(program=program, granularity=granularity, seed=seed,
                                capture_path=True)
-            out = run(config, LogStore("none"), BudgetState.unlimited(),
-                      make_tool("branch"))
+            out = run(config, LogStore("none"), BudgetState.unlimited())
             assert list(out.tool_output) == ref_records  # order and multiplicity
             assert out.addr_path == tuple(ref_path)
     _done(3, "oracle equivalence", t0, 10.0)
@@ -174,8 +173,7 @@ def test_criterion_4_budget_respect():
         log = LogStore(rng.choice(("hash", "bst", "merger")))
         for _ in range(rng.randrange(1, 4)):  # shared log across a short campaign
             budget = BudgetState(period=period, budget=budget_units)
-            out = run(replace(config, seed=rng.randrange(10 ** 6)), log, budget,
-                      make_tool("branch"))
+            out = run(replace(config, seed=rng.randrange(10 ** 6)), log, budget)
             for load in budget.period_loads():
                 assert load <= budget_units + analysis_cost
             for magnitude in out.overshoots:

@@ -6,8 +6,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import (BudgetContractError, BudgetState, LogStore, RunConfig, make_tool,
-                  parse_program, run)
+from dime import (BudgetContractError, BudgetState, LogStore, RunConfig, parse_program,
+                  run)
 from dime.budget import MAX_PERIODS
 
 from conftest import wall_budget
@@ -324,7 +324,7 @@ def test_one_huge_op_closes_twenty_million_periods_in_one_check():
     config = RunConfig(program=program, granularity="all", period=0.1, budget=0.1)
     budget = config.make_budget()
     start = time.perf_counter()
-    out = run(config, LogStore("none"), budget, make_tool("branch"))
+    out = run(config, LogStore("none"), budget)
     assert time.perf_counter() - start < 1.0
     assert out.virtual_time == 2_000_003
     assert budget.period_index == 20_000_010

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dime import (BudgetContractError, BudgetState, LogEntry, LogStore, RunConfig,
-                  make_tool, parse_program, run, run_oracle)
+                  parse_program, run, run_oracle)
 from dime.executor import GRANULARITIES
 from dime.redundancy import STRATEGIES
 
@@ -78,16 +78,15 @@ def log_bytes(log):
             return fh.read()
 
 
-def run_sequence(config, server):
-    """RUNS runs against one log, each with a fresh `server`: per run the
-    outcome and the server's closed periods, loads and overshoots, then the
-    final log's bytes."""
-    log = LogStore(config.log_strategy)
+def run_sequence(config, strategy, server):
+    """RUNS runs against one log of `strategy`, each with a fresh `server`:
+    per run the outcome and the server's closed periods, loads and
+    overshoots, then the final log's bytes."""
+    log = LogStore(strategy)
     runs = []
     for k in range(1, RUNS + 1):
         state = server(period=config.period, budget=config.budget)
-        outcome = run(replace(config, seed=config.seed + k), log, state,
-                      make_tool(config.tool))
+        outcome = run(replace(config, seed=config.seed + k), log, state)
         log.finalize()
         if server is EveryPoint and config.check_cost:
             # One check per point passed, and one more after the last point.
@@ -110,8 +109,9 @@ def test_horizon_changes_no_outcome(texts, seed, granularity, max_len, strategy,
     config = RunConfig(program=program, granularity=granularity, period=period,
                        budget=period * share if share else 0, analysis_cost=analysis_cost,
                        check_cost=check_cost, max_trace_len=max_len, seed=seed,
-                       log_strategy=strategy, capture_path=True)
-    assert run_sequence(config, Counting) == run_sequence(config, EveryPoint)
+                       capture_path=True)
+    assert (run_sequence(config, strategy, Counting)
+            == run_sequence(config, strategy, EveryPoint))
 
 
 @pytest.mark.parametrize("share", [0, 0.5, 1])
@@ -123,15 +123,14 @@ def test_period_count_limit_stops_a_run_at_the_same_point(share):
     # check again before the halt.
     program = parse_program("image m 0\nL: op 1000000000\n    br L "
                             + "T" * 30 + "N\n    halt\n")
-    config = RunConfig(program=program, period=1e-6, budget=1e-6 * share,
-                       log_strategy="hash", max_steps=1000)
+    config = RunConfig(program=program, period=1e-6, budget=1e-6 * share, max_steps=1000)
     errors, checks = [], []
     for server in (Counting, EveryPoint):
         log = LogStore("hash")
         log.commit(LogEntry("m", 0, 3))
         state = server(period=config.period, budget=config.budget)
         with pytest.raises(BudgetContractError, match="2\\*\\*53") as exc:
-            run(config, log, state, make_tool("branch"))
+            run(config, log, state)
         errors.append(str(exc.value))
         checks.append(state.checks)
     assert errors[0] == errors[1]
@@ -175,7 +174,7 @@ def test_unlimited_run_loads_sum_the_analysis_calls(analysis_cost, server):
     program = parse_program("image m 0\nL: op 1\n    op 2\n    br L TTTTTTN\n    halt\n")
     config = RunConfig(program=program, granularity="all", analysis_cost=analysis_cost)
     state = server(period=math.inf, budget=math.inf)
-    outcome = run(config, LogStore("none"), state, make_tool("branch"))
+    outcome = run(config, LogStore("none"), state)
     expected = 0
     for _ in range(outcome.steps):
         expected += analysis_cost
@@ -194,13 +193,12 @@ def test_period_count_limit_stops_a_spending_run_at_the_same_point(share):
     # next pass takes the refill's answer without a check, up to the cap.
     program = parse_program("image m 0\nL: op 1000000000\n    br L "
                             + "T" * 30 + "N\n    halt\n")
-    config = RunConfig(program=program, period=1e-6, budget=1e-6 * share,
-                       log_strategy="hash", max_steps=1000)
+    config = RunConfig(program=program, period=1e-6, budget=1e-6 * share, max_steps=1000)
     errors, checks, charges = [], [], []
     for server in (Counting, EveryPoint):
         state = server(period=config.period, budget=config.budget)
         with pytest.raises(BudgetContractError, match="2\\*\\*53") as exc:
-            run(config, LogStore("hash"), state, make_tool("branch"))
+            run(config, LogStore("hash"), state)
         errors.append(str(exc.value))
         checks.append(state.checks)
         charges.append(state.charges)
@@ -222,7 +220,7 @@ def test_a_run_that_spends_every_period_checks_twice():
     found = []
     for server in (Counting, EveryPoint):
         state = server(period=config.period, budget=config.budget)
-        outcome = run(config, LogStore("none"), state, make_tool("branch"))
+        outcome = run(config, LogStore("none"), state)
         found.append((outcome, state.period_index, state.period_loads(),
                       state.overshoot_log, state.charges))
         if server is Counting:
@@ -239,7 +237,7 @@ def test_repeated_full_prefix_commits_share_one_entry():
     program = parse_program("image m 0\nL: op 1\n    op 2\n    br L " + "T" * 20 + "N\n"
                             "    halt\n")
     outcome = run(RunConfig(program=program, granularity="all"), LogStore("hash"),
-                  BudgetState.unlimited(), make_tool("branch"))
+                  BudgetState.unlimited())
     loop = [entry for entry in outcome.committed_entries if entry == ("m", 0, 3)]
     assert len(loop) == 20
     assert len({id(entry) for entry in loop}) == 1

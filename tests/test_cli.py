@@ -240,13 +240,14 @@ def test_bad_output_path_fails_before_the_oracle(program_file, tmp_path, capsys,
 @pytest.mark.parametrize("command", ["oracle", "run", "campaign"])
 @pytest.mark.parametrize("flags,message", [
     (["--max-steps", "0"], "step limit must be >= 1"),
-    (["--ca", "0"], "analysis cost must be > 0 when a tool is attached"),
+    (["--ca", "0"], "analysis cost must be > 0"),
     (["--max-len", "0"], "max trace length must be >= 1"),
     (["--budget", "200", "--period", "100"], "budget must satisfy 0 <= B <= T"),
     (["--budget", "-1"], "budget must satisfy 0 <= B <= T"),
     (["--period", "0"], "period must be > 0"),
+    (["--log-strategy", "hash"], "log strategy requires a log file path"),
 ], ids=["max-steps", "ca", "max-len", "budget-past-period", "negative-budget",
-        "zero-period"])
+        "zero-period", "hash-without-log-file"])
 def test_bad_run_setting_fails_before_the_native_pass(program_file, capsys, monkeypatch,
                                                       command, flags, message):
     def native(*args, **kwargs):
@@ -262,20 +263,26 @@ def test_bad_run_setting_fails_before_the_native_pass(program_file, capsys, monk
     assert err == f"dime: config error: {message}\n"
 
 
+def without_log_file(flags):
+    at = flags.index("--log-file")
+    return flags[:at] + flags[at + 2:]
+
+
 @pytest.mark.parametrize("command,flag", [
     ("campaign", "--report"), ("campaign", "--tool-out"), ("run", "--tool-out"),
 ])
-@pytest.mark.parametrize("setting,message", [
-    (["--max-steps", "0"], "step limit must be >= 1"),
-    (["--period", "0"], "period must be > 0"),
-], ids=["max-steps", "zero-period"])
+@pytest.mark.parametrize("edit,message", [
+    (lambda flags: [*flags, "--max-steps", "0"], "step limit must be >= 1"),
+    (lambda flags: [*flags, "--period", "0"], "period must be > 0"),
+    (without_log_file, "log strategy requires a log file path"),
+], ids=["max-steps", "zero-period", "hash-without-log-file"])
 def test_bad_setting_is_named_before_a_bad_output_path(program_file, tmp_path, capsys,
-                                                       command, flag, setting, message):
+                                                       command, flag, edit, message):
     # The setting fails as the config is built, before the output paths are
     # checked, so the one error line names it and no file changes.
     log = tmp_path / "run.log"
     log.write_bytes(b"# dime-log v1 strategy=hash\nmain,999\n")
-    argv = [command, *run_flags(program_file, tmp_path), *setting,
+    argv = [command, *edit(run_flags(program_file, tmp_path)),
             flag, str(tmp_path / "nodir" / "out")]
     if command == "campaign":
         argv += ["--runs", "3"]

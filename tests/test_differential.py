@@ -20,8 +20,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import (BudgetState, GuestError, LogStore, RunConfig, make_tool, native_run,
-                  parse_program, run)
+from dime import (BudgetState, GuestError, LogStore, RunConfig, native_run, parse_program,
+                  run)
 from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
 
@@ -107,7 +107,7 @@ def test_interpreters_match_reference(texts, seed, granularity, max_len):
 
     def instrumented(program, max_steps):
         return run(replace(config, program=program, max_steps=max_steps), LogStore("none"),
-                   BudgetState.unlimited(), make_tool("branch"))
+                   BudgetState.unlimited())
 
     out = instrumented(program, steps)
     assert (out.tool_output, out.addr_path, out.steps) == (

@@ -6,8 +6,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 import pytest
 
 from dime import (AddressError, ConfigError, ExecutionOutcome, GuestError, LogStore,
-                  RunConfig, TraceMemo, harness, make_tool, native_run, parse_program,
-                  run, run_campaign)
+                  RunConfig, TraceMemo, executor, harness, make_tool, native_run,
+                  parse_program, run, run_campaign)
 from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
 from dime.corpus import random_program
@@ -20,8 +20,7 @@ def make_run(program, log_strategy="hash", log=None, seed=1, **overrides):
     config = RunConfig(program=program, seed=seed, **overrides)
     log = log if log is not None else LogStore(log_strategy)
     budget = config.make_budget()
-    tool = make_tool(config.tool)
-    outcome = run(config, log, budget, tool)
+    outcome = run(config, log, budget)
     return outcome, log, budget
 
 
@@ -210,8 +209,7 @@ def test_ops_are_never_stepped(calls_program):
         config = RunConfig(program=calls_program, granularity=granularity, seed=1,
                            capture_path=True)
         memo = RecordingMemo(config)
-        out = run(config, LogStore("none"), config.make_budget(), make_tool("branch"),
-                  memo=memo)
+        out = run(config, LogStore("none"), config.make_budget(), memo=memo)
         carried = set()
         for _, _, _, body in memo.shapes:
             for _, at, _, _, _, ins in body:
@@ -275,7 +273,7 @@ def test_exits_recommitting_a_logged_prefix_skip_the_log(p1_det, strategy):
     # prefix the log already holds; only exits that lengthen it reach the log.
     config = RunConfig(program=p1_det, granularity="all", seed=1)
     log, observer = CountingLog(strategy), CommitObserver()
-    out = run(config, log, config.make_budget(), make_tool("branch"), observer=observer)
+    out = run(config, log, config.make_budget(), observer=observer)
     assert out.committed_entries == (("main", 0, 5), ("main", 0, 5), ("main", 0, 3),
                                      ("main", 5, 1))
     assert log.commits == observer.commits == [("main", 0, 5), ("main", 5, 1)]
@@ -299,7 +297,7 @@ def test_budget_respected_per_period():
         config = RunConfig(program=program, granularity="all", period=20,
                            budget=4, analysis_cost=ca, seed=2)
         budget = config.make_budget()
-        out = run(config, LogStore("hash"), budget, make_tool("branch"))
+        out = run(config, LogStore("hash"), budget)
         for load in budget.period_loads():
             assert load <= 4 + ca
         for magnitude in out.overshoots:
@@ -322,8 +320,18 @@ def test_step_limit_exceeded():
         native_run(RunConfig(program=p, max_steps=50))
 
 
+@pytest.mark.parametrize("tool,records", [
+    ("branch", (("jump", 0, 1), ("call", 1, 3), ("return", 3, 2))),
+    ("cct", (("call", 1, 3), ("return", 3, 2))),
+], ids=["branch", "cct"])
+def test_run_records_with_the_tool_its_config_names(tool, records):
+    program = parse_program("image m 0\n    jmp A\nA:  call F\n    halt\nF:  ret\n")
+    out, _, _ = make_run(program, tool=tool)
+    assert out.tool_output == records
+
+
 @pytest.mark.parametrize("granularity", GRANULARITIES)
-def test_step_limit_inside_an_op_run_before_a_point(granularity):
+def test_step_limit_inside_an_op_run_before_a_point(monkeypatch, granularity):
     # Each pass is four ops closed by a br.  At `ctrl` the ops and the br are
     # one body item, so most limits fall inside the ops before the point.
     # Every limit short of the reference's step count stops the run with the
@@ -335,13 +343,23 @@ def test_step_limit_inside_an_op_run_before_a_point(granularity):
     ref_records, _, ref_path = reference_run(program, seed=1)
     full, _, _ = make_run(program, log_strategy="none", granularity=granularity)
     assert full.steps == len(ref_path) == 16
+    built = []
+
+    def building(name):
+        built.append(make_tool(name))
+        return built[-1]
+
     for limit in range(1, len(ref_path)):
         observer = CommitObserver()
         config = RunConfig(program=program, granularity=granularity, max_steps=limit,
                            period=10**6, budget=10**6, seed=1)
-        budget, tool = config.make_budget(), make_tool("branch")
-        with pytest.raises(GuestError, match="^step limit exceeded$"):
-            run(config, LogStore("none"), budget, tool, observer=observer)
+        budget = config.make_budget()
+        built.clear()
+        with monkeypatch.context() as patch, pytest.raises(
+                GuestError, match="^step limit exceeded$"):
+            patch.setattr(executor, "make_tool", building)
+            run(config, LogStore("none"), budget, observer=observer)
+        tool, = built  # the one tool the run built
         # The records of the transfers taken within the limit; the commits
         # of the passes that ended within it, one whole pass each.
         taken = sum(1 for i, addr in enumerate(ref_path[:limit])
@@ -403,7 +421,7 @@ def test_unknown_granularity_rejected(p1):
 # -- RunConfig: every rule, checked whenever a config is built -----------------
 
 VALID = {"period": 10, "budget": 5}
-ANALYSIS_COST = "analysis cost must be > 0 when a tool is attached"
+ANALYSIS_COST = "analysis cost must be > 0"
 BAD_SETTINGS = [
     *[({"granularity": g}, ConfigError, f"unknown granularity {g!r}")
       for g in ("weird", "ALL", "insn", "")],
@@ -415,13 +433,19 @@ BAD_SETTINGS = [
     *[({cost: value}, ConfigError, message) for cost in ("check_cost", "compile_cost")
       for value, message in ((-1, "costs must be >= 0"), (math.nan, "costs must be >= 0"),
                              (2**53 + 1, "costs must be <= 2**53"))],
-    ({"max_trace_len": 0}, ConfigError, "max trace length must be >= 1"),
-    ({"max_steps": 0}, ConfigError, "step limit must be >= 1"),
+    *[({"max_trace_len": value}, ConfigError, "max trace length must be >= 1")
+      for value in (0, math.nan)],
+    *[({"max_steps": value}, ConfigError, "step limit must be >= 1")
+      for value in (0, math.nan)],
     # The period and budget are BudgetState's, with its ValueError.
     ({"budget": 20}, ValueError, "budget must satisfy 0 <= B <= T"),
     ({"budget": -1}, ValueError, "budget must satisfy 0 <= B <= T"),
     ({"period": 0}, ValueError, "period must be > 0"),
     ({"period": math.nan}, ValueError, "period must be > 0"),
+    # The tool and log strategy are make_tool's and LogStore's.
+    ({"tool": "nope"}, ValueError, "unknown tool 'nope'"),
+    ({"log_strategy": "fancy"}, ValueError, "unknown strategy 'fancy'"),
+    ({"log_strategy": "hash"}, ConfigError, "log strategy requires a log file path"),
 ]
 
 
@@ -452,9 +476,3 @@ def test_config_fields_cannot_be_assigned(p1):
     for field in fields(RunConfig):
         with pytest.raises(FrozenInstanceError):
             setattr(config, field.name, getattr(config, field.name))
-
-
-def test_run_requires_tool(p1):
-    config = RunConfig(program=p1)
-    with pytest.raises(ConfigError, match="tool"):
-        run(config, LogStore("none"), config.make_budget(), None)

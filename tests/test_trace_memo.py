@@ -14,8 +14,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import (ConfigError, LogStore, RunConfig, executor, form_trace, make_tool,
-                  parse_program, run, run_campaign)
+from dime import (ConfigError, LogStore, RunConfig, executor, form_trace, parse_program,
+                  run, run_campaign)
 from dime.executor import GRANULARITIES, TraceMemo
 from dime.redundancy import STRATEGIES
 
@@ -35,14 +35,14 @@ class Unshared(TraceMemo):
         return fresh.shape(entry, cached_entries)
 
 
-def run_sequence(config, memos):
-    """RUNS runs against one log, each with the memo `memos` hands it; the
-    outcomes and the final log."""
-    log = LogStore(config.log_strategy)
+def run_sequence(config, strategy, memos):
+    """RUNS runs against one log of `strategy`, each with the memo `memos`
+    hands it; the outcomes and the final log."""
+    log = LogStore(strategy)
     outcomes = []
     for k, memo in zip(range(1, RUNS + 1), memos):
         outcomes.append(run(replace(config, seed=config.seed + k), log,
-                            config.make_budget(), make_tool(config.tool), memo=memo))
+                            config.make_budget(), memo=memo))
         log.finalize()
     return outcomes, log
 
@@ -59,11 +59,12 @@ def test_shared_memo_changes_no_outcome(texts, seed, granularity, max_len, strat
     config = RunConfig(program=program, granularity=granularity, period=period,
                        budget=period * share, analysis_cost=analysis_cost,
                        compile_cost=compile_cost, max_trace_len=max_len, seed=seed,
-                       log_strategy=strategy, capture_path=True)
+                       capture_path=True)
     memo = TraceMemo(config)
-    shared, shared_log = run_sequence(config, [memo] * RUNS)
-    fresh, fresh_log = run_sequence(config, [TraceMemo(config) for _ in range(RUNS)])
-    direct, direct_log = run_sequence(config, [Unshared(config)] * RUNS)
+    shared, shared_log = run_sequence(config, strategy, [memo] * RUNS)
+    fresh, fresh_log = run_sequence(config, strategy,
+                                    [TraceMemo(config) for _ in range(RUNS)])
+    direct, direct_log = run_sequence(config, strategy, [Unshared(config)] * RUNS)
     assert shared == fresh == direct
     assert shared_log == fresh_log == direct_log
 
@@ -85,10 +86,9 @@ def test_switching_runs_cut_traces_and_share_them(p1, monkeypatch):
     # T = 3, B = 1 at `all`: the budget runs out mid-trace, so execution
     # switches versions and later walks stop before entries made on the way.
     calls = recording_form_trace(monkeypatch)
-    config = RunConfig(program=p1, granularity="all", period=3, budget=1, seed=4,
-                       log_strategy="none")
+    config = RunConfig(program=p1, granularity="all", period=3, budget=1, seed=4)
     memo = TraceMemo(config)
-    outcomes, _ = run_sequence(config, [memo] * RUNS)
+    outcomes, _ = run_sequence(config, "none", [memo] * RUNS)
     uncut = {entry: form_trace(memo, entry, 16)[2] for entry, _ in calls}
     assert any(length < uncut[entry] for entry, length in calls)  # a cut shape
     assert len(calls) == len(set(calls))
@@ -136,5 +136,4 @@ def test_memo_of_other_settings_is_rejected(p1, p1_det):
                  TraceMemo(replace(config, max_trace_len=16)),
                  TraceMemo(replace(config, granularity="all"))):
         with pytest.raises(ConfigError, match="trace memo"):
-            run(config, LogStore("none"), config.make_budget(), make_tool("branch"),
-                memo=memo)
+            run(config, LogStore("none"), config.make_budget(), memo=memo)
