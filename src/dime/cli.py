@@ -6,11 +6,17 @@
     dime campaign --runs K ... (same flags as run) [--report OUT.json]
     dime report   --in REPORT.json
 
+Each run flag sets the RunConfig field of its name (--ca sets
+analysis_cost, --log-file log_path, ...), and only when it is given, so
+RunConfig's defaults are the only ones.
+
 `dime run` is a one-run campaign that starts from the log file (an empty
-log when the file is missing) instead of an empty log.  So `dime run
---seed s` on a missing file, then `dime run --resume` with seeds s+1, s+2,
-..., execute the runs of `dime campaign --seed s` and save the same log
-files; each report scores its run on its own.
+log when the file is missing) instead of an empty log.  A campaign hands
+its log from run to run in memory and only writes the file, but the file
+loads back as that store.  So `dime run --seed s` on a missing file, then
+`dime run --resume` with seeds s+1, s+2, ..., execute the runs of `dime
+campaign --seed s` and save the same log files; each report scores its run
+on its own.
 
 Exit codes: 0 success, 1 configuration error (including a malformed flag,
 a file that cannot be read or written, a malformed report and a cost above
@@ -29,10 +35,12 @@ every file as it was.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from . import harness
 from .budget import BudgetContractError
@@ -53,47 +61,37 @@ def _time_units(text: str) -> float:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--program", required=True, help="program file")
-    p.add_argument("--tool", default="branch", choices=tuple(TOOLS))
-    p.add_argument("--granularity", default="ctrl", choices=GRANULARITIES)
-    p.add_argument("--budget", type=_time_units, default=math.inf,
-                   help="instrumentation budget B per period (or 'inf')")
-    p.add_argument("--period", type=_time_units, default=math.inf,
-                   help="period length T (or 'inf')")
-    p.add_argument("--ca", type=int, default=1, help="analysis call cost")
-    p.add_argument("--cbc", type=int, default=0, help="budget check cost")
-    p.add_argument("--cir", type=int, default=0, help="trace compile cost")
-    p.add_argument("--max-len", type=int, default=16, help="max instructions per trace")
-    p.add_argument("--max-steps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--log-strategy", default="none", choices=STRATEGIES)
-    p.add_argument("--log-file", default=None)
+    """The run flags.  Each but --tool-out sets the RunConfig field its
+    `dest` names, and only when it is given, so RunConfig owns every
+    default."""
+    p.add_argument("--program", dest="program_path", required=True, help="program file")
+    flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--tool", choices=tuple(TOOLS))
+    flag("--granularity", choices=GRANULARITIES)
+    flag("--budget", type=_time_units, help="instrumentation budget B per period (or 'inf')")
+    flag("--period", type=_time_units, help="period length T (or 'inf')")
+    flag("--ca", dest="analysis_cost", type=int, help="analysis call cost")
+    flag("--cbc", dest="check_cost", type=int, help="budget check cost")
+    flag("--cir", dest="compile_cost", type=int, help="trace compile cost")
+    flag("--max-len", dest="max_trace_len", type=int, help="max instructions per trace")
+    flag("--max-steps", type=int)
+    flag("--seed", type=int)
+    flag("--log-strategy", choices=STRATEGIES)
+    flag("--log-file", dest="log_path")
     p.add_argument("--tool-out", default=None, help="write tool output file here")
+
+
+_CONFIG_FIELDS = frozenset(field.name for field in fields(RunConfig))
 
 
 def _load_config(args) -> RunConfig:
     try:
-        with open(args.program, "r", encoding="utf-8") as fh:
+        with open(args.program_path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read program: {exc}") from None
-    program = parse_program(text)
-    return RunConfig(
-        program=program,
-        program_path=args.program,
-        granularity=args.granularity,
-        period=args.period,
-        budget=args.budget,
-        analysis_cost=args.ca,
-        check_cost=args.cbc,
-        compile_cost=args.cir,
-        max_trace_len=args.max_len,
-        max_steps=args.max_steps,
-        seed=args.seed,
-        log_strategy=args.log_strategy,
-        log_path=args.log_file,
-        tool=args.tool,
-    )
+    settings = {name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS}
+    return RunConfig(program=parse_program(text), **settings)
 
 
 def _check_writable(program: str, outputs: dict) -> None:
@@ -127,13 +125,13 @@ def _write_tool_output(path, tool_name: str, records) -> None:
 
 def _cmd_oracle(args) -> int:
     config = _load_config(args)
-    _check_writable(args.program, {"--tool-out": args.tool_out})
+    _check_writable(config.program_path, {"--tool-out": args.tool_out})
     oracle = harness.run_oracle(config)
     if args.tool_out:
-        _write_tool_output(args.tool_out, args.tool, oracle.record_stream)
+        _write_tool_output(args.tool_out, config.tool, oracle.record_stream)
     doc = {
-        "program": args.program,
-        "tool": args.tool,
+        "program": config.program_path,
+        "tool": config.tool,
         "record_stream_length": len(oracle.record_stream),
         **harness.oracle_document(oracle),
     }
@@ -148,26 +146,27 @@ def _log_target(config: RunConfig):
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    _check_writable(args.program, {"--log-file": _log_target(config),
-                                   "--tool-out": args.tool_out})
+    _check_writable(config.program_path, {"--log-file": _log_target(config),
+                                          "--tool-out": args.tool_out})
     report, outcome, _ = harness.single_run(config, resume=args.resume)
     if args.tool_out:
-        _write_tool_output(args.tool_out, args.tool, outcome.tool_output)
+        _write_tool_output(args.tool_out, config.tool, outcome.tool_output)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_campaign(args) -> int:
     config = _load_config(args)
-    _check_writable(args.program, {"--log-file": _log_target(config),
-                                   "--report": args.report, "--tool-out": args.tool_out})
+    _check_writable(config.program_path, {"--log-file": _log_target(config),
+                                          "--report": args.report,
+                                          "--tool-out": args.tool_out})
     result = harness.run_campaign(config, args.runs)
     if args.report:
         harness.emit_report(result, args.report)
     if args.tool_out:
         # cumulative stream across runs, in execution order
         records = [rec for outcome in result.outcomes for rec in outcome.tool_output]
-        _write_tool_output(args.tool_out, args.tool, records)
+        _write_tool_output(args.tool_out, config.tool, records)
     print(json.dumps(harness.report_document(result), indent=2, sort_keys=True))
     return 0
 

@@ -1,9 +1,10 @@
 """Multi-run campaign driver: oracle, budgeted runs, metrics, reports.
 
 A campaign runs the uninstrumented and fully instrumented oracles once, then
-K budgeted runs that share a persisted redundancy log; a single run
-(`dime run`) is a one-run campaign that starts from the log file instead of
-an empty log.  Per run it reports:
+K budgeted runs that share one redundancy log, kept in memory and saved to
+the log file after each run; a single run (`dime run`) is a one-run
+campaign that starts from the log file instead of an empty log.  Per run it
+reports:
 
 1. coverage - unique records extracted in runs 1..k over the oracle's unique
    record set;
@@ -188,47 +189,36 @@ def _config_echo(config: RunConfig, runs: int) -> dict:
     }
 
 
-def _open_log(config: RunConfig, resume: bool = False, fresh: bool = False) -> LogStore:
-    """The log a run starts from; the config has already checked that a
-    strategy other than ``none`` comes with a log file path.
-
-    A new store for the ``none`` strategy, when `fresh`, or when the file is
-    missing (an error under `resume`); otherwise the file's contents, which
-    must hold the configured strategy and fit the program: each entry must
-    name one of its images and end within it (a hash entry's start must lie
-    in it).
-    """
-    strategy = config.log_strategy
-    if strategy == "none" or fresh:
-        return LogStore(strategy)
-    if not os.path.exists(config.log_path):
-        if resume:
-            raise ConfigError(f"--resume given but log file {config.log_path} is missing")
-        return LogStore(strategy)
-    log = redundancy.load(config.log_path)
-    if log.strategy != strategy:
-        raise ConfigError(f"log file {config.log_path} holds strategy {log.strategy!r}, "
-                          f"expected {strategy!r}")
-    sizes = {img.name: len(img.kinds) for img in config.program.images}
-    for image, end in log.ends().items():
-        if image not in sizes:
-            raise ConfigError(f"log file {config.log_path} names image {image!r}, "
-                              "which the program lacks")
-        if end > sizes[image]:
-            raise ConfigError(f"log file {config.log_path} reaches past the end of "
-                              f"image {image!r}")
-    return log
-
-
 def single_run(config: RunConfig,
                resume: bool = False) -> tuple[RunReport, ExecutionOutcome, LogStore]:
-    """A one-run campaign that starts from the persisted log; used by `dime run`.
+    """A one-run campaign that starts from the log file; used by `dime run`.
 
     The run uses seed = config seed + 1 and scores FP/FN against its own
-    commits.  Under `resume` the log file must exist.  Returns the run's
-    report and outcome and the log as the run left it.
+    commits.  It starts from a new store under the ``none`` strategy or when
+    the file is missing (an error under `resume`); otherwise from the file's
+    contents, which must hold the configured strategy and fit the program:
+    each entry must name one of its images and end within it (a hash entry's
+    start must lie in it).  The config has already checked that a strategy
+    other than ``none`` comes with a log file path.  Returns the run's report
+    and outcome and the log as the run left it.
     """
-    log = _open_log(config, resume=resume)
+    strategy, path = config.log_strategy, config.log_path
+    if strategy == "none" or not os.path.exists(path):
+        if resume and strategy != "none":
+            raise ConfigError(f"--resume given but log file {path} is missing")
+        log = LogStore(strategy)
+    else:
+        log = redundancy.load(path)
+        if log.strategy != strategy:
+            raise ConfigError(f"log file {path} holds strategy {log.strategy!r}, "
+                              f"expected {strategy!r}")
+        sizes = {img.name: len(img.kinds) for img in config.program.images}
+        for image, end in log.ends().items():
+            if image not in sizes:
+                raise ConfigError(f"log file {path} names image {image!r}, "
+                                  "which the program lacks")
+            if end > sizes[image]:
+                raise ConfigError(f"log file {path} reaches past the end of image {image!r}")
     result = _campaign(config, 1, log)
     return result.reports[0], result.outcomes[0], log
 
@@ -256,16 +246,17 @@ def _make_report(run_index: int, unique_records: int, oracle: OracleResult,
 
 
 def run_campaign(config: RunConfig, runs: int) -> CampaignResult:
-    """Oracle once, then `runs` budgeted runs sharing the persisted log; run 1
-    starts with an empty log (any existing file is overwritten)."""
+    """Oracle once, then `runs` budgeted runs sharing one log; run 1 starts
+    with an empty log, and each run's save overwrites any existing file."""
     if runs < 1:
         raise ConfigError("a campaign needs at least one run")
-    return _campaign(config, runs, _open_log(config, fresh=True))
+    return _campaign(config, runs, LogStore(config.log_strategy))
 
 
 def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
-    """Oracle once, then `runs` budgeted runs: run 1 starts from `log`, each
-    later run from the file the run before it saved.  Run k uses seed =
+    """Oracle once, then `runs` budgeted runs that all commit to `log`: each
+    run saves it to the log file and the next run goes on from the store in
+    memory, which equals what the file would load.  Run k uses seed =
     campaign seed + k.  The oracle's full run and the budgeted runs share one
     trace memo, and the budgeted runs share one ground truth.
     """
@@ -275,8 +266,6 @@ def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
     cumulative: set = set()
     reports, outcomes = [], []
     for k in range(1, runs + 1):
-        if k > 1:
-            log = _open_log(config)
         observer = MetricsObserver(ground_truth)
         outcome = run(replace(config, seed=config.seed + k), log, config.make_budget(),
                       observer=observer, memo=memo)

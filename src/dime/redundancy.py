@@ -201,7 +201,9 @@ class LogStore:
 
     def save(self, path) -> None:
         """Write the log to `path`, atomically: the text goes to a temporary
-        file beside it, which then replaces `path`.  A failure mid-write
+        file beside it, which then replaces `path`.  The temporary file is
+        created anew under a name of this process's own, so a save never
+        writes to a file that was there before it.  A failure mid-write
         leaves the old file as it was and removes the temporary one."""
         if self.strategy == "none":
             raise ValueError("the 'none' strategy has no persistent form")
@@ -211,14 +213,15 @@ class LogStore:
                 lines.append(f"{image},{rel_addr}")
             else:
                 lines.append(f"{image},{rel_addr},{length}")
-        tmp = f"{os.fspath(path)}.tmp"
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        fh = open(tmp, "x", encoding="ascii", newline="\n")
         try:
-            with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            with fh:
                 fh.write("\n".join(lines) + "\n")
             os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def finalize_and_save(self, path) -> None:
         self.finalize()

@@ -1,8 +1,10 @@
 import json
+import os
+from dataclasses import fields
 
 import pytest
 
-from dime import harness
+from dime import RunConfig, cli, harness
 from dime.cli import main
 
 from conftest import P1_DET, CALLS, wall_budget
@@ -390,6 +392,82 @@ def test_log_file_of_the_none_strategy_may_name_the_program(program_file, capsys
                  "--log-file", program_file]) == 0
     with open(program_file, "rb") as fh:
         assert fh.read() == before
+
+
+def test_campaign_keeps_files_named_like_the_logs_temporary_file(tmp_path, capsys):
+    # A save once wrote `<log>.tmp` and renamed it over the log, so it
+    # destroyed any file of that name, the program included.
+    program, other = tmp_path / "run.log.tmp", tmp_path / "other.log.tmp"
+    program.write_text(P1_DET)
+    other.write_bytes(b"not a log\n")
+    for log in ("run.log", "other.log"):
+        assert main(["campaign", "--program", str(program), "--runs", "2",
+                     "--log-strategy", "hash", "--log-file", str(tmp_path / log),
+                     "--budget", "3", "--period", "10"]) == 0
+    assert program.read_text() == P1_DET
+    assert other.read_bytes() == b"not a log\n"
+    assert sorted(os.listdir(tmp_path)) == ["other.log", "other.log.tmp", "run.log",
+                                            "run.log.tmp"]
+
+
+# Each run flag with a value other than RunConfig's default, and the field
+# and value it must set.  Distinct numbers, so two swapped fields show.  The
+# flags of a group are given together: --period alone leaves B = inf above
+# T, and a log strategy needs a log file.
+FLAG_GROUPS = [
+    [("--tool", "cct", "tool", "cct")],
+    [("--granularity", "all", "granularity", "all")],
+    [("--budget", "3", "budget", 3), ("--period", "10", "period", 10)],
+    [("--ca", "2", "analysis_cost", 2)],
+    [("--cbc", "4", "check_cost", 4)],
+    [("--cir", "5", "compile_cost", 5)],
+    [("--max-len", "6", "max_trace_len", 6)],
+    [("--max-steps", "70", "max_steps", 70)],
+    [("--seed", "8", "seed", 8)],
+    [("--log-strategy", "bst", "log_strategy", "bst"),
+     ("--log-file", "x.log", "log_path", "x.log")],
+]
+RUN_COMMANDS = [["oracle"], ["run"], ["campaign", "--runs", "2"]]
+
+
+def built_config(argv):
+    """The RunConfig a command line builds, and the RunConfig fields its
+    parsed arguments name."""
+    args = cli.build_parser().parse_args(argv)
+    named = set(vars(args)) & {field.name for field in fields(RunConfig)}
+    return cli._load_config(args), named
+
+
+def settings_of(config) -> dict:
+    return {field.name: getattr(config, field.name) for field in fields(RunConfig)
+            if field.name != "program"}
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("group", [[], *FLAG_GROUPS], ids=lambda g: g[0][0] if g else "none")
+def test_a_flag_not_given_leaves_runconfigs_default(program_file, command, group):
+    # With only the required flags the config is RunConfig's defaults; with
+    # one group of flags more, only that group's fields differ from them.
+    argv = [*command, "--program", program_file]
+    for flag, text, _, _ in group:
+        argv += [flag, text]
+    config, named = built_config(argv)
+    given = {field: value for _, _, field, value in group}
+    assert named == {"program_path", *given}
+    expected = RunConfig(program=config.program, program_path=program_file, **given)
+    assert settings_of(config) == settings_of(expected)
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS, ids=lambda c: c[0])
+def test_every_run_flag_sets_its_field(program_file, command):
+    flags = [flag for group in FLAG_GROUPS for flag in group]
+    argv = [*command, "--program", program_file]
+    for flag, text, _, _ in flags:
+        argv += [flag, text]
+    config, _ = built_config(argv)
+    expected = {"program_path": program_file, "capture_path": False,
+                **{field: value for _, _, field, value in flags}}
+    assert settings_of(config) == expected
 
 
 # Two images of 3 and 2 instructions.

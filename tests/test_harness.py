@@ -8,9 +8,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import (ConfigError, GroundTruth, LogEntry, MetricsObserver, RunConfig,
-                  classify, emit_report, load, parse_program, run_campaign, run_oracle,
-                  serialize_program, single_run)
+from dime import (ConfigError, GroundTruth, LogEntry, LogStore, MetricsObserver, RunConfig,
+                  classify, emit_report, load, parse_program, redundancy, run_campaign,
+                  run_oracle, serialize_program, single_run)
 from dime.cli import main
 from dime.harness import FN, FP, TRUE_PERMIT, TRUE_REJECT, report_document
 from dime.corpus import loop_corpus, random_corpus
@@ -228,6 +228,63 @@ def test_resumed_single_run_is_next_campaign_run(strategy, granularity, tmp_path
         _, outcome, _ = single_run(replace(config, seed=config.seed + 1), resume=True)
         assert outcome == campaign.outcomes[1]
         assert log_bytes(config) == campaign_log
+
+
+# A campaign hands its log from run to run in memory and only writes the
+# file; `dime run` is what reads it.  The test above is the same hand-off
+# made by file.
+
+def count_loads(monkeypatch) -> list:
+    loads = []
+    real = redundancy.load
+
+    def counted(path):
+        loads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(redundancy, "load", counted)
+    return loads
+
+
+def test_campaign_never_reads_its_log_and_single_run_reads_it_once(p1_det, tmp_path,
+                                                                   monkeypatch):
+    config = config_for(p1_det, tmp_path)
+    loads = count_loads(monkeypatch)
+    run_campaign(config, 3)
+    assert loads == []
+    single_run(config, resume=True)
+    assert loads == [config.log_path]
+
+
+def nonempty_unions(log):
+    return {image: (union.starts, union.ends) for image, union in log._union.items()
+            if union.starts}
+
+
+@pytest.mark.parametrize("granularity", ["ctrl", "all"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_each_save_loads_back_as_the_store_the_next_run_goes_on_from(
+        strategy, granularity, tmp_path, monkeypatch):
+    saved = []
+    finalize_and_save = LogStore.finalize_and_save
+
+    def checked(log, path):
+        finalize_and_save(log, path)
+        loaded = load(path)
+        assert list(loaded.entries()) == list(log.entries())
+        assert nonempty_unions(loaded) == nonempty_unions(log)
+        assert loaded._lengths == log._lengths
+        saved.append(log)
+
+    monkeypatch.setattr(LogStore, "finalize_and_save", checked)
+    for config in one_driver_configs(tmp_path, strategy, granularity):
+        saved.clear()
+        run_campaign(config, 3)
+        if strategy == "none":
+            assert saved == []
+        else:
+            # every run saves the one store the campaign started with
+            assert len(saved) == 3 and saved[0] is saved[1] is saved[2]
 
 
 # -- reports ------------------------------------------------------------------------

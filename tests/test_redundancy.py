@@ -256,6 +256,20 @@ def test_failed_save_keeps_old_log_and_leaves_no_temp_file(tmp_path, monkeypatch
     assert os.listdir(tmp_path) == ["log"]
 
 
+def test_save_never_writes_a_file_that_was_there_before_it(tmp_path):
+    # The temporary file is created exclusively, so a file that already has
+    # its name makes the save fail and is neither written nor removed.
+    path = tmp_path / "log"
+    store_with("hash", ("m", 1, 1)).save(path)
+    old = path.read_bytes()
+    squatter = tmp_path / f"log.{os.getpid()}.tmp"
+    squatter.write_bytes(b"someone else's\n")
+    with pytest.raises(FileExistsError):
+        store_with("hash", ("m", 2, 1)).save(path)
+    assert path.read_bytes() == old
+    assert squatter.read_bytes() == b"someone else's\n"
+
+
 def test_none_strategy_has_no_file_form(tmp_path):
     with pytest.raises(ValueError):
         LogStore("none").save(tmp_path / "log")
