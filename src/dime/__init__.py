@@ -14,17 +14,15 @@ from .harness import (CampaignResult, GroundTruth, MetricsObserver, OracleResult
 from .program import (AddressError, Instruction, ParseError, Program,
                       ProgramImage, parse_program, serialize_program)
 from .redundancy import LogEntry, LogFormatError, LogStore, load
-from .tools import (AnalysisTool, CallContextTree, CallTraceTool, build_cct, make_tool,
-                    write_records)
+from .tools import CallContextTree, build_cct, write_records
 
 __all__ = [
-    "AddressError", "AnalysisTool", "BudgetContractError", "BudgetState",
-    "CallContextTree", "CallTraceTool", "CampaignResult", "ConfigError",
-    "ExecutionOutcome", "GroundTruth", "GuestError", "Instruction", "LogEntry",
-    "LogFormatError", "LogStore", "MetricsObserver", "OracleResult", "ParseError",
-    "Program", "ProgramImage", "RunConfig", "RunReport", "TraceMemo", "V_BASE",
-    "V_INSTRUMENT", "build_cct", "classify", "emit_report", "form_trace", "load",
-    "make_tool", "native_run", "parse_program", "run", "run_campaign",
+    "AddressError", "BudgetContractError", "BudgetState", "CallContextTree",
+    "CampaignResult", "ConfigError", "ExecutionOutcome", "GroundTruth", "GuestError",
+    "Instruction", "LogEntry", "LogFormatError", "LogStore", "MetricsObserver",
+    "OracleResult", "ParseError", "Program", "ProgramImage", "RunConfig", "RunReport",
+    "TraceMemo", "V_BASE", "V_INSTRUMENT", "build_cct", "classify", "emit_report",
+    "form_trace", "load", "native_run", "parse_program", "run", "run_campaign",
     "run_oracle", "serialize_program", "single_run", "write_records",
 ]
 

@@ -47,7 +47,7 @@ from .budget import BudgetContractError
 from .executor import ConfigError, GRANULARITIES, GuestError, RunConfig
 from .program import ParseError, parse_program
 from .redundancy import LogFormatError, STRATEGIES
-from .tools import TOOLS, build_cct, write_records
+from .tools import TOOLS, write_tool_output
 
 
 def _time_units(text: str) -> float:
@@ -114,21 +114,12 @@ def _check_writable(program: str, outputs: dict) -> None:
         seen[real] = flag
 
 
-def _write_tool_output(path, tool_name: str, records) -> None:
-    if tool_name == "cct":
-        tree = build_cct(records)
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(tree.dump())
-    else:
-        write_records(records, path)
-
-
 def _cmd_oracle(args) -> int:
     config = _load_config(args)
     _check_writable(config.program_path, {"--tool-out": args.tool_out})
     oracle = harness.run_oracle(config)
     if args.tool_out:
-        _write_tool_output(args.tool_out, config.tool, oracle.record_stream)
+        write_tool_output(config.tool, oracle.record_stream, args.tool_out)
     doc = {
         "program": config.program_path,
         "tool": config.tool,
@@ -150,7 +141,7 @@ def _cmd_run(args) -> int:
                                           "--tool-out": args.tool_out})
     report, outcome, _ = harness.single_run(config, resume=args.resume)
     if args.tool_out:
-        _write_tool_output(args.tool_out, config.tool, outcome.tool_output)
+        write_tool_output(config.tool, outcome.tool_output, args.tool_out)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -166,7 +157,7 @@ def _cmd_campaign(args) -> int:
     if args.tool_out:
         # cumulative stream across runs, in execution order
         records = [rec for outcome in result.outcomes for rec in outcome.tool_output]
-        _write_tool_output(args.tool_out, config.tool, records)
+        write_tool_output(config.tool, records, args.tool_out)
     print(json.dumps(harness.report_document(result), indent=2, sort_keys=True))
     return 0
 

@@ -46,13 +46,15 @@ op run that ends the trace, or that a halt at `ctrl` ends, is an item
 without an instruction.  run() dispatches each item's instruction inline
 from its tuple, with no call per instruction, and no op is ever
 dispatched; a tool record is built only for a taken transfer whose
-analysis call ran.  The native pass dispatches the instruction that ends
-each of its cached straight runs inline in the same way.  Steps are counted
-per trace exit: an entry executes the straight addresses pc .. pc+end-1,
-so run() adds `end` to the step count (and that range to a captured path)
-once.  The step limit is tested once per entry; only an entry that could
-pass it runs a cut body, which stops at the first instruction past the
-limit after that instruction's point check, and then raises.
+analysis call ran and whose instruction kind the tool keeps, and the run
+keeps one shared tuple per distinct record.  The native pass dispatches
+the instruction that ends each of its cached straight runs inline in the
+same way.  Steps are counted per trace exit: an entry executes the
+straight addresses pc .. pc+end-1, so run() adds `end` to the step count
+(and that range to a captured path) once.  The step limit is tested once
+per entry; only an entry that could pass it runs a cut body, which stops
+at the first instruction past the limit after that instruction's point
+check, and then raises.
 
 An instrumented trace keeps the longest (image, rel_start, prefix) entry
 that the run committed from it, and an exit with the same prefix records
@@ -67,8 +69,8 @@ committed entries are the run's only record of them.
 
 Both interpreters take every setting from one RunConfig and return an
 ExecutionOutcome.  native_run reads only the program, seed, step limit and
-capture_path, and leaves the outcome's record fields empty; run() builds
-its analysis tool from the config's tool name.  A RunConfig checks every
+capture_path, and leaves the outcome's record fields empty; run() keeps
+the records of the tool that the config names.  A RunConfig checks every
 setting, the period and budget, tool and log strategy included, when it is
 built, so no pass, native or instrumented, starts from a bad one.
 
@@ -91,12 +93,9 @@ from .budget import BudgetState, V_BASE, V_INSTRUMENT
 from .program import (AddressError, CONTROL_TRANSFERS, Program, TERMINATORS,
                       BR, CALL, JMP, NDBR, OP, RET)
 from .redundancy import LogStore
-from .tools import make_tool
+from .tools import record_kinds
 
 GRANULARITIES = ("ctrl", "all")
-
-# The tool record's kind for a taken transfer of each instruction kind.
-RECORD_KINDS = {JMP: "jump", BR: "jump", NDBR: "jump", CALL: "call", RET: "return"}
 
 # The largest analysis, check or compile cost a run accepts: every cost up to
 # it converts to a float exactly, as the budget arithmetic and the slow-down
@@ -132,7 +131,7 @@ class RunConfig:
 
     A config checks itself when it is built, dataclasses.replace included:
     a setting that run() cannot honour raises ConfigError, and a period and
-    budget, tool name or log strategy that BudgetState, make_tool or
+    budget, tool name or log strategy that BudgetState, record_kinds or
     LogStore rejects raises their ValueError.  So every config that exists
     is valid, and a bad setting fails before any guest step.
     """
@@ -164,11 +163,14 @@ class RunConfig:
                                                       else ">= 0"))
         if not self.max_trace_len >= 1:  # nan included
             raise ConfigError("max trace length must be >= 1")
+        if self.max_trace_len % 1 and self.max_trace_len != math.inf:
+            # a trace would never reach such a length, and walk off its image
+            raise ConfigError("max trace length must be a whole number or inf")
         if not self.max_steps >= 1:
             raise ConfigError("step limit must be >= 1")
         # Not make_budget(): the benchmark's tracer counts runs by its calls.
         BudgetState(self.period, self.budget)
-        make_tool(self.tool)
+        record_kinds(self.tool)
         LogStore(self.log_strategy)
         if self.log_strategy != "none" and self.log_path is None:
             raise ConfigError("log strategy requires a log file path")
@@ -354,8 +356,8 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
 
 def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
         memo: TraceMemo | None = None) -> ExecutionOutcome:
-    """Execute the guest under the budget server and redundancy log, with
-    the analysis tool that config.tool names, built afresh for the run.
+    """Execute the guest under the budget server and redundancy log,
+    recording the taken transfers that the tool config.tool names keeps.
 
     Every setting comes from `config`; `log`, `budget` and `memo` are the
     state the run starts from.  Deterministic for a fixed config and initial
@@ -375,7 +377,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     compile_cost for it, so a memo changes no result.
     """
     program = config.program
-    tool = make_tool(config.tool)
+    keeps = record_kinds(config.tool)
     if memo is None:
         memo = TraceMemo(config)
     elif (memo.program, memo.max_len, memo.granularity) != (
@@ -397,7 +399,6 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     # again records this tuple, so a loop's repeated commits share one.
     longest: dict[int, tuple[str, int, int]] = {}
     check, charge = budget.check, budget.charge
-    on_branch = tool.on_branch
     check_cost = config.check_cost
     analysis_cost = config.analysis_cost
     max_steps = config.max_steps
@@ -406,6 +407,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     version = V_INSTRUMENT
     pc = program.entry
     committed: list[tuple[str, int, int]] = []
+    # The tool's records, one shared tuple per distinct (kind, src, dst).
+    records: list[tuple[str, int, int]] = []
+    shared: dict[tuple[str, int, int], tuple[str, int, int]] = {}
     queries: list[tuple[tuple[str, int, int], bool]] = []
     path = [] if config.capture_path else None
     halted = False
@@ -505,8 +509,9 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                 halted = True
                 break
             # A taken transfer exits the trace.
-            if last_analyzed == off:
-                on_branch(RECORD_KINDS[kind], at, nxt)
+            if last_analyzed == off and kind in keeps:
+                record = (keeps[kind], at, nxt)
+                records.append(shared.setdefault(record, record))
             end = off + 1
             next_pc = nxt
             break
@@ -542,7 +547,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     return ExecutionOutcome(
         virtual_time=t,
         steps=steps,
-        tool_output=tuple(tool.records),
+        tool_output=tuple(records),
         committed_entries=tuple(committed),
         permits=tuple(queries),
         overshoots=tuple(magnitude for _, magnitude in budget.overshoot_log),

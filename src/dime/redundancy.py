@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from itertools import count
 from typing import Iterator, NamedTuple
 
 from .program import _NAME_RE
@@ -202,9 +203,13 @@ class LogStore:
     def save(self, path) -> None:
         """Write the log to `path`, atomically: the text goes to a temporary
         file beside it, which then replaces `path`.  The temporary file is
-        created anew under a name of this process's own, so a save never
-        writes to a file that was there before it.  A failure mid-write
-        leaves the old file as it was and removes the temporary one."""
+        created anew under a name of this process's own,
+        `<path>.<pid>.tmp`, or `<path>.<pid>.<n>.tmp` with the first n >= 1
+        whose name is free when that one is taken (say, left by a killed
+        save of an earlier process with the same pid).  So a save never
+        writes to or removes a file that was there before it.  A failure
+        mid-write leaves the old file as it was and removes the temporary
+        one."""
         if self.strategy == "none":
             raise ValueError("the 'none' strategy has no persistent form")
         lines = [f"{_FILE_HEADER}{self.strategy}"]
@@ -213,8 +218,14 @@ class LogStore:
                 lines.append(f"{image},{rel_addr}")
             else:
                 lines.append(f"{image},{rel_addr},{length}")
-        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-        fh = open(tmp, "x", encoding="ascii", newline="\n")
+        stem = f"{os.fspath(path)}.{os.getpid()}"
+        for n in count():
+            tmp = f"{stem}.{n}.tmp" if n else f"{stem}.tmp"
+            try:
+                fh = open(tmp, "x", encoding="ascii", newline="\n")
+                break
+            except FileExistsError:
+                pass
         try:
             with fh:
                 fh.write("\n".join(lines) + "\n")
@@ -243,8 +254,6 @@ def load(path) -> LogStore:
     store = LogStore(strategy)
     want = 2 if strategy == "hash" else 3
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
         fields = line.split(",")
         if len(fields) != want:
             raise LogFormatError(f"{path}:{lineno}: expected {want} fields, got {len(fields)}")

@@ -1,59 +1,37 @@
-"""Guest-facing analysis routines driven by the executor's analysis calls.
+"""Guest-facing analysis routines: what the executor records at each
+analysis call, and what a tool's output file holds.
 
-The branch tool records every taken control transfer as
-(kind, source address, destination address), kind being "jump", "call" or
-"return"; a conditional that falls through emits nothing.  The
-call-context-tree builder consumes the call and return records of such a
-stream after the run.
+A tool is the set of taken control transfers it records.  At a taken
+transfer whose analysis call ran, run() records (kind, source address,
+destination address) when its tool keeps that instruction kind, kind being
+"jump", "call" or "return"; a conditional that falls through emits nothing.
+The branch tool keeps every taken transfer, the call-context-tree tool only
+calls and returns, whose records build the tree after the run.
 
-A tool keeps its records as plain (kind, src, dst) tuples in `records`,
-which the garbage collector stops tracking; `build_cct` and
-`write_records` take any iterable of such triples.
+Records are plain (kind, src, dst) tuples, which the garbage collector
+stops tracking; `build_cct`, `write_records` and `write_tool_output` take
+any iterable of such triples.
 """
 
 from __future__ import annotations
 
+from .program import BR, CALL, JMP, NDBR, RET
 
-class AnalysisTool:
-    """The branch tool: records jump, call and return transfers, with source
-    and destination, as analysis calls report them."""
-
-    name = "branch"
-
-    def __init__(self):
-        self.records: list[tuple[str, int, int]] = []
-
-    def on_branch(self, kind: str, src: int, dst: int) -> None:
-        self.records.append((kind, src, dst))
+# Per tool, the record kind of each instruction kind whose taken transfers it
+# keeps.
+TOOLS = {
+    "branch": {JMP: "jump", BR: "jump", NDBR: "jump", CALL: "call", RET: "return"},
+    "cct": {CALL: "call", RET: "return"},
+}
 
 
-class CallTraceTool(AnalysisTool):
-    """Records only call and return transfers, for call-context-tree building.
-
-    A run makes the same few calls and returns over and over, so `records`
-    holds one shared tuple per distinct (kind, src, dst).
-    """
-
-    name = "cct"
-
-    def __init__(self):
-        super().__init__()
-        self._shared: dict[tuple[str, int, int], tuple[str, int, int]] = {}
-
-    def on_branch(self, kind: str, src: int, dst: int) -> None:
-        if kind in ("call", "return"):
-            record = (kind, src, dst)
-            self.records.append(self._shared.setdefault(record, record))
-
-
-TOOLS = {"branch": AnalysisTool, "cct": CallTraceTool}
-
-
-def make_tool(name: str) -> AnalysisTool:
+def record_kinds(tool: str) -> dict:
+    """The record kind per instruction kind that the tool named `tool`
+    keeps; ValueError for a name that is no tool."""
     try:
-        return TOOLS[name]()
+        return TOOLS[tool]
     except KeyError:
-        raise ValueError(f"unknown tool {name!r}") from None
+        raise ValueError(f"unknown tool {tool!r}") from None
 
 
 class CCTNode:
@@ -121,3 +99,14 @@ def write_records(records, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for kind, src, dst in records:
             fh.write(f"{kind},{src},{dst}\n")
+
+
+def write_tool_output(tool: str, records, path) -> None:
+    """The output file of the tool named `tool` from its (kind, src, dst)
+    records: the call-context tree's dump for cct, the records themselves
+    for branch."""
+    if tool == "cct":
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(build_cct(records).dump())
+    else:
+        write_records(records, path)

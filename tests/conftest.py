@@ -70,6 +70,25 @@ G:  op 1
     ret
 """
 
+# Three passes of a loop whose body takes a br, an ndbr, a call, a ret and a
+# jmp, and skips an ndbr that is never taken; its closing br is taken twice,
+# then falls through to the halt.  So every kind of transfer is taken, a br
+# and an ndbr also fall through, and each record repeats.
+TRANSFERS = """\
+image m 0
+L:  br A T
+    op 1
+A:  ndbr B 1.0
+    op 1
+B:  call F
+    ndbr L 0.0
+    jmp C
+C:  br L TTN
+    halt
+F:  op 2
+    ret
+"""
+
 
 @pytest.fixture
 def p1():

@@ -348,3 +348,16 @@ def test_period_count_limit_is_exact_at_2_to_the_53():
         assert state.period_index == MAX_PERIODS - 1
         with pytest.raises(BudgetContractError):
             state.check(MAX_PERIODS)
+
+
+def test_a_floor_guess_rounded_up_is_corrected_down():
+    # 3 * 2**53 - 1 rounds up to the float 3 * 2**53, so now // T guesses
+    # period 2**53; the boundary test moves it down one, to the period that
+    # holds `now`.  (period_loads() would list all 2**53 periods.)
+    state = BudgetState(period=3.0, budget=1.0)
+    now = 3 * MAX_PERIODS - 1
+    assert int(now // state.period) == MAX_PERIODS
+    with wall_budget(1.0):
+        assert state.check(now) == 1
+    assert state.period_index == MAX_PERIODS - 1
+    assert state.period_index * 3 <= now < (state.period_index + 1) * 3

@@ -1,11 +1,14 @@
+import hashlib
 import json
+import math
 import os
 from dataclasses import fields
 
 import pytest
 
-from dime import RunConfig, cli, harness
+from dime import RunConfig, cli, harness, serialize_program
 from dime.cli import main
+from dime.corpus import random_corpus
 
 from conftest import P1_DET, CALLS, wall_budget
 
@@ -92,6 +95,31 @@ def test_tool_output_files(tmp_path, capsys):
     text = cct_out.read_text()
     assert text.startswith("root\n")
     assert "nodes=4 edges=3" in text
+
+
+# sha256 of the --tool-out file of one budgeted 3-run campaign per tool and
+# granularity, on a guest whose runs take jumps, calls and returns: a record
+# dropped, added or reordered anywhere in the campaign changes the bytes.
+TOOL_OUT_DIGESTS = {
+    ("branch", "ctrl"): "c36f3a83e5d1892b237a8aa711ac074466ba29c37b8952e26e3e19dfef04429f",
+    ("branch", "all"): "70722fc92f9fa42fb863fc92368ed702bdd1d54ad2042dae046f889c6015073b",
+    ("cct", "ctrl"): "6204b9d84008746d459287d2fe1c4e25f0208e68d1529a3f1d6fa4cac64b8cde",
+    ("cct", "all"): "ac4e5193881d7de84822367b8d3428db1ffcae86d197a850e1e458aa17fba5e2",
+}
+
+
+@pytest.mark.parametrize("tool,granularity", sorted(TOOL_OUT_DIGESTS))
+def test_campaign_tool_out_bytes_are_pinned(tmp_path, capsys, tool, granularity):
+    program = tmp_path / "guest.dime"
+    program.write_text(serialize_program(random_corpus(seed=3, count=4,
+                                                       max_instructions=160)[3]))
+    out = tmp_path / "tool.txt"
+    assert main(["campaign", "--program", str(program), "--runs", "3", "--tool", tool,
+                 "--granularity", granularity, "--budget", "3", "--period", "12",
+                 "--max-len", "8", "--seed", "7", "--tool-out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == TOOL_OUT_DIGESTS[tool, granularity]
 
 
 def test_run_cct_tool_out_on_3000_deep_call_chain(tmp_path, capsys):
@@ -410,13 +438,17 @@ def test_campaign_keeps_files_named_like_the_logs_temporary_file(tmp_path, capsy
                                             "run.log.tmp"]
 
 
-# Each run flag with a value other than RunConfig's default, and the field
-# and value it must set.  Distinct numbers, so two swapped fields show.  The
-# flags of a group are given together: --period alone leaves B = inf above
-# T, and a log strategy needs a log file.
+# Each run flag with a value, and the field and value it must set.  The values
+# differ from RunConfig's defaults, and the numbers from each other, so two
+# swapped fields show.  The flags of a group are given together: --period
+# alone leaves B = inf above T, and a log strategy needs a log file.  One
+# group spells inf in the two forms --period and --budget accept; those are
+# the defaults, and it comes before the finite pair, which all flags
+# together then set.
 FLAG_GROUPS = [
     [("--tool", "cct", "tool", "cct")],
     [("--granularity", "all", "granularity", "all")],
+    [("--period", "Infinity", "period", math.inf), ("--budget", "inf", "budget", math.inf)],
     [("--budget", "3", "budget", 3), ("--period", "10", "period", 10)],
     [("--ca", "2", "analysis_cost", 2)],
     [("--cbc", "4", "check_cost", 4)],

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import pytest
 
 from dime import (AddressError, ConfigError, ExecutionOutcome, GuestError, LogStore,
-                  RunConfig, TraceMemo, executor, harness, make_tool, native_run,
+                  RunConfig, TraceMemo, harness, native_run,
                   parse_program, run, run_campaign)
 from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
@@ -331,40 +331,29 @@ def test_run_records_with_the_tool_its_config_names(tool, records):
 
 
 @pytest.mark.parametrize("granularity", GRANULARITIES)
-def test_step_limit_inside_an_op_run_before_a_point(monkeypatch, granularity):
+def test_step_limit_inside_an_op_run_before_a_point(granularity):
     # Each pass is four ops closed by a br.  At `ctrl` the ops and the br are
     # one body item, so most limits fall inside the ops before the point.
     # Every limit short of the reference's step count stops the run with the
-    # same error, after the same commits and records as the reference, and
-    # after the analysis calls at every point up to the first instruction
-    # past the limit: its point check comes before the limit is tested.
+    # same error, after the same commits as the reference, and after the
+    # analysis calls at every point up to the first instruction past the
+    # limit: its point check comes before the limit is tested.
     program = parse_program("image m 0\nL: op 1\n    op 2\n    op 1\n    op 3\n"
                             "    br L TTN\n    halt\n")
-    ref_records, _, ref_path = reference_run(program, seed=1)
+    _, _, ref_path = reference_run(program, seed=1)
     full, _, _ = make_run(program, log_strategy="none", granularity=granularity)
     assert full.steps == len(ref_path) == 16
-    built = []
-
-    def building(name):
-        built.append(make_tool(name))
-        return built[-1]
-
     for limit in range(1, len(ref_path)):
         observer = CommitObserver()
         config = RunConfig(program=program, granularity=granularity, max_steps=limit,
                            period=10**6, budget=10**6, seed=1)
         budget = config.make_budget()
-        built.clear()
-        with monkeypatch.context() as patch, pytest.raises(
-                GuestError, match="^step limit exceeded$"):
-            patch.setattr(executor, "make_tool", building)
+        with pytest.raises(GuestError, match="^step limit exceeded$"):
             run(config, LogStore("none"), budget, observer=observer)
-        tool, = built  # the one tool the run built
-        # The records of the transfers taken within the limit; the commits
-        # of the passes that ended within it, one whole pass each.
+        # The commits of the passes that ended within the limit, one whole
+        # pass each.
         taken = sum(1 for i, addr in enumerate(ref_path[:limit])
                     if addr == 4 and ref_path[i + 1] == 0)
-        assert tool.records == ref_records[:taken]
         assert observer.commits == [("m", 0, 5)] * min(taken, 1)
         points = [addr for addr in ref_path[:limit + 1] if granularity == "all" or addr == 4]
         assert budget.period_loads() == [len(points)]
@@ -386,8 +375,10 @@ def test_step_limit_wins_over_an_empty_stack_ret_past_it(granularity):
 
 def test_ret_with_empty_stack_is_guest_error():
     p = parse_program("image m 0\n    ret\n")
-    with pytest.raises(GuestError, match="empty call stack"):
+    with pytest.raises(GuestError, match="^ret at 0 with empty call stack$"):
         make_run(p)
+    with pytest.raises(GuestError, match="^ret at 0 with empty call stack$"):
+        native_run(RunConfig(program=p))
 
 
 def test_fall_off_image_end_is_guest_error():
@@ -425,6 +416,7 @@ BAD_SETTINGS = [
                              (2**53 + 1, "costs must be <= 2**53"))],
     *[({"max_trace_len": value}, ConfigError, "max trace length must be >= 1")
       for value in (0, math.nan)],
+    ({"max_trace_len": 2.5}, ConfigError, "max trace length must be a whole number or inf"),
     *[({"max_steps": value}, ConfigError, "step limit must be >= 1")
       for value in (0, math.nan)],
     # The period and budget are BudgetState's, with its ValueError.
@@ -432,7 +424,7 @@ BAD_SETTINGS = [
     ({"budget": -1}, ValueError, "budget must satisfy 0 <= B <= T"),
     ({"period": 0}, ValueError, "period must be > 0"),
     ({"period": math.nan}, ValueError, "period must be > 0"),
-    # The tool and log strategy are make_tool's and LogStore's.
+    # The tool and log strategy are record_kinds' and LogStore's.
     ({"tool": "nope"}, ValueError, "unknown tool 'nope'"),
     ({"log_strategy": "fancy"}, ValueError, "unknown strategy 'fancy'"),
     ({"log_strategy": "hash"}, ConfigError, "log strategy requires a log file path"),
@@ -456,9 +448,23 @@ def test_each_rule_admits_its_boundary(p1):
     for overrides in ({"analysis_cost": 2**53, "check_cost": 2**53, "compile_cost": 2**53},
                       {"check_cost": 0, "compile_cost": 0, "analysis_cost": 0.5},
                       {"max_trace_len": 1, "max_steps": 1},
+                      {"max_trace_len": 2.0}, {"max_trace_len": math.inf},
                       {"budget": 10}, {"budget": 0}, {"period": 1e-300, "budget": 1e-300}):
         config = replace(RunConfig(program=p1, **VALID), **overrides)
         assert {k: getattr(config, k) for k in overrides} == overrides
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_a_whole_float_or_infinite_trace_length_runs_as_its_int(granularity):
+    # Traces close at the length, the image end or a terminator: 2.0 as 2,
+    # and inf as a length that only the image end reaches.
+    program = parse_program("image a 0\n    op 1\n    op 1\n    op 1\n"
+                            "image b 3\n    halt\n")
+    for value, same in ((2.0, 2), (math.inf, 3)):
+        outcomes = [make_run(program, granularity=granularity, max_trace_len=length,
+                             period=4, budget=2)[0] for length in (value, same)]
+        assert outcomes[0] == outcomes[1]
+    assert [entry for entry, _ in outcomes[0].permits] == [("a", 0, 3), ("b", 0, 1)]
 
 
 def test_config_fields_cannot_be_assigned(p1):

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from dime import (GroundTruth, LogEntry, LogStore, RunConfig, classify, make_tool,
-                  parse_program, run_campaign)
+from dime import (BudgetState, GroundTruth, LogEntry, LogStore, RunConfig, classify,
+                  parse_program, run, run_campaign)
 from dime.corpus import loop_corpus, random_corpus
 
-from conftest import CALLS
+from conftest import CALLS, TRANSFERS
 
 
 def campaign_outcomes(tmp_path):
@@ -49,17 +49,15 @@ def test_outcome_fields_are_plain_tuples(tmp_path):
 
 @pytest.mark.parametrize("name", ["branch", "cct"])
 def test_tool_records_are_plain_triples(name):
-    tool = make_tool(name)
-    stream = [("jump", 1, 2), ("call", 3, 4), ("return", 5, 6), ("jump", 7, 8)]
-    for rec in stream[:2]:
-        tool.on_branch(*rec)
-    assert tool.records == (stream[:2] if name == "branch" else stream[1:2])
-    for rec in stream[2:]:
-        tool.on_branch(*rec)
-    assert all(type(r) is tuple for r in tool.records)
-    kept = stream if name == "branch" else stream[1:3]
-    assert tool.records == kept
-    assert frozenset(tool.records) == frozenset(kept)
+    # A run keeps its tool's records as plain (kind, src, dst) tuples, one
+    # shared tuple per distinct record, whichever the tool.
+    config = RunConfig(program=parse_program(TRANSFERS), tool=name, seed=3)
+    records = run(config, LogStore("none"), BudgetState.unlimited()).tool_output
+    kinds = {"branch": {"jump", "call", "return"}, "cct": {"call", "return"}}[name]
+    assert records and all(is_triple(r, (str, int, int)) for r in records)
+    assert {kind for kind, _, _ in records} == kinds
+    assert len(set(records)) < len(records)
+    assert len({id(r) for r in records}) == len(set(records))
 
 
 def test_log_and_ground_truth_answer_the_same_for_either_form():

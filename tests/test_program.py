@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from dime import ParseError, RunConfig, parse_program, run_campaign, serialize_program
+from dime import (ParseError, Program, RunConfig, parse_program, run_campaign,
+                  serialize_program)
 from dime.corpus import random_program
 
 import random
@@ -28,6 +29,8 @@ def test_empty_document_rejected():
         parse_program("")
     with pytest.raises(ParseError, match="no images"):
         parse_program("; just a comment\n")
+    with pytest.raises(ParseError, match="^no images$"):
+        Program(())
 
 
 def test_overlapping_images_rejected():

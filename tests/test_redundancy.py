@@ -104,8 +104,11 @@ def test_bst_duplicate_key_keeps_max_length():
 
 def test_zero_length_commit_rejected():
     store = LogStore("bst")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^committed length must be >= 1$"):
         store.commit(LogEntry("m", 100, 0))
+    # and so is a zero-length candidate
+    with pytest.raises(ValueError, match="^candidate length must be >= 1$"):
+        store.permit("m", 100, 0)
 
 
 # -- finalize and persistence --------------------------------------------------
@@ -208,6 +211,21 @@ def test_load_rejects_corrupt_line(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("# dime-log v1 strategy=none\n", ": unknown strategy 'none'$"),
+    ("# dime-log v1 strategy=bst\nmain,-1,2\n", ":2: bad interval$"),
+    ("# dime-log v1 strategy=bst\nmain,0,0\n", ":2: bad interval$"),
+    # save writes no blank line, so load reads none
+    ("# dime-log v1 strategy=hash\nmain,1\n\nmain,2\n", ":3: expected 2 fields, got 1$"),
+    ("# dime-log v1 strategy=merger\n\n", ":2: expected 3 fields, got 1$"),
+], ids=["none-strategy", "negative-start", "zero-length", "blank-line", "blank-last-line"])
+def test_load_rejects_a_log_that_save_never_writes(tmp_path, text, message):
+    path = tmp_path / "log"
+    path.write_text(text)
+    with pytest.raises(LogFormatError, match=message):
+        load(path)
+
+
 @pytest.mark.parametrize("body", [b"main,1\xff00,20\n", "m\u00e9,100,20\n".encode()])
 def test_load_rejects_non_ascii_bytes(tmp_path, body):
     path = tmp_path / "log"
@@ -257,17 +275,19 @@ def test_failed_save_keeps_old_log_and_leaves_no_temp_file(tmp_path, monkeypatch
 
 
 def test_save_never_writes_a_file_that_was_there_before_it(tmp_path):
-    # The temporary file is created exclusively, so a file that already has
-    # its name makes the save fail and is neither written nor removed.
+    # The temporary file is created exclusively.  A file that already has
+    # its name, such as one left by a killed save of an earlier process with
+    # the same pid, makes the save try the next name; it is neither written
+    # nor removed, and the save succeeds.
     path = tmp_path / "log"
     store_with("hash", ("m", 1, 1)).save(path)
-    old = path.read_bytes()
-    squatter = tmp_path / f"log.{os.getpid()}.tmp"
-    squatter.write_bytes(b"someone else's\n")
-    with pytest.raises(FileExistsError):
-        store_with("hash", ("m", 2, 1)).save(path)
-    assert path.read_bytes() == old
-    assert squatter.read_bytes() == b"someone else's\n"
+    squatters = [tmp_path / f"log.{os.getpid()}.tmp", tmp_path / f"log.{os.getpid()}.1.tmp"]
+    for squatter in squatters:
+        squatter.write_bytes(b"someone else's\n")
+    store_with("hash", ("m", 2, 1)).save(path)
+    assert path.read_text() == "# dime-log v1 strategy=hash\nm,2\n"
+    assert all(squatter.read_bytes() == b"someone else's\n" for squatter in squatters)
+    assert sorted(os.listdir(tmp_path)) == sorted(["log", *(s.name for s in squatters)])
 
 
 def test_none_strategy_has_no_file_form(tmp_path):

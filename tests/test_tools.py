@@ -1,52 +1,45 @@
 from hypothesis import given, strategies as st
 
-from dime import build_cct, make_tool, write_records
-from dime.tools import AnalysisTool, CallTraceTool
+from dime import (BudgetState, LogStore, RunConfig, build_cct, parse_program, run,
+                  write_records)
+
+from conftest import TRANSFERS
+from reference import reference_run
 
 
 def rec(kind, src=0, dst=0):
     return (kind, src, dst)
 
 
+def tool_runs(tool):
+    """Per granularity, the records of a run of TRANSFERS with every
+    analysis call made, and the reference's records of every taken
+    transfer."""
+    program = parse_program(TRANSFERS)
+    ref_records, _, _ = reference_run(program, seed=5)
+    for granularity in ("ctrl", "all"):
+        config = RunConfig(program=program, granularity=granularity, tool=tool, seed=5)
+        out = run(config, LogStore("none"), BudgetState.unlimited())
+        yield out.tool_output, tuple(ref_records)
+
+
 def test_branch_profiler_keeps_all_kinds_in_order():
-    tool = AnalysisTool()
-    tool.on_branch("jump", 10, 20)
-    tool.on_branch("call", 11, 30)
-    tool.on_branch("jump", 10, 20)
-    tool.on_branch("return", 31, 12)
-    assert tool.records == [rec("jump", 10, 20), rec("call", 11, 30),
-                            rec("jump", 10, 20), rec("return", 31, 12)]
-    assert set(tool.records) == {rec("jump", 10, 20), rec("call", 11, 30),
-                                 rec("return", 31, 12)}
+    for records, ref_records in tool_runs("branch"):
+        assert records == ref_records
+        assert {kind for kind, _, _ in records} == {"jump", "call", "return"}
+        assert len(set(records)) < len(records)
 
 
 def test_call_trace_tool_drops_jumps():
-    tool = CallTraceTool()
-    tool.on_branch("jump", 1, 2)
-    tool.on_branch("call", 3, 4)
-    tool.on_branch("return", 5, 6)
-    assert [kind for kind, _, _ in tool.records] == ["call", "return"]
+    for records, ref_records in tool_runs("cct"):
+        assert records == tuple(r for r in ref_records if r[0] != "jump")
+        assert {kind for kind, _, _ in records} == {"call", "return"}
 
 
 def test_call_trace_tool_shares_one_tuple_per_distinct_record():
-    tool = CallTraceTool()
-    for _ in range(3):
-        tool.on_branch("call", 3, 4)
-        tool.on_branch("return", 5, 6)
-    assert tool.records == [rec("call", 3, 4), rec("return", 5, 6)] * 3
-    assert len({id(record) for record in tool.records}) == 2
-
-
-def test_make_tool():
-    branch, cct = make_tool("branch"), make_tool("cct")
-    assert (type(branch), branch.name) == (AnalysisTool, "branch")
-    assert (type(cct), cct.name) == (CallTraceTool, "cct")
-    try:
-        make_tool("nope")
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("unknown tool accepted")
+    for records, _ in tool_runs("cct"):
+        assert len(records) == 6
+        assert len({id(record) for record in records}) == len(set(records)) == 2
 
 
 def test_cct_empty_stream():
