@@ -60,6 +60,16 @@ An instrumented trace keeps the longest (image, rel_start, prefix) entry
 that the run committed from it, and an exit with the same prefix records
 that very tuple again, so a loop's repeated commits share one.
 
+A br's outcomes come from its pattern, in order and cyclically, counted
+per run and per address.  A cold br keeps in the run's `pattern_pos` the
+number of times it has executed, and reads its outcome from the pattern by
+that count.  On its HOT_BRANCH-th execution in the run the count gives way
+to an itertools.cycle over the pattern, rotated to the next outcome, and
+each later execution is one next() on it.  The cursor is kept per address,
+so every trace, version and native block that ends at the br draws from it.
+Making a cursor costs about two cold executions and adds an object the
+collector tracks, so a br that runs only a few times per run stays cold.
+
 Trace walks and the native pass read the program's instruction columns, so
 no run builds an Instruction object.  An analysis call does no bookkeeping
 beyond its clock and its charge: every point that an entry reaches before
@@ -86,7 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, cycle
 from random import Random
 
 from .budget import BudgetState, V_BASE, V_INSTRUMENT
@@ -96,6 +106,11 @@ from .redundancy import LogStore
 from .tools import record_kinds
 
 GRANULARITIES = ("ctrl", "all")
+
+# The execution of a br in a run at which its count gives way to a cursor
+# (see the module docstring).  A cursor made at the first execution slowed
+# the native pass of a guest whose brs run 1-4 times per run by over a quarter.
+HOT_BRANCH = 8
 
 # The largest analysis, check or compile cost a run accepts: every cost up to
 # it converts to a float exactly, as the budget arithmetic and the slow-down
@@ -283,6 +298,13 @@ class TraceMemo:
         return shape
 
 
+def _cursor(pattern: str, executions: int):
+    """The outcomes of a br with `pattern` after its first `executions`
+    executions, one next() each, without end."""
+    k = executions % len(pattern)
+    return cycle(pattern[k:] + pattern[:k])
+
+
 def _native_block(program: Program, pc: int) -> tuple:
     """(steps, cost, addr, kind, target, arg) of the straight run from `pc`:
     its leading ops and the instruction at `addr` that ends them, or the ops
@@ -309,12 +331,15 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
     returns an outcome whose record fields are empty.  Straight runs are
     looked up once and then cached by start address, so each later visit
     executes its ops in one step and dispatches the instruction that ends
-    them inline.
+    them inline.  Once a br is hot, the first block that reaches it after
+    that holds its cursor in place of its pattern, so the block draws from
+    it with no lookup; the cache lives only as long as the call.
     """
     program = config.program
     max_steps = config.max_steps
     random = Random(config.seed).random
-    pattern_pos: dict[int, int] = {}
+    pattern_pos: dict[int, int | cycle] = {}
+    last_cold = HOT_BRANCH - 1
     call_stack: list[int] = []
     blocks: dict[int, tuple] = {}
     pc = program.entry
@@ -333,9 +358,17 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
             path.extend(range(pc, pc + n))
         t += cost
         if kind == BR:
-            pos = pattern_pos.get(at, 0)
-            pattern_pos[at] = pos + 1
-            if arg[pos % len(arg)] != "T":
+            if type(arg) is str:  # the block holds the pattern, not a cursor
+                pos = pattern_pos.get(at, 0)
+                if type(pos) is int:  # cold: pos counts the executions so far
+                    pattern_pos[at] = pos + 1 if pos < last_cold else _cursor(arg, pos + 1)
+                    if arg[pos % len(arg)] != "T":
+                        nxt = at + 1
+                else:  # hot: the block holds the cursor from now on
+                    blocks[pc] = n, cost, at, kind, nxt, pos
+                    if next(pos) != "T":
+                        nxt = at + 1
+            elif next(arg) != "T":
                 nxt = at + 1
         elif kind == NDBR:
             if not random() < arg:
@@ -384,11 +417,13 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
             program, config.max_trace_len, config.granularity):
         raise ConfigError("trace memo belongs to another program, max trace length "
                           "or granularity")
-    # Guest-visible state: branch-pattern cursors, the ndbr RNG and the call
-    # stack.  Instrumentation never touches it, so the executed address
-    # sequence is the same with instrumentation on or off.
+    # Guest-visible state: per br address its execution count while cold and
+    # its cursor once hot (see HOT_BRANCH), the ndbr RNG and the call stack.
+    # Instrumentation never touches it, so the executed address sequence is
+    # the same with instrumentation on or off.
     random = Random(config.seed).random
-    pattern_pos: dict[int, int] = {}
+    pattern_pos: dict[int, int | cycle] = {}
+    last_cold = HOT_BRANCH - 1
     call_stack: list[int] = []
     # Per version (indexed by V_BASE and V_INSTRUMENT): entry ->
     # (image, rel_start, length, body, analysis attached).  A cache's keys
@@ -491,9 +526,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
             kind, nxt, arg = ins
             if kind == BR:
                 pos = pattern_pos.get(at, 0)
-                pattern_pos[at] = pos + 1
-                if arg[pos % len(arg)] != "T":
-                    continue  # not taken: on to the next item
+                if type(pos) is int:  # cold: pos counts the executions so far
+                    pattern_pos[at] = pos + 1 if pos < last_cold else _cursor(arg, pos + 1)
+                    if arg[pos % len(arg)] != "T":
+                        continue  # not taken: on to the next item
+                elif next(pos) != "T":
+                    continue
             elif kind == NDBR:
                 if not random() < arg:
                     continue

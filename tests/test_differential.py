@@ -13,8 +13,13 @@ Each program also comes without its final halt, so that execution falls off
 the end of its last image.  A step limit that leaves no room for the last
 instruction before that must raise the step-limit error, not the fall-off
 one, which pins where a run of ops that is executed in one step checks it.
+
+A br is cold for its first HOT_BRANCH - 1 executions in a run and draws from
+a cursor after that, so loop guests whose branches run on either side of
+that threshold, with patterns on either side of its length, pin the switch.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -22,13 +27,14 @@ from hypothesis import given, settings, strategies as st
 
 from dime import (BudgetState, GuestError, LogStore, RunConfig, native_run, parse_program,
                   run)
-from dime.executor import GRANULARITIES
+from dime.executor import GRANULARITIES, HOT_BRANCH
 from dime.program import CONTROL_TRANSFERS
 
 from conftest import committed_points
 from reference import reference_run
 
 COSTS = st.sampled_from((0, 1, 1, 2, 3))
+K = HOT_BRANCH
 
 
 @st.composite
@@ -46,7 +52,7 @@ def programs(draw):
         if piece == "loop":
             head, body = next(labels), ops(1, 6)
             main += [f"{head}: {body[0]}", *body[1:]]
-            main.append(f"br {head} {'T' * draw(st.integers(1, 4))}N")
+            main.append(f"br {head} {'T' * draw(st.integers(1, 2 * K + 1))}N")
         elif piece in ("skip", "jump"):
             target = next(labels)
             if piece == "jump":
@@ -123,3 +129,49 @@ def test_interpreters_match_reference(texts, seed, granularity, max_len):
     if steps > 2:
         with pytest.raises(GuestError, match="step limit"):
             instrumented(falling, steps - 2)
+
+
+def loop_guest(pattern, first, second):
+    """A routine called twice whose loop runs `first` times on the first call
+    and `second` on the second, with a br of `pattern` in its body.  The
+    routine jumps to M, inside the straight run that the back edge re-enters
+    at H, so two native blocks end at that br."""
+    back = "T" * (first - 1) + "N" + "T" * (second - 1) + "N"
+    return f"""\
+image m 0
+    call R
+    call R
+    halt
+R:  jmp M
+H:  op 1
+M:  op 2
+    br S {pattern}
+    op 3
+S:  op 1
+    br H {back}
+    ret
+"""
+
+
+@pytest.mark.parametrize("executions", [K - 1, K, K + 1, 3 * K + 2])
+@pytest.mark.parametrize("length", [1, 2, 3, K - 1, K, K + 1, 2 * K + 3])
+def test_branches_that_cross_the_hot_threshold_match_reference(length, executions):
+    pattern = ("TNNTTTNTN" * 3)[:length]
+    for first in sorted({1, executions // 2, executions - 1}):
+        program = parse_program(loop_guest(pattern, first, executions - first))
+        records, native_time, path = reference_run(program)
+        config = RunConfig(program=program, capture_path=True)
+        out = native_run(config)
+        assert (out.virtual_time, out.addr_path) == (native_time, tuple(path))
+        for granularity in GRANULARITIES:
+            for period, budget in ((math.inf, math.inf), (4, 1)):
+                budgeted = replace(config, granularity=granularity, period=period,
+                                   budget=budget)
+                out = run(budgeted, LogStore("none"), budgeted.make_budget())
+                assert out.addr_path == tuple(path)
+                if budget == math.inf:
+                    assert out.tool_output == tuple(records)
+                else:
+                    # The budget runs out inside the loop: the run switches to
+                    # the base version there, and records only some transfers.
+                    assert len(out.tool_output) < len(records)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -6,7 +7,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import pytest
 
 from dime import (AddressError, ConfigError, ExecutionOutcome, GuestError, LogStore,
-                  RunConfig, TraceMemo, harness, native_run,
+                  RunConfig, TraceMemo, executor, harness, native_run,
                   parse_program, run, run_campaign)
 from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
@@ -14,6 +15,8 @@ from dime.corpus import random_program
 
 from conftest import committed_points
 from reference import reference_run
+from test_differential import loop_guest
+from test_program import wide_program
 
 
 def make_run(program, log_strategy="hash", log=None, seed=1, **overrides):
@@ -308,6 +311,29 @@ def test_tool_output_subset_of_reference_under_any_budget(p1):
     ref_records, _, _ = reference_run(p1, seed=12)
     out, _, _ = make_run(p1, seed=12, period=9, budget=2, granularity="ctrl")
     assert set(out.tool_output) <= set(ref_records)
+
+
+@pytest.mark.parametrize("text, hot", [
+    pytest.param(wide_program(60), 0, id="wide"),  # each br runs 1-4 times per pass
+    # Two brs that run 20, HOT_BRANCH - 1 and HOT_BRANCH times per pass.
+    pytest.param(loop_guest("TN", 10, 10), 2, id="loop"),
+    pytest.param(loop_guest("TN", 1, executor.HOT_BRANCH - 2), 0, id="just-cold"),
+    pytest.param(loop_guest("TN", 1, executor.HOT_BRANCH - 1), 2, id="just-hot"),
+])
+def test_a_cursor_is_made_once_per_hot_branch_per_pass(monkeypatch, text, hot):
+    # A campaign makes 2 + runs passes: the native and the full run of its
+    # oracle, then each budgeted run.  Cold branches allocate nothing, and
+    # the native blocks that end at one br share its cursor.
+    made = []
+
+    def counting(pattern):
+        made.append(pattern)
+        return itertools.cycle(pattern)
+
+    monkeypatch.setattr(executor, "cycle", counting)
+    config = RunConfig(program=parse_program(text), period=10, budget=3)
+    run_campaign(config, runs=3)
+    assert len(made) == hot * (2 + 3)
 
 
 # -- errors ----------------------------------------------------------------------
