@@ -23,13 +23,17 @@ a file that cannot be read or written, a malformed report and a cost above
 2**53), 2 guest error (including a run whose virtual time reaches 2**53
 budget periods).
 A command checks its inputs before any run starts, in this order, and
-reports only the first error: the program file, then every run setting
+reports only the first error: the command line as argparse parses it (an
+unknown subcommand, a missing required flag, a --tool, --granularity or
+--log-strategy that is not one of its choices, a value that does not
+parse such as --ca abc), then the program file, then every run setting
 (the --budget/--period pair and a --log-strategy without --log-file
 included, under `dime oracle` too) as its RunConfig is built, then the
-files it will write (--log-file, --report, --tool-out).  So a bad setting
-is named even when an output path is bad as well, and a bad setting or
-output path, or one that names the program or another output, leaves
-every file as it was.
+files it will write (--log-file, --report, --tool-out).  So `dime run
+--program missing.dime --tool bogus` names --tool, a bad setting is named
+even when an output path is bad as well, and a bad setting or output
+path, or one that names the program or another output, leaves every file
+as it was.
 """
 
 from __future__ import annotations

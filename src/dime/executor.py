@@ -100,7 +100,7 @@ from itertools import count, cycle
 from random import Random
 
 from .budget import BudgetState, V_BASE, V_INSTRUMENT
-from .program import (AddressError, CONTROL_TRANSFERS, Program, TERMINATORS,
+from .program import (CONTROL_TRANSFERS, Program, TERMINATORS,
                       BR, CALL, JMP, NDBR, OP, RET)
 from .redundancy import LogStore
 from .tools import record_kinds
@@ -211,7 +211,7 @@ def form_trace(memo: TraceMemo, entry: int, max_len: int) -> tuple:
     """
     img = memo.program.image_of(entry)
     if img is None:
-        raise AddressError(f"address {entry} outside every image")
+        raise GuestError(f"address {entry} outside every image")
     every = memo.granularity == "all"
     code = memo.code
     kinds, costs = img.kinds, img.costs
@@ -396,13 +396,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     state the run starts from.  Deterministic for a fixed config and initial
     log; the guest's ndbr draws come from config.seed.  The optional
     observer sees permit decisions and commits in event order, which is
-    what the campaign harness uses to classify decisions against live
-    ground truth:
+    what the campaign's referee (`harness.MetricsObserver`) scores live:
     `on_permit(candidate, permitted)` and `on_commit(entry)`, each entry a
     plain (image, rel_addr, length) tuple, as `log.commit` gets it.
     An exit that commits a prefix no longer than one this run already
     committed from the same compiled trace changes neither the log nor the
-    ground truth, so it is recorded in the outcome's `committed_entries` only.
+    referee, so it is recorded in the outcome's `committed_entries` only.
 
     `memo` holds trace shapes compiled by earlier runs of the same program,
     max trace length and granularity; without one the run makes its own.
@@ -465,10 +464,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
         compiled = cache.get(pc)
         if compiled is None:
             t += config.compile_cost
-            try:
-                image, rel, length, body = memo.shape(pc, cache.keys())
-            except AddressError as exc:
-                raise GuestError(str(exc)) from None
+            image, rel, length, body = memo.shape(pc, cache.keys())
             analysis = False
             if version == V_INSTRUMENT:
                 candidate = (image, rel, length)

@@ -15,15 +15,18 @@ reports:
 4. slow-down - run virtual time over native virtual time;
 5. overshoot histogram - magnitude -> count of budget overshoots.
 
-Ground truth for 2-3 is the referee's view: every address covered by a
-committed log entry in any run so far, updated live while the run executes.
-It is kept as the same per-image interval union the redundancy log uses.
+A run's `MetricsObserver` is the referee for 2-3: it scores each permit
+decision against every address covered by an entry committed in any run of
+the campaign so far, updated live while the run executes, and kept per image
+as the interval union that the ``bst`` and ``merger`` logs use.  It is not
+the log's own union: a ``hash`` or ``none`` log keeps none, and `dime run`
+scores a log loaded from a file against that run's commits only.
 
 The harness works on the runs' plain tuples: the observer gets
-(image, rel_addr, length) triples, which `GroundTruth` and `classify` accept
-as they accept a `LogEntry`, and the oracle's record stream, its unique
-records and the cumulative record set hold (kind, src, dst) triples.  So a
-campaign builds no named tuple.
+(image, rel_addr, length) triples, which it unpacks as it would a
+`LogEntry`, and the oracle's record stream, its unique records and the
+cumulative record set hold (kind, src, dst) triples.  So a campaign builds
+no named tuple.
 
 A log read from a file must fit the program: every entry must name one of
 its images and lie within it.  Nothing binds a log to the program that
@@ -49,61 +52,31 @@ TRUE_PERMIT = "true-permit"
 TRUE_REJECT = "true-reject"
 
 
-class GroundTruth:
-    """Addresses ever analyzed in the campaign: per image, the union of the
-    committed intervals, coalesced as under the ``merger`` log strategy."""
-
-    def __init__(self):
-        self.analyzed: defaultdict[str, _Intervals] = defaultdict(_Intervals)
-
-    def add_entry(self, entry: tuple[str, int, int]) -> None:
-        image, rel_addr, length = entry
-        self.analyzed[image].add(rel_addr, rel_addr + length)
-
-    def overlap(self, entry: tuple[str, int, int]) -> bool:
-        image, rel_addr, length = entry
-        return self.analyzed[image].overlaps(rel_addr, rel_addr + length)
-
-    def contains_all(self, entry: tuple[str, int, int]) -> bool:
-        image, rel_addr, length = entry
-        return self.analyzed[image].covers(rel_addr, rel_addr + length)
-
-
-def classify(permitted: bool, candidate: tuple[str, int, int],
-             ground_truth: GroundTruth) -> str:
-    """Score one permit decision on a candidate (image, rel_addr, length)
-    against what has really been analyzed."""
-    if permitted:
-        return FP if ground_truth.overlap(candidate) else TRUE_PERMIT
-    return FN if not ground_truth.contains_all(candidate) else TRUE_REJECT
-
-
 class MetricsObserver:
-    """Classifies permit decisions live and grows the ground truth on commits."""
+    """The referee of one run: scores each permit decision against every
+    address analyzed in the campaign so far, and adds each commit to them.
 
-    def __init__(self, ground_truth: GroundTruth):
-        self.ground_truth = ground_truth
+    `analyzed` holds, per image, the union of the intervals committed in any
+    run of the campaign, coalesced as under the ``merger`` log strategy; the
+    campaign's runs share it.  `counts` holds this run's verdicts.
+    """
+
+    def __init__(self, analyzed: defaultdict[str, _Intervals]):
+        self.analyzed = analyzed
         self.counts = Counter()
 
     def on_permit(self, candidate: tuple[str, int, int], permitted: bool) -> None:
-        self.counts[classify(permitted, candidate, self.ground_truth)] += 1
+        image, rel_addr, length = candidate
+        if permitted:
+            overlaps = self.analyzed[image].overlaps(rel_addr, rel_addr + length)
+            self.counts[FP if overlaps else TRUE_PERMIT] += 1
+        else:
+            covered = self.analyzed[image].covers(rel_addr, rel_addr + length)
+            self.counts[TRUE_REJECT if covered else FN] += 1
 
     def on_commit(self, entry: tuple[str, int, int]) -> None:
-        self.ground_truth.add_entry(entry)
-
-    @property
-    def permitted(self) -> int:
-        return self.counts[FP] + self.counts[TRUE_PERMIT]
-
-    @property
-    def rejected(self) -> int:
-        return self.counts[FN] + self.counts[TRUE_REJECT]
-
-    def fp_ratio(self) -> float:
-        return self.counts[FP] / self.permitted if self.permitted else 0.0
-
-    def fn_ratio(self) -> float:
-        return self.counts[FN] / self.rejected if self.rejected else 0.0
+        image, rel_addr, length = entry
+        self.analyzed[image].add(rel_addr, rel_addr + length)
 
 
 @dataclass(frozen=True)
@@ -224,24 +197,26 @@ def single_run(config: RunConfig,
 
 
 def _make_report(run_index: int, unique_records: int, oracle: OracleResult,
-                 outcome: ExecutionOutcome, observer: MetricsObserver) -> RunReport:
+                 outcome: ExecutionOutcome, verdicts: Counter) -> RunReport:
     vacuous = not oracle.unique_records
     coverage = 1.0 if vacuous else unique_records / len(oracle.unique_records)
     histogram = dict(sorted(Counter(outcome.overshoots).items()))
+    permitted = verdicts[FP] + verdicts[TRUE_PERMIT]
+    rejected = verdicts[FN] + verdicts[TRUE_REJECT]
     return RunReport(
         run_index=run_index,
         coverage=coverage,
         coverage_vacuous=vacuous,
-        fp_ratio=observer.fp_ratio(),
-        fn_ratio=observer.fn_ratio(),
+        fp_ratio=verdicts[FP] / permitted if permitted else 0.0,
+        fn_ratio=verdicts[FN] / rejected if rejected else 0.0,
         slowdown=outcome.virtual_time / oracle.native_time,
         overshoot_histogram=histogram,
         unique_records=unique_records,
         virtual_time=outcome.virtual_time,
-        permitted=observer.permitted,
-        rejected=observer.rejected,
-        fp_count=observer.counts[FP],
-        fn_count=observer.counts[FN],
+        permitted=permitted,
+        rejected=rejected,
+        fp_count=verdicts[FP],
+        fn_count=verdicts[FN],
     )
 
 
@@ -258,21 +233,22 @@ def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
     run saves it to the log file and the next run goes on from the store in
     memory, which equals what the file would load.  Run k uses seed =
     campaign seed + k.  The oracle's full run and the budgeted runs share one
-    trace memo, and the budgeted runs share one ground truth.
+    trace memo, and the budgeted runs share one referee's union of analyzed
+    addresses.
     """
     memo = TraceMemo(config)
     oracle = run_oracle(config, memo=memo)
-    ground_truth = GroundTruth()
+    analyzed: defaultdict[str, _Intervals] = defaultdict(_Intervals)
     cumulative: set = set()
     reports, outcomes = [], []
     for k in range(1, runs + 1):
-        observer = MetricsObserver(ground_truth)
+        observer = MetricsObserver(analyzed)
         outcome = run(replace(config, seed=config.seed + k), log, config.make_budget(),
                       observer=observer, memo=memo)
         if config.log_strategy != "none":
             log.finalize_and_save(config.log_path)
         cumulative.update(outcome.tool_output)
-        reports.append(_make_report(k, len(cumulative), oracle, outcome, observer))
+        reports.append(_make_report(k, len(cumulative), oracle, outcome, observer.counts))
         outcomes.append(outcome)
     return CampaignResult(tuple(reports), oracle, tuple(outcomes),
                           _config_echo(config, runs))

@@ -69,10 +69,6 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class AddressError(LookupError):
-    """An address falls outside every image."""
-
-
 @dataclass(frozen=True)
 class Instruction:
     """One guest operation occupying exactly one address unit.

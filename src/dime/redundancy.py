@@ -14,8 +14,9 @@ permission:
 * ``none``   - permits everything and persists nothing.
 
 ``bst`` and ``merger`` answer from one per-image union of the committed
-intervals (``_Intervals``), as does the campaign's ground truth; ``bst`` keeps
-its raw entries too, as its persisted form.
+intervals (``_Intervals``), as does the campaign's referee,
+``harness.MetricsObserver``; ``bst`` keeps its raw entries too, as its
+persisted form.
 
 ``LogStore.commit`` takes any (image, rel_addr, length) triple: a ``LogEntry``
 or the plain tuple the executor passes.  Saving and loading build no

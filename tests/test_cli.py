@@ -2,15 +2,22 @@ import hashlib
 import json
 import math
 import os
+import random
+import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import fields
 
 import pytest
 
-from dime import RunConfig, cli, harness, serialize_program
+from dime import RunConfig, cli, harness, redundancy, serialize_program
 from dime.cli import main
 from dime.corpus import random_corpus
 
 from conftest import P1_DET, CALLS, wall_budget
+from test_program import wide_program
 
 
 @pytest.fixture
@@ -156,14 +163,18 @@ def test_parse_error_is_config_error(tmp_path, capsys):
     (["campaign", "--program", "P"], "--runs"),
     (["run", "--program", "P", "--budget", "x"], "--budget"),
     (["run", "--program", "P", "--period", "x"], "--period"),
+    (["run", "--program", "P", "--tool", "bogus"], "--tool: invalid choice"),
+    (["run", "--program", "P", "--granularity", "bogus"], "--granularity: invalid choice"),
+    (["run", "--program", "P", "--log-strategy", "bogus"], "--log-strategy: invalid choice"),
     (["replay", "--program", "P"], "'replay'"),
     ([], "command"),
-], ids=["bad-int", "missing-runs", "bad-budget", "bad-period", "unknown-command",
-        "no-command"])
+], ids=["bad-int", "missing-runs", "bad-budget", "bad-period", "bad-tool",
+        "bad-granularity", "bad-log-strategy", "unknown-command", "no-command"])
 def test_malformed_flags_are_one_line_config_errors(argv, named, capsys):
     # Exit 2 is the guest-error code, so argparse's own exit status and
     # usage text would read as a guest failure.  The line names the flag,
-    # never the function that parses its value.
+    # never the function that parses its value.  No program file P exists:
+    # argparse rejects the command line before the program is read.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -567,3 +578,59 @@ def test_log_that_fits_the_program_runs(tmp_path, capsys, strategy, body):
     code, _ = run_short(tmp_path, strategy, body)
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_killed_campaign_leaves_a_log_some_save_wrote(tmp_path):
+    # A campaign whose log grows at every run is killed (SIGKILL) after
+    # seeded delays spread over its run time.  The log file must then load
+    # and hold either the bytes it held before the campaign or those of
+    # one of the campaign's saves; a temporary file of the killed process
+    # may be left beside it.
+    program, log = tmp_path / "wide.dime", tmp_path / "run.log"
+    program.write_text(wide_program(300))
+    before = b"# dime-log v1 strategy=bst\nmain,0,1\n"
+    runs = 40
+    argv = ["--program", str(program), "--runs", str(runs), "--log-strategy", "bst",
+            "--log-file", str(log), "--budget", "1", "--period", "300"]
+    saves = []
+    real_save = redundancy.LogStore.finalize_and_save
+
+    def save(store, path):
+        real_save(store, path)
+        saves.append(log.read_bytes())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(redundancy.LogStore, "finalize_and_save", save)
+        assert main(["campaign", *argv]) == 0
+    assert len(set(saves)) == runs and before not in saves
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    command = [sys.executable, "-m", "dime.cli", "campaign", *argv]
+
+    def start():
+        log.write_bytes(before)
+        return subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+
+    child = start()
+    began = time.monotonic()
+    try:
+        assert child.wait(timeout=60) == 0
+        duration = time.monotonic() - began
+        assert log.read_bytes() == saves[-1]
+        rng, kills, killed, pids = random.Random(11), 10, 0, set()
+        for i in range(kills):
+            child = start()
+            time.sleep(duration * (i + rng.random()) / kills)
+            child.kill()
+            killed += child.wait(timeout=60) == -signal.SIGKILL
+            pids.add(child.pid)
+            assert log.read_bytes() in (before, *saves)
+            redundancy.load(log)
+            for name in set(os.listdir(tmp_path)) - {"wide.dime", "run.log"}:
+                stray = re.fullmatch(r"run\.log\.(\d+)\.tmp", name)
+                assert stray and int(stray[1]) in pids, name
+        assert killed
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from dime import (AddressError, ConfigError, ExecutionOutcome, GuestError, LogStore,
+from dime import (ConfigError, ExecutionOutcome, GuestError, LogStore,
                   RunConfig, TraceMemo, executor, harness, native_run,
                   parse_program, run, run_campaign)
 from dime.executor import GRANULARITIES
@@ -81,7 +81,7 @@ def test_form_trace_points_granularities(p1):
 
 
 def test_form_trace_unresolvable_entry(p1):
-    with pytest.raises(AddressError):
+    with pytest.raises(GuestError, match="^address 999 outside every image$"):
         shape(p1, 999)
 
 

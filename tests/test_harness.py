@@ -2,15 +2,15 @@ import gc
 import json
 import math
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import (ConfigError, GroundTruth, LogEntry, LogStore, MetricsObserver, RunConfig,
-                  classify, emit_report, load, parse_program, redundancy, run_campaign,
-                  run_oracle, serialize_program, single_run)
+from dime import (ConfigError, LogEntry, LogStore, MetricsObserver, RunConfig, emit_report,
+                  load, parse_program, redundancy, run_campaign, run_oracle,
+                  serialize_program, single_run)
 from dime.cli import main
 from dime.harness import FN, FP, TRUE_PERMIT, TRUE_REJECT, report_document
 from dime.corpus import loop_corpus, random_corpus
@@ -25,32 +25,26 @@ def config_for(program, tmp_path=None, **overrides):
     return RunConfig(program=program, **defaults)
 
 
-def gt_over(image, lo, hi):
-    gt = GroundTruth()
-    gt.add_entry(LogEntry(image, lo, hi - lo))
-    return gt
+def referee():
+    """A run's observer over a campaign's union of analyzed addresses, empty."""
+    return MetricsObserver(defaultdict(redundancy._Intervals))
 
 
-# -- classify -------------------------------------------------------------------
+# -- referee ---------------------------------------------------------------------
 
-def test_classify_permit_against_disjoint_truth_is_clean():
-    gt = gt_over("m", 100, 120)
-    assert classify(True, LogEntry("m", 150, 20), gt) == TRUE_PERMIT
-
-
-def test_classify_permit_overlapping_truth_is_fp():
-    gt = gt_over("m", 100, 180)
-    assert classify(True, LogEntry("m", 150, 20), gt) == FP
-
-
-def test_classify_reject_with_unanalyzed_portion_is_fn():
-    gt = gt_over("m", 100, 120)
-    assert classify(False, LogEntry("m", 100, 80), gt) == FN
-
-
-def test_classify_reject_fully_analyzed_is_clean():
-    gt = gt_over("m", 100, 200)
-    assert classify(False, LogEntry("m", 120, 30), gt) == TRUE_REJECT
+@pytest.mark.parametrize("committed,candidate,permitted,verdict", [
+    ((100, 120), (150, 20), True, TRUE_PERMIT),
+    ((100, 180), (150, 20), True, FP),
+    ((100, 120), (100, 80), False, FN),
+    ((100, 200), (120, 30), False, TRUE_REJECT),
+], ids=["permit-disjoint", "permit-overlapping", "reject-partly-unanalyzed",
+        "reject-fully-analyzed"])
+def test_observer_counts_the_verdict_of_a_permit(committed, candidate, permitted, verdict):
+    obs = referee()
+    lo, hi = committed
+    obs.on_commit(LogEntry("m", lo, hi - lo))
+    obs.on_permit(LogEntry("m", *candidate), permitted)
+    assert obs.counts == Counter({verdict: 1})
 
 
 def spans(images):
@@ -59,27 +53,27 @@ def spans(images):
 
 
 @settings(max_examples=200)
-@given(commits=st.lists(spans("ab"), max_size=40),
-       queries=st.lists(spans("abc"), min_size=1, max_size=20))
-def test_ground_truth_matches_per_address_set(commits, queries):
-    # Reference: the set of every analyzed (image, address).  Lengths of 0
-    # and an image never committed are in range too.
-    gt = GroundTruth()
+@given(events=st.lists(st.one_of(st.tuples(st.none(), spans("ab")),
+                                 st.tuples(st.booleans(), spans("abc"))), max_size=80))
+def test_observer_verdicts_match_per_address_set(events):
+    # Reference: the set of every analyzed (image, address).  An event is a
+    # commit (None) or a permit decision (permitted or not), interleaved at
+    # random.  Lengths of 0 and an image never committed are in range too.
+    obs = referee()
     analyzed: set[tuple[str, int]] = set()
-    for image, rel, length in commits:
-        gt.add_entry(LogEntry(image, rel, length))
-        analyzed.update((image, a) for a in range(rel, rel + length))
-        for q_image, q_rel, q_length in queries:
-            addrs = {(q_image, a) for a in range(q_rel, q_rel + q_length)}
-            candidate = LogEntry(q_image, q_rel, q_length)
-            assert gt.overlap(candidate) == bool(addrs & analyzed)
-            assert gt.contains_all(candidate) == (addrs <= analyzed)
-
-
-def test_observer_ratios_empty_run_are_zero():
-    obs = MetricsObserver(GroundTruth())
-    assert obs.fp_ratio() == 0.0
-    assert obs.fn_ratio() == 0.0
+    expected = Counter()
+    for permitted, (image, rel, length) in events:
+        addrs = {(image, a) for a in range(rel, rel + length)}
+        if permitted is None:
+            obs.on_commit((image, rel, length))
+            analyzed |= addrs
+            continue
+        obs.on_permit((image, rel, length), permitted)
+        if permitted:
+            expected[FP if addrs & analyzed else TRUE_PERMIT] += 1
+        else:
+            expected[TRUE_REJECT if addrs <= analyzed else FN] += 1
+        assert obs.counts == expected
 
 
 # -- oracle ----------------------------------------------------------------------
@@ -111,6 +105,21 @@ def test_campaign_p1_det_hash_reaches_full_coverage(p1_det, tmp_path):
     result = run_campaign(config_for(p1_det, tmp_path), 3)
     assert result.reports[2].coverage == 1.0
     assert all(r.fn_ratio == 0.0 for r in result.reports)
+
+
+def test_report_ratio_over_no_decisions_is_zero(p1_det, tmp_path):
+    # A run from an empty log at an unlimited budget rejects nothing.  A run
+    # from a log that holds the whole image permits nothing, and its referee,
+    # which knows only the run's own commits, scores every reject FN.
+    config = config_for(p1_det, tmp_path, period=math.inf, budget=math.inf,
+                        log_strategy="bst")
+    first = run_campaign(config, 1).reports[0]
+    assert (first.permitted, first.rejected, first.fn_ratio) == (2, 0, 0.0)
+    with open(config.log_path, "w") as fh:
+        fh.write("# dime-log v1 strategy=bst\nmain,0,6\n")
+    covered = single_run(config)[0]
+    assert (covered.permitted, covered.rejected, covered.fp_ratio) == (0, 2, 0.0)
+    assert covered.fn_ratio == 1.0
 
 
 def test_campaign_none_mode_slowdown_is_full_over_native(p1_det):

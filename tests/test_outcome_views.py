@@ -3,11 +3,12 @@ that take an (image, rel_addr, length) triple give the same answers for a
 `LogEntry`."""
 
 import random
+from collections import defaultdict
 
 import pytest
 
-from dime import (BudgetState, GroundTruth, LogEntry, LogStore, RunConfig, classify,
-                  parse_program, run, run_campaign)
+from dime import (BudgetState, LogEntry, LogStore, MetricsObserver, RunConfig, parse_program,
+                  redundancy, run, run_campaign)
 from dime.corpus import loop_corpus, random_corpus
 
 from conftest import CALLS, TRANSFERS
@@ -60,25 +61,25 @@ def test_tool_records_are_plain_triples(name):
     assert len({id(r) for r in records}) == len(set(records))
 
 
-def test_log_and_ground_truth_answer_the_same_for_either_form():
+def test_log_and_referee_answer_the_same_for_either_form():
     rng = random.Random(17)
     for strategy in ("hash", "bst", "merger", "none"):
         named, plain = LogStore(strategy), LogStore(strategy)
-        named_truth, plain_truth = GroundTruth(), GroundTruth()
+        named_referee, plain_referee = (MetricsObserver(defaultdict(redundancy._Intervals))
+                                        for _ in range(2))
         for _ in range(300):
             entry = (rng.choice("ab"), rng.randrange(200), rng.randrange(1, 12))
             if rng.random() < 0.4:
                 named.commit(LogEntry(*entry))
                 plain.commit(entry)
-                named_truth.add_entry(LogEntry(*entry))
-                plain_truth.add_entry(entry)
+                named_referee.on_commit(LogEntry(*entry))
+                plain_referee.on_commit(entry)
             else:
                 assert named.permit(*entry) == plain.permit(*entry)
-                assert named_truth.overlap(LogEntry(*entry)) == plain_truth.overlap(entry)
-                assert (named_truth.contains_all(LogEntry(*entry))
-                        == plain_truth.contains_all(entry))
                 for permitted in (True, False):
-                    assert (classify(permitted, LogEntry(*entry), named_truth)
-                            == classify(permitted, entry, plain_truth))
+                    named_referee.on_permit(LogEntry(*entry), permitted)
+                    plain_referee.on_permit(entry, permitted)
+                    assert named_referee.counts == plain_referee.counts
         assert list(named.entries()) == list(plain.entries())
         assert named == plain
+        assert len(named_referee.counts) == 4  # every verdict was given
