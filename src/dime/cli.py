@@ -172,7 +172,7 @@ def _cmd_report(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != "dime-report v1":
+    if not isinstance(doc, dict) or doc.get("format") != harness.REPORT_FORMAT:
         raise ConfigError("not a dime report file")
     try:
         runs = doc.get("runs", [])

@@ -12,8 +12,7 @@ import random
 from .program import Program, parse_program
 
 
-def random_program(rng: random.Random, max_instructions: int = 200,
-                   allow_ndbr: bool = True) -> str:
+def random_program(rng: random.Random, max_instructions: int = 200) -> str:
     """Random structured program text: straight runs, bounded loops, forward
     skips, and calls into (sometimes) a second image."""
     label_n = 0
@@ -48,7 +47,7 @@ def random_program(rng: random.Random, max_instructions: int = 200,
             remaining -= body + 1
         elif kind < 0.8 and remaining > 6:
             skip, n = label(), rng.randrange(1, 4)
-            if allow_ndbr and rng.random() < 0.5:
+            if rng.random() < 0.5:
                 lines.append(f"    ndbr {skip} {rng.choice((0.25, 0.5, 0.75))}")
             else:
                 lines.append(f"    br {skip} {rng.choice(('T', 'N', 'TN', 'NT'))}")

@@ -15,12 +15,12 @@ reports:
 4. slow-down - run virtual time over native virtual time;
 5. overshoot histogram - magnitude -> count of budget overshoots.
 
-A run's `MetricsObserver` is the referee for 2-3: it scores each permit
-decision against every address covered by an entry committed in any run of
-the campaign so far, updated live while the run executes, and kept per image
-as the interval union that the ``bst`` and ``merger`` logs use.  It is not
-the log's own union: a ``hash`` or ``none`` log keeps none, and `dime run`
-scores a log loaded from a file against that run's commits only.
+The campaign's one `MetricsObserver` is the referee for 2-3: it scores each
+permit decision against every address covered by an entry committed in any
+run of the campaign so far, updated live while the runs execute, and kept
+per image as the interval union that the ``bst`` and ``merger`` logs use.
+It is not the log's own union: a ``hash`` or ``none`` log keeps none, and
+`dime run` scores a log loaded from a file against that run's commits only.
 
 The harness works on the runs' plain tuples: the observer gets
 (image, rel_addr, length) triples, which it unpacks as it would a
@@ -46,6 +46,7 @@ from .budget import BudgetState
 from .executor import ConfigError, ExecutionOutcome, RunConfig, TraceMemo, native_run, run
 from .redundancy import LogStore, _Intervals
 
+REPORT_FORMAT = "dime-report v1"
 FP = "FP"
 FN = "FN"
 TRUE_PERMIT = "true-permit"
@@ -53,16 +54,16 @@ TRUE_REJECT = "true-reject"
 
 
 class MetricsObserver:
-    """The referee of one run: scores each permit decision against every
-    address analyzed in the campaign so far, and adds each commit to them.
+    """The referee of a campaign: scores each permit decision against every
+    address analyzed so far, and adds each commit to them.
 
     `analyzed` holds, per image, the union of the intervals committed in any
-    run of the campaign, coalesced as under the ``merger`` log strategy; the
-    campaign's runs share it.  `counts` holds this run's verdicts.
+    run, coalesced as under the ``merger`` log strategy.  `counts` holds the
+    verdicts of the current run; the campaign gives each run a new one.
     """
 
-    def __init__(self, analyzed: defaultdict[str, _Intervals]):
-        self.analyzed = analyzed
+    def __init__(self):
+        self.analyzed: defaultdict[str, _Intervals] = defaultdict(_Intervals)
         self.counts = Counter()
 
     def on_permit(self, candidate: tuple[str, int, int], permitted: bool) -> None:
@@ -233,22 +234,22 @@ def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
     run saves it to the log file and the next run goes on from the store in
     memory, which equals what the file would load.  Run k uses seed =
     campaign seed + k.  The oracle's full run and the budgeted runs share one
-    trace memo, and the budgeted runs share one referee's union of analyzed
-    addresses.
+    trace memo, and the budgeted runs share one referee, which counts each
+    run's verdicts anew.
     """
     memo = TraceMemo(config)
     oracle = run_oracle(config, memo=memo)
-    analyzed: defaultdict[str, _Intervals] = defaultdict(_Intervals)
+    referee = MetricsObserver()
     cumulative: set = set()
     reports, outcomes = [], []
     for k in range(1, runs + 1):
-        observer = MetricsObserver(analyzed)
+        referee.counts = Counter()
         outcome = run(replace(config, seed=config.seed + k), log, config.make_budget(),
-                      observer=observer, memo=memo)
+                      observer=referee, memo=memo)
         if config.log_strategy != "none":
             log.finalize_and_save(config.log_path)
         cumulative.update(outcome.tool_output)
-        reports.append(_make_report(k, len(cumulative), oracle, outcome, observer.counts))
+        reports.append(_make_report(k, len(cumulative), oracle, outcome, referee.counts))
         outcomes.append(outcome)
     return CampaignResult(tuple(reports), oracle, tuple(outcomes),
                           _config_echo(config, runs))
@@ -265,7 +266,7 @@ def oracle_document(oracle: OracleResult) -> dict:
 
 def report_document(result: CampaignResult) -> dict:
     return {
-        "format": "dime-report v1",
+        "format": REPORT_FORMAT,
         "campaign": result.config_echo,
         "oracle": oracle_document(result.oracle),
         "runs": [r.as_dict() for r in result.reports],

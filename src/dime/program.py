@@ -123,7 +123,6 @@ class Program:
         for (_, end_a, name_a), (base_b, _, name_b) in zip(ranges, ranges[1:]):
             if base_b < end_a:
                 raise ParseError(f"overlapping images: {name_a} and {name_b}")
-        self._by_name = {img.name: img for img in self.images}
         self._sorted = sorted((img for img in self.images if img.kinds),
                               key=lambda img: img.base)
         self._bases = [img.base for img in self._sorted]
@@ -133,9 +132,6 @@ class Program:
     def entry(self) -> int:
         """Program entry: first instruction of the first image."""
         return self.images[0].base
-
-    def image(self, name: str) -> ProgramImage:
-        return self._by_name[name]
 
     def image_of(self, addr: int) -> ProgramImage | None:
         i = bisect_right(self._bases, addr) - 1

@@ -4,7 +4,7 @@ Entries are <image, relative address, length> intervals.  The strategy decides
 what "already instrumented" means when a new candidate trace asks for
 permission:
 
-* ``hash``   - keyed by start address only; lengths are not stored.  A
+* ``hash``   - keyed by start address only; every entry has length 0.  A
   candidate is rejected iff its exact start address was committed before.
 * ``bst``    - address-ordered <start, length> entries.  A candidate is
   rejected iff its start lies inside any logged interval.
@@ -13,10 +13,11 @@ permission:
   contained in a single logged interval (its end must fall strictly inside).
 * ``none``   - permits everything and persists nothing.
 
-``bst`` and ``merger`` answer from one per-image union of the committed
-intervals (``_Intervals``), as does the campaign's referee,
-``harness.MetricsObserver``; ``bst`` keeps its raw entries too, as its
-persisted form.
+``hash`` and ``bst`` keep their entries in one per-image start -> length map,
+which is what ``entries()`` reports and ``save`` writes: length 0 under
+``hash``, the longest committed length under ``bst``.  ``bst`` and ``merger``
+answer from one per-image union of the committed intervals (``_Intervals``),
+as does the campaign's referee, ``harness.MetricsObserver``.
 
 ``LogStore.commit`` takes any (image, rel_addr, length) triple: a ``LogEntry``
 or the plain tuple the executor passes.  Saving and loading build no
@@ -98,17 +99,17 @@ class _Intervals:
 class LogStore:
     """Instrumented-region log under one of the strategies above.
 
-    State is kept per image: a set of start addresses for ``hash``; for
-    ``bst`` and ``merger`` an `_Intervals` union of everything committed,
-    which answers every permit, plus, for ``bst`` only, the start->longest
-    length map that `finalize` merges and `save` writes.
+    State is kept per image: for ``hash`` and ``bst`` the start -> length
+    map of the entries (length 0 under ``hash``, the longest committed length
+    under ``bst``), which `finalize` merges under ``bst``; for ``bst`` and
+    ``merger`` an `_Intervals` union of everything committed, which answers
+    every permit but a ``hash`` one.
     """
 
     def __init__(self, strategy: str):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
-        self._addrs: dict[str, set[int]] = {}
         self._lengths: dict[str, dict[int, int]] = {}
         self._union: defaultdict[str, _Intervals] = defaultdict(_Intervals)
 
@@ -122,7 +123,7 @@ class LogStore:
         if self.strategy == "none":
             return True
         if self.strategy == "hash":
-            return rel_addr not in self._addrs.get(image, ())
+            return rel_addr not in self._lengths.get(image, ())
         union = self._union[image]
         if self.strategy == "bst":
             return not union.holds(rel_addr)
@@ -136,25 +137,22 @@ class LogStore:
 
     def _entries(self) -> Iterator[tuple[str, int, int]]:
         """`entries()` as plain (image, rel_addr, length) tuples."""
-        if self.strategy == "hash":
-            for image in sorted(self._addrs):
-                for addr in sorted(self._addrs[image]):
-                    yield image, addr, 0
-        elif self.strategy == "bst":
-            for image, lengths in sorted(self._lengths.items()):
-                for start in sorted(lengths):
-                    yield image, start, lengths[start]
-        else:
+        if self.strategy == "merger":
             for image, union in sorted(self._union.items()):
                 for start, end in zip(union.starts, union.ends):
                     yield image, start, end - start
+        else:
+            for image, lengths in sorted(self._lengths.items()):
+                for start in sorted(lengths):
+                    yield image, start, lengths[start]
 
     def ends(self) -> dict[str, int]:
-        """Per image with entries, the first address past all of them (past
-        every logged start under ``hash``, whose entries keep no length)."""
-        if self.strategy == "hash":
-            return {image: max(addrs) + 1 for image, addrs in self._addrs.items()}
-        return {image: union.ends[-1] for image, union in self._union.items() if union.ends}
+        """Per image with entries, the first address past all of them; an
+        entry of length 0 (a ``hash`` start) ends one past its start."""
+        ends: dict[str, int] = {}
+        for image, start, length in self._entries():
+            ends[image] = max(ends.get(image, 0), start + (length or 1))
+        return ends
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entries())
@@ -167,16 +165,16 @@ class LogStore:
 
     def commit(self, entry: tuple[str, int, int]) -> None:
         """Record an instrumented portion, an (image, rel_addr, length)
-        triple.  hash: start only, idempotent.  bst: keep the max length per
-        start.  merger: insert and coalesce with every overlapping or
-        directly adjacent neighbour."""
+        triple.  hash: start only, as length 0, idempotent.  bst: keep the
+        max length per start.  merger: insert and coalesce with every
+        overlapping or directly adjacent neighbour."""
         image, rel_addr, length = entry
         if length < 1:
             raise ValueError("committed length must be >= 1")
         if self.strategy == "none":
             return
         if self.strategy == "hash":
-            self._addrs.setdefault(image, set()).add(rel_addr)
+            self._lengths.setdefault(image, {})[rel_addr] = 0
             return
         self._union[image].add(rel_addr, rel_addr + length)
         if self.strategy == "bst":
@@ -215,10 +213,8 @@ class LogStore:
             raise ValueError("the 'none' strategy has no persistent form")
         lines = [f"{_FILE_HEADER}{self.strategy}"]
         for image, rel_addr, length in self._entries():
-            if self.strategy == "hash":
-                lines.append(f"{image},{rel_addr}")
-            else:
-                lines.append(f"{image},{rel_addr},{length}")
+            # only a hash entry has length 0, and its line has no length field
+            lines.append(f"{image},{rel_addr},{length}" if length else f"{image},{rel_addr}")
         stem = f"{os.fspath(path)}.{os.getpid()}"
         for n in count():
             tmp = f"{stem}.{n}.tmp" if n else f"{stem}.tmp"

@@ -2,7 +2,7 @@ import gc
 import json
 import math
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -25,11 +25,6 @@ def config_for(program, tmp_path=None, **overrides):
     return RunConfig(program=program, **defaults)
 
 
-def referee():
-    """A run's observer over a campaign's union of analyzed addresses, empty."""
-    return MetricsObserver(defaultdict(redundancy._Intervals))
-
-
 # -- referee ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("committed,candidate,permitted,verdict", [
@@ -40,7 +35,7 @@ def referee():
 ], ids=["permit-disjoint", "permit-overlapping", "reject-partly-unanalyzed",
         "reject-fully-analyzed"])
 def test_observer_counts_the_verdict_of_a_permit(committed, candidate, permitted, verdict):
-    obs = referee()
+    obs = MetricsObserver()
     lo, hi = committed
     obs.on_commit(LogEntry("m", lo, hi - lo))
     obs.on_permit(LogEntry("m", *candidate), permitted)
@@ -59,7 +54,7 @@ def test_observer_verdicts_match_per_address_set(events):
     # Reference: the set of every analyzed (image, address).  An event is a
     # commit (None) or a permit decision (permitted or not), interleaved at
     # random.  Lengths of 0 and an image never committed are in range too.
-    obs = referee()
+    obs = MetricsObserver()
     analyzed: set[tuple[str, int]] = set()
     expected = Counter()
     for permitted, (image, rel, length) in events:
@@ -263,6 +258,24 @@ def test_campaign_never_reads_its_log_and_single_run_reads_it_once(p1_det, tmp_p
     assert loads == []
     single_run(config, resume=True)
     assert loads == [config.log_path]
+
+
+def test_campaign_builds_one_referee_for_all_its_runs(p1, tmp_path, monkeypatch):
+    built = []
+    init = MetricsObserver.__init__
+
+    def counted(observer, *args):
+        init(observer, *args)
+        built.append(observer)
+
+    monkeypatch.setattr(MetricsObserver, "__init__", counted)
+    result = run_campaign(config_for(p1, tmp_path), 3)
+    assert len(built) == 1
+    # yet each report counts only the verdicts of its own run
+    for report, outcome in zip(result.reports, result.outcomes):
+        permitted = sum(1 for _, ok in outcome.permits if ok)
+        assert (report.permitted, report.rejected) == (permitted,
+                                                       len(outcome.permits) - permitted)
 
 
 def nonempty_unions(log):

@@ -3,12 +3,11 @@ that take an (image, rel_addr, length) triple give the same answers for a
 `LogEntry`."""
 
 import random
-from collections import defaultdict
 
 import pytest
 
 from dime import (BudgetState, LogEntry, LogStore, MetricsObserver, RunConfig, parse_program,
-                  redundancy, run, run_campaign)
+                  run, run_campaign)
 from dime.corpus import loop_corpus, random_corpus
 
 from conftest import CALLS, TRANSFERS
@@ -65,8 +64,7 @@ def test_log_and_referee_answer_the_same_for_either_form():
     rng = random.Random(17)
     for strategy in ("hash", "bst", "merger", "none"):
         named, plain = LogStore(strategy), LogStore(strategy)
-        named_referee, plain_referee = (MetricsObserver(defaultdict(redundancy._Intervals))
-                                        for _ in range(2))
+        named_referee, plain_referee = MetricsObserver(), MetricsObserver()
         for _ in range(300):
             entry = (rng.choice("ab"), rng.randrange(200), rng.randrange(1, 12))
             if rng.random() < 0.4:

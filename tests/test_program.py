@@ -42,7 +42,7 @@ def test_overlapping_images_rejected():
 def test_adjacent_images_allowed():
     text = "image a 1000\n    halt\nimage b 1001\n    halt\n"
     p = parse_program(text)
-    assert p.image("b").base == 1001
+    assert {img.name: img.base for img in p.images} == {"a": 1000, "b": 1001}
 
 
 def test_image_of_with_images_out_of_base_order():
@@ -78,7 +78,8 @@ def test_resolve_roundtrip(p1):
     for addr in range(1000, 1006):
         img = p1.image_of(addr)
         rel = addr - img.base
-        assert p1.image(img.name).base + rel == addr
+        named, = (i for i in p1.images if i.name == img.name)
+        assert named.base + rel == addr
         assert p1.instruction_at(addr) is img.instructions[rel]
         assert p1.instruction_at(addr).addr == addr
 

@@ -382,6 +382,31 @@ def test_covered_addresses_never_shrink(commits, strategy):
     assert covered <= after
 
 
+@settings(max_examples=200)
+@given(strategy=st.sampled_from(redundancy.STRATEGIES),
+       events=st.lists(st.one_of(st.tuples(st.booleans(), st.sampled_from("abc"), intervals),
+                                 st.none()), max_size=50))
+def test_ends_is_one_past_the_last_address_an_entry_covers(strategy, events):
+    # An event commits (True) or asks a permit (False) about an interval, or
+    # (None) finalizes the log.
+    store = LogStore(strategy)
+    for event in events:
+        if event is None:
+            store.finalize()
+            continue
+        commit, image, (rel, length) = event
+        if commit:
+            store.commit(LogEntry(image, rel, length))
+        else:
+            store.permit(image, rel, length)
+    covered: dict[str, set[int]] = {}
+    for e in store.entries():
+        covered.setdefault(e.image, set()).update(range(e.rel_addr,
+                                                        e.rel_addr + max(e.length, 1)))
+        assert (e.length == 0) == (strategy == "hash")
+    assert store.ends() == {image: max(addrs) + 1 for image, addrs in covered.items()}
+
+
 def test_merger_rejects_only_fully_covered_candidates():
     # Rejection implies every candidate address was committed before.
     rng = random.Random(11)
