@@ -446,7 +446,6 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     shared: dict[tuple[str, int, int], tuple[str, int, int]] = {}
     queries: list[tuple[tuple[str, int, int], bool]] = []
     path = [] if config.capture_path else None
-    halted = False
     # The budget's last answer and the time it holds until, then the time
     # until which V_INSTRUMENT holds from `until` on (the server's refill
     # after a charge that spent the budget); `now` is the time of the last
@@ -459,7 +458,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     unlimited = budget.budget == math.inf
     spent = 0
 
-    while not halted:
+    while pc is not None:  # a halt is the only exit with no next pc
         cache = caches[version]
         compiled = cache.get(pc)
         if compiled is None:
@@ -540,7 +539,6 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
             elif kind != JMP:  # halt
                 end = off + 1
                 next_pc = None
-                halted = True
                 break
             # A taken transfer exits the trace.
             if last_analyzed == off and kind in keeps:

@@ -14,12 +14,16 @@ one-address-unit instructions.  The line-oriented format::
 
 `image <name> <base>` opens an image; instruction lines are one of
 `op <cost>`, `jmp <label>`, `br <label> <pattern>`, `ndbr <label> <p>`,
-`call <label>`, `ret`, `halt`.  A `<label>:` prefix (or a label on its own
-line) names the next instruction's address.  Labels are global, so calls
-may cross images.  Any whitespace separates tokens, `;` starts a comment,
-and every line break that str.splitlines() knows (CRLF included) ends a
-line.  Bases and costs are read with int(), so `+1`, `007` and `1_000` are
-accepted; probabilities with float(), so `1e-3`, `.5` and `1_0e-1` are too.
+`call <label>`, `ret`, `halt`.  The table `_FORMS` is the one description
+of these forms (kind, operands, token count): the parser checks every
+line's arity against it, and the printer writes each instruction's
+operands from its columns in the order the table names them.  A
+`<label>:` prefix (or a label on its own line) names the next
+instruction's address.  Labels are global, so calls may cross images.
+Any whitespace separates tokens, `;` starts a comment, and every line
+break that str.splitlines() knows (CRLF included) ends a line.  Bases
+and costs are read with int(), so `+1`, `007` and `1_000` are accepted;
+probabilities with float(), so `1e-3`, `.5` and `1_0e-1` are too.
 
 An image holds its instructions as four parallel tuples with one entry per
 address: `kinds`, `costs`, `targets` (the resolved absolute address, or
@@ -53,10 +57,14 @@ CONTROL_TRANSFERS = frozenset({JMP, BR, NDBR, CALL, RET})
 TERMINATORS = frozenset({JMP, CALL, RET, HALT})
 
 _PATTERN_RE = re.compile(r"^[TN]+$")
-_NAME_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
-_LABEL_RE = re.compile(r"([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*")
-# Instruction mnemonics, mapped to the constants that the kind columns share.
-_KINDS = {kind: kind for kind in (OP, JMP, BR, NDBR, CALL, RET, HALT)}
+_NAME = r"[A-Za-z_.$][A-Za-z0-9_.$]*"  # an image or label name
+_NAME_RE = re.compile(rf"^{_NAME}$")
+_LABEL_RE = re.compile(rf"({_NAME})\s*:\s*")
+# The instruction set: mnemonic -> (the kind constant that the kind columns
+# share, the operands as the arity error names them, the token count).
+_FORMS = {kind: (kind, operands, 1 + len(operands.split())) for kind, operands in (
+    (OP, "<cost>"), (JMP, "<label>"), (BR, "<label> <pattern>"), (NDBR, "<label> <p>"),
+    (CALL, "<label>"), (RET, ""), (HALT, ""))}
 
 
 class ParseError(ValueError):
@@ -97,11 +105,6 @@ class ProgramImage:
     targets: tuple[int | None, ...]
     args: tuple[str | float | None, ...]  # br pattern, ndbr probability or None
 
-    @property
-    def end(self) -> int:
-        """One past the last instruction address."""
-        return self.base + len(self.kinds)
-
     @cached_property
     def instructions(self) -> tuple[Instruction, ...]:
         """The columns as Instruction objects, built on first access."""
@@ -119,14 +122,14 @@ class Program:
         if not images:
             raise ParseError("no images")
         self.images: tuple[ProgramImage, ...] = tuple(images)
-        ranges = sorted((img.base, img.end, img.name) for img in self.images)
+        ranges = sorted((img.base, img.base + len(img.kinds), img.name) for img in self.images)
         for (_, end_a, name_a), (base_b, _, name_b) in zip(ranges, ranges[1:]):
             if base_b < end_a:
                 raise ParseError(f"overlapping images: {name_a} and {name_b}")
         self._sorted = sorted((img for img in self.images if img.kinds),
                               key=lambda img: img.base)
         self._bases = [img.base for img in self._sorted]
-        self._ends = [img.end for img in self._sorted]
+        self._ends = [img.base + len(img.kinds) for img in self._sorted]
 
     @property
     def entry(self) -> int:
@@ -195,15 +198,12 @@ def parse_program(text: str) -> Program:
             continue
         if ":" in line:
             rest = line.strip()
-            match = _LABEL_RE.match(rest)
-            if match:
-                while match:
-                    pending.append((match.group(1), lineno))
-                    rest = rest[match.end():]
-                    match = _LABEL_RE.match(rest)
-                parts = rest.split()
-                if not parts:
-                    continue
+            while (match := _LABEL_RE.match(rest)):
+                pending.append((match.group(1), lineno))
+                rest = rest[match.end():]
+            parts = rest.split()
+            if not parts:
+                continue
         if not images:
             raise ParseError("instruction before any image directive", lineno)
         if pending:
@@ -214,35 +214,27 @@ def parse_program(text: str) -> Program:
                 labels[label] = addr
             pending.clear()
 
-        kind, n = _KINDS.get(parts[0]), len(parts)
+        kind, operands, size = _FORMS.get(parts[0], (None, "", 0))
         cost, target, arg, error = 1, None, None, None
-        if kind == OP:
-            if n != 2:
-                error = "expected: op <cost>"
+        if len(parts) != size:  # an unknown mnemonic has size 0
+            error = (f"unknown instruction {parts[0]!r}" if kind is None
+                     else f"expected: {kind} {operands}" if operands
+                     else f"{kind} takes no arguments")
+        elif kind == OP:
+            try:
+                cost = int(parts[1])
+            except ValueError:
+                error = f"bad cost {parts[1]!r}"
             else:
-                try:
-                    cost = int(parts[1])
-                except ValueError:
-                    error = f"bad cost {parts[1]!r}"
-                else:
-                    if cost < 0:
-                        error = "cost must be >= 0"
-        elif kind == JMP or kind == CALL:
-            if n != 2:
-                error = f"expected: {kind} <label>"
-            else:
-                target = parts[1]
-        elif kind == BR:
-            if n != 3:
-                error = "expected: br <label> <pattern>"
-            elif not _PATTERN_RE.match(parts[2]):
-                error = f"bad pattern {parts[2]!r} (T/N only)"
-            else:
-                target, arg = parts[1], parts[2]
-        elif kind == NDBR:
-            if n != 3:
-                error = "expected: ndbr <label> <p>"
-            else:
+                if cost < 0:
+                    error = "cost must be >= 0"
+        elif size > 1:  # every form with operands but op's names a label first
+            target = parts[1]
+            if kind == BR:
+                arg = parts[2]
+                if not _PATTERN_RE.match(arg):
+                    error = f"bad pattern {arg!r} (T/N only)"
+            elif kind == NDBR:
                 try:
                     arg = float(parts[2])
                 except ValueError:
@@ -250,16 +242,11 @@ def parse_program(text: str) -> Program:
                 else:
                     if not 0.0 <= arg <= 1.0:
                         error = "probability must be in [0, 1]"
-                    else:
-                        target = parts[1]
-        elif kind is not None:  # ret, halt
-            if n != 1:
-                error = f"{kind} takes no arguments"
-        else:
-            error = f"unknown instruction {parts[0]!r}"
-        if error is not None and arg_error is None:
-            arg_error = (error, lineno)
-        if target is not None:
+        # A label operand is resolved only when its line has no error.
+        if error is not None:
+            if arg_error is None:
+                arg_error = (error, lineno)
+        elif target is not None:
             refs.append((len(kinds), target, lineno))
         kinds.append(kind)
         costs.append(cost)
@@ -296,17 +283,10 @@ def serialize_program(program: Program) -> str:
     lines: list[str] = []
     for img in program.images:
         lines.append(f"image {img.name} {img.base}")
-        for addr, kind, cost, target, arg in zip(count(img.base), img.kinds, img.costs,
-                                                 img.targets, img.args):
-            prefix = f"A{addr}: " if addr in targets else "    "
-            if kind == OP:
-                lines.append(f"{prefix}op {cost}")
-            elif kind == BR:
-                lines.append(f"{prefix}br A{target} {arg}")
-            elif kind == NDBR:
-                lines.append(f"{prefix}ndbr A{target} {arg!r}")
-            elif target is not None:  # jmp, call
-                lines.append(f"{prefix}{kind} A{target}")
-            else:
-                lines.append(f"{prefix}{kind}")
+        # str() of a float is its repr(), so a probability reads back as itself.
+        lines.extend(f"{f'A{addr}: ' if addr in targets else '    '}{kind}"
+                     f"{f' {cost}' if kind == OP else ''}"
+                     f"{'' if target is None else f' A{target}'}{'' if arg is None else f' {arg}'}"
+                     for addr, kind, cost, target, arg in zip(
+                         count(img.base), img.kinds, img.costs, img.targets, img.args))
     return "\n".join(lines) + "\n"

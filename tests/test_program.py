@@ -140,6 +140,20 @@ def test_serialize_parse_idempotent_on_random_corpus():
     for _ in range(25):
         p = parse_program(random_program(rng, max_instructions=80))
         assert parse_program(serialize_program(p)).images == p.images
+    # The mutation corpus's accepted texts: tabs, CRLF, comments, several
+    # labels per address and numerals such as `+1`, `007` and `1e-3`.  The
+    # digest below pins the printed text; this checks that it reads back.
+    parsed = 0
+    for text in parse_corpus():
+        try:
+            p = parse_program(text)
+        except ParseError:
+            continue
+        parsed += 1
+        again = parse_program(serialize_program(p))
+        # repr() tells the columns' 1 from 1.0 and -0.0 from 0.0, which == does not.
+        assert again.images == p.images and repr(again.images) == repr(p.images)
+    assert parsed == 124
 
 
 def test_instruction_addresses_dense(p1):

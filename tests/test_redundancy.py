@@ -243,14 +243,11 @@ def test_load_rejects_image_name_outside_program_grammar(tmp_path, name):
         load(path)
 
 
-def test_failed_save_keeps_old_log_and_leaves_no_temp_file(tmp_path, monkeypatch):
-    path = tmp_path / "log"
-    store_with("bst", ("m", 100, 50)).save(path)
-    old = path.read_bytes()
+def torn_write(monkeypatch):
+    """`open` inside redundancy gives a file whose write stores half the
+    text, then fails."""
 
     class TornWrite:
-        """A file whose write stores half the text, then fails."""
-
         def __init__(self, fh):
             self.fh = fh
 
@@ -268,7 +265,25 @@ def test_failed_save_keeps_old_log_and_leaves_no_temp_file(tmp_path, monkeypatch
     monkeypatch.setattr(redundancy, "open",
                         lambda *args, **kwargs: TornWrite(open(*args, **kwargs)),
                         raising=False)
-    with pytest.raises(OSError, match="disk full"):
+    return "disk full"
+
+
+def failed_rename(monkeypatch):
+    """The rename of the written temporary file over the log fails."""
+    def replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(redundancy.os, "replace", replace)
+    return "rename failed"
+
+
+@pytest.mark.parametrize("fault", [torn_write, failed_rename], ids=["write", "rename"])
+def test_failed_save_keeps_old_log_and_leaves_no_temp_file(tmp_path, monkeypatch, fault):
+    path = tmp_path / "log"
+    store_with("bst", ("m", 100, 50)).save(path)
+    old = path.read_bytes()
+    message = fault(monkeypatch)
+    with pytest.raises(OSError, match=message):
         store_with("bst", ("m", 7, 3), ("n", 1, 9)).save(path)
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["log"]
