@@ -8,15 +8,18 @@ recorded as an overshoot and attributed to the period in which the call
 started.
 
 A check's answer can change only at a charge that spends the budget or at
-the next period boundary.  Every check and charge leaves in `horizon` the
-time before which a check keeps giving the current answer, so a caller
-that reuses the answer reads one attribute and makes no further call.
-The server also publishes the answer from the horizon on: with B > 0 the
-boundary after a spending charge refills the budget, so check() answers 1
-from there until `refill` (MAX_PERIODS * T), and a caller takes that 1
-without asking.  A check or charge whose time is past the open period
-closes every period up to it in one step (`_close`), which both share, so
-a run with B > 0 asks the server twice however many periods it spans.
+the next period boundary after one: with B > 0 the boundary refills the
+budget, and with B = 0 the answer is 0 throughout.  The server publishes
+both times.  `horizon` is the time before which a check keeps giving the
+current answer; only a charge that spends the budget moves it, to the end
+of the open period.  `refill` is a constant, the time until which the
+answer is 1 wherever no spending charge holds it at 0: MAX_PERIODS * T
+when B > 0, and -inf when B = 0.  So a caller asks the server only where
+neither tells it the answer, and a run with B > 0 asks it once, after its
+last point, however many periods it spans.  A check or charge whose time
+is past the open period closes every period up to it in one step
+(`_close`), which both share, so a charge that no check came before
+closes the periods it skipped as checking at each of them would.
 The closed periods are kept as one record per charged period; every other
 period's load is the int 0.
 """
@@ -44,22 +47,19 @@ class BudgetState:
     period_index: int = field(default=0, init=False)
     t_ins_this_period: float = field(default=0, init=False)
     overshoot_log: list[tuple[float, float]] = field(default_factory=list, init=False)
-    # The time before which check() keeps answering as it would now, unless
-    # a charge spends the budget first (which sets a new one):
-    # MAX_PERIODS * T while budget remains, since a boundary refills it to
-    # B > 0, and the end of the open period once it is spent (or B = 0).
-    # The cap at MAX_PERIODS * T makes a caller that reuses the answer still
-    # check, and so raise BudgetContractError, at the first time past the
-    # period-count limit.  The open period ends at (k + 1) * T with
-    # k < MAX_PERIODS, never past the cap.
+    # The time before which check() keeps answering as it would now:
+    # MAX_PERIODS * T, unless a charge has spent the budget, which sets it
+    # to the end of the open period.  The open period ends at (k + 1) * T
+    # with k < MAX_PERIODS, never past the cap.  The cap makes a caller
+    # that reuses the answer still check, and so raise BudgetContractError,
+    # at the first time past the period-count limit.
     horizon: float = field(init=False)
-    # The time until which check() answers 1 from `horizon` on, unless a
-    # charge spends the budget first: MAX_PERIODS * T when B > 0, since
-    # every boundary refills the budget to B, and -inf when B = 0.  It
-    # matters after a charge that spent the budget, whose horizon is the end
-    # of the open period: a caller may then take 1 from there up to the cap
-    # without a check, and the next charge or check closes the periods it
-    # skipped as checking at each of them would.
+    # The time until which check() answers 1 wherever no charge has spent
+    # the budget in the open period: MAX_PERIODS * T when B > 0, since every
+    # boundary refills the budget to B, and -inf when B = 0.  A caller may
+    # take 1 before it, and past the horizon of a spending charge, without a
+    # check; the next charge or check closes the periods it skipped as
+    # checking at each of them would.
     refill: float = field(init=False)
     # The closed periods, one record per charged period (one whose load is
     # not the int 0): the number of uncharged periods between it and the
@@ -83,7 +83,7 @@ class BudgetState:
         self.remaining = self.budget
         self._period_end = self.period
         self._cap = MAX_PERIODS * self.period
-        self.horizon = self._cap if self.budget > 0 else self._period_end
+        self.horizon = self._cap
         self.refill = self._cap if self.budget > 0 else -math.inf
 
     @classmethod
@@ -135,15 +135,16 @@ class BudgetState:
         self.period_index = k
         self._period_end = end
         self.t_ins_this_period = 0
-        self.remaining = budget = self.budget
-        self.horizon = cap if budget > 0 else end
+        self.remaining = self.budget
+        self.horizon = cap
 
     def charge(self, cost: float, now: float) -> int:
         """Consume budget for an analysis call that started at `now`.
 
-        Must follow a check at the same `now` that returned 1, or come at or
-        past the horizon of a charge that spent the budget and before
-        `refill`; it then first closes the periods since.  The call is
+        Must come where check(now) would answer 1: after a check at the
+        same `now` that returned 1, or before `refill` and not before the
+        horizon of a charge that spent the budget; it first closes the
+        periods up to `now`, as that check would.  The call is
         atomic: remaining may transiently go negative, in which case the
         deficit is logged as an overshoot and remaining clamps to 0.
         Returns what check(now) would answer after the charge: 0 once the

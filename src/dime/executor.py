@@ -17,20 +17,22 @@ the other version starting there.  Analysis calls are atomic: once the
 check passes, the call completes even if it spends the budget past zero.
 
 The check's answer can change only at a charge that spends the budget or at
-the next period boundary.  Each check, and each charge that spends the
-budget, leaves on the server the time its answer holds until
-(BudgetState.horizon), and the server publishes the time until which the
-answer is 1 from there on (BudgetState.refill: with B > 0, every boundary
-refills the budget).  So run() reuses the answer at the points before the
-horizon with one float compare, takes 1 past the horizon of a spending
-charge without asking, asks the server only when neither holds, and checks
-once more at the last point when the run ends, so the server closes the
-same periods.  check_cost is still charged to the clock at every point.
-An unlimited server (B = inf, so T = inf) is asked twice however long the
-run is, and charged once: no charge can change its answer, so run() sums
-analysis_cost per analysis call and charges the sum before the last check,
-which leaves the server's loads as the per-call charges would.  A run that
-raises leaves such a server uncharged.
+the next period boundary after one.  The server publishes both times: a
+spending charge leaves the end of the open period in BudgetState.horizon,
+and BudgetState.refill, which run() reads once, is the time until which the
+answer is 1 wherever no spending charge holds it at 0 (with B > 0 every
+boundary refills the budget; with B = 0 it is -inf).  So run() takes 1
+before `refill` without asking, reuses a spending charge's 0 up to its
+horizon with one float compare, and asks the server only where neither
+holds: with B = 0 once, at the first point, whose 0 holds to the
+period-count cap.  It checks once more at the last point when the run
+ends, so the server closes the same periods, and a run with B > 0 makes
+that its only check.  check_cost is still charged to the clock at every
+point.  An unlimited server (B = inf, so T = inf) is also charged only
+once: no charge can change its answer, so run() sums analysis_cost per
+analysis call and charges the sum before the last check, which leaves the
+server's loads as the per-call charges would.  A run that raises leaves
+such a server uncharged.
 
 When execution leaves an instrumented trace (fall-through, taken exit,
 version switch, or halt), the portion from the trace start through the last
@@ -307,9 +309,10 @@ def _cursor(pattern: str, executions: int):
 
 def _native_block(program: Program, pc: int) -> tuple:
     """(steps, cost, addr, kind, target, arg) of the straight run from `pc`:
-    its leading ops and the instruction at `addr` that ends them, or the ops
-    alone, with None for the last four, when they reach the end of their
-    image."""
+    its leading ops and the instruction at `addr` that ends them.  Ops that
+    reach the end of their image end in a jmp that counts no step, at and to
+    the address past it: the run falls through to the next image, or off
+    every image."""
     img = program.image_of(pc)
     if img is None:
         raise GuestError(f"address {pc} outside every image")
@@ -321,7 +324,7 @@ def _native_block(program: Program, pc: int) -> tuple:
         if kinds[i] != OP:
             return i + 1 - start, cost, img.base + i, kinds[i], img.targets[i], img.args[i]
         i += 1
-    return i - start, cost, None, None, None, None
+    return i - start, cost, img.base + i, JMP, img.base + i, None
 
 
 def native_run(config: RunConfig) -> ExecutionOutcome:
@@ -379,8 +382,6 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
             if not call_stack:
                 raise GuestError(f"ret at {at} with empty call stack")
             nxt = call_stack.pop()
-        elif kind is None:  # fall through to the next image, or off every image
-            nxt = pc + n
         elif kind != JMP:  # halt
             return ExecutionOutcome(t, steps, (), (), (), (),
                                     tuple(path) if path is not None else None)
@@ -446,12 +447,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     shared: dict[tuple[str, int, int], tuple[str, int, int]] = {}
     queries: list[tuple[tuple[str, int, int], bool]] = []
     path = [] if config.capture_path else None
-    # The budget's last answer and the time it holds until, then the time
-    # until which V_INSTRUMENT holds from `until` on (the server's refill
-    # after a charge that spent the budget); `now` is the time of the last
-    # instrumentation point.
+    # The budget's last answer and the time it holds until, and the time
+    # until which V_INSTRUMENT holds wherever no spending charge holds
+    # V_BASE; `now` is the time of the last instrumentation point.
     answer = V_INSTRUMENT
-    until = refilled = -math.inf
+    until = -math.inf
+    refill = budget.refill
     now = None
     # B = inf (and so T = inf): no charge can change an answer, so the
     # analysis calls are summed here and charged once when the run ends.
@@ -492,12 +493,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
             if point:
                 now = t = t + lead
                 if now >= until:
-                    if now < refilled:
+                    if now < refill:
                         answer = V_INSTRUMENT
-                        until = refilled
+                        until = refill
                     else:
                         answer = check(now)
-                        until = refilled = budget.horizon
+                        until = budget.horizon
                 t += check_cost
                 if answer != version:
                     version = answer  # abandon before this instruction executes
@@ -510,9 +511,6 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                     elif not charge(analysis_cost, now):
                         answer = V_BASE
                         until = budget.horizon
-                        # The refill starts at the horizon, so only a horizon
-                        # past the charge, where its 0 holds, can have one.
-                        refilled = budget.refill if until > now else until
                     t += analysis_cost
                     last_analyzed = off
             t += cost

@@ -153,8 +153,8 @@ def _config_echo(config: RunConfig, runs: int) -> dict:
         "analysis_cost": config.analysis_cost,
         "check_cost": config.check_cost,
         "compile_cost": config.compile_cost,
-        "max_trace_len": config.max_trace_len,
-        "max_steps": config.max_steps,
+        "max_trace_len": _num(config.max_trace_len),
+        "max_steps": _num(config.max_steps),
         "seed": config.seed,
         "log_strategy": config.log_strategy,
         "log_file": str(config.log_path) if config.log_path is not None else None,

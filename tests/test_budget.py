@@ -70,6 +70,22 @@ def test_charge_that_leaves_exactly_0_spends_the_budget():
     assert state.overshoot_log == []
 
 
+@pytest.mark.parametrize("budget", [0, 3])
+def test_horizon_is_the_cap_unless_a_charge_spent_the_budget(budget):
+    # A B = 0 answer never changes, so it holds to the cap like a B > 0 one;
+    # the refill tells the two apart.
+    state = BudgetState(10, budget)
+    cap = MAX_PERIODS * 10
+    assert (state.horizon, state.refill) == (cap, cap if budget else -math.inf)
+    assert state.check(25) == (1 if budget else 0)
+    assert state.horizon == cap
+    if budget:
+        state.charge(3, 25)
+        assert state.horizon == 30
+        assert state.check(31) == 1
+        assert state.horizon == cap
+
+
 def test_charge_without_passing_check_is_contract_violation():
     state = BudgetState(period=10, budget=3)
     state.charge(3, 0)

@@ -1,18 +1,20 @@
 """Budget checks on a next-event horizon.
 
-run() asks the budget server only when the clock reaches the time that the
-server's last answer holds until (BudgetState.horizon, which each check and
-each charge that spends the budget leave on the server), and reuses the
-answer at the points before it.  A server whose horizon is always -inf is
-asked at every point, as a run did before the horizon existed; runs against
-it are the reference.  They must agree with runs against the real server
-field for field, in the periods closed, the per-period loads, the overshoots
-and the final log, and a run must stop at the period-count limit at the same
-point.  The reference must really be asked at every point, or the
-comparison would pit the real server against itself.  After a charge that
-spends the budget, the real server's refill (BudgetState.refill) lets run()
-take the answer 1 past that charge's horizon without asking; a horizon of
--inf carries no refill, so the reference is still asked.
+run() asks the budget server only where the answer can have changed.  The
+answer is 1 before the server's refill time (BudgetState.refill, the cap at
+2**53 periods when B > 0 and -inf when B = 0) unless a charge has spent the
+budget, and a spending charge's 0 holds until its horizon
+(BudgetState.horizon, the end of the open period), past which the answer is
+1 again.  A B = 0 server's first answer, 0, holds to the cap.  So a run
+with B > 0 checks once, after its last point, and a run with B = 0 twice.
+
+A server whose horizon and refill are always -inf is asked at every point,
+as a run did before the horizon existed; runs against it are the
+reference.  They must agree with runs against the real server field for
+field, in the periods closed, the per-period loads, the overshoots and the
+final log, and a run must stop at the period-count limit at the same point.
+The reference must really be asked at every point, or the comparison would
+pit the real server against itself.
 """
 
 import math
@@ -49,10 +51,11 @@ class Counting(BudgetState):
 
 class EveryPoint(Counting):
     """A server whose answers hold for no time, so run() asks it at every
-    instrumentation point: the horizon it sets is dropped, and run() always
-    reads -inf."""
+    instrumentation point: the horizon and refill it sets are dropped, and
+    run() always reads -inf."""
 
     horizon = property(lambda self: -math.inf, lambda self, value: None)
+    refill = property(lambda self: -math.inf, lambda self, value: None)
 
 
 def points_passed(config, outcome, state):
@@ -114,13 +117,38 @@ def test_horizon_changes_no_outcome(texts, seed, granularity, max_len, strategy,
             == run_sequence(config, strategy, EveryPoint))
 
 
+@settings(max_examples=100, deadline=None)
+@given(texts=programs(), seed=st.integers(0, 99),
+       granularity=st.sampled_from(GRANULARITIES), strategy=st.sampled_from(STRATEGIES),
+       period=st.sampled_from((2, 2.5, math.inf)), share=st.sampled_from((0, 0.4, math.inf)))
+def test_a_run_checks_once_with_budget_and_twice_without(texts, seed, granularity, strategy,
+                                                         period, share):
+    # B = inf needs T = inf.  No run here comes near 2**53 periods, so
+    # none stops at the period-count cap.  check_cost 1 lets points_passed
+    # count the points a run passed.
+    if share == math.inf:
+        period = math.inf
+    config = RunConfig(program=parse_program(texts[0]), granularity=granularity,
+                       period=period, budget=period * share if share else 0,
+                       check_cost=1, seed=seed, capture_path=True)
+    log = LogStore(strategy)
+    for k in range(1, RUNS + 1):
+        state = Counting(period=config.period, budget=config.budget)
+        outcome = run(replace(config, seed=seed + k), log, state)
+        log.finalize()
+        if not points_passed(config, outcome, state):
+            assert state.checks == 0
+        else:
+            assert state.checks == (1 if config.budget > 0 else 2)
+
+
 @pytest.mark.parametrize("share", [0, 0.5, 1])
 def test_period_count_limit_stops_a_run_at_the_same_point(share):
     # Each pass of the loop costs about 1e9 units, and 2**53 periods of 1e-6
     # end near 9e9: the limit falls inside the tenth pass.  The hash log
     # already holds the loop, so no check that passes is followed by a
-    # charge, and only the period-count cap on the horizon makes the run
-    # check again before the halt.
+    # charge, and only the period-count cap on the horizon and the refill
+    # makes the run check again before the halt.
     program = parse_program("image m 0\nL: op 1000000000\n    br L "
                             + "T" * 30 + "N\n    halt\n")
     config = RunConfig(program=program, period=1e-6, budget=1e-6 * share, max_steps=1000)
@@ -136,13 +164,14 @@ def test_period_count_limit_stops_a_run_at_the_same_point(share):
     assert errors[0] == errors[1]
     # The reference checked at the br of each of the ten passes, and at
     # B = 0 once more where the first pass switched to V_BASE at that br.
-    # The real server's horizon skipped checks.
+    # The real server was asked only past the cap, and at B = 0 at the first
+    # br too.
     assert checks[1] == 10 + (share == 0)
-    assert checks[0] < checks[1]
+    assert checks[0] == 1 + (share == 0)
 
 
 @pytest.mark.parametrize("passes", [3, 3000])
-def test_unlimited_budget_run_checks_twice_whatever_its_length(monkeypatch, passes):
+def test_unlimited_budget_run_checks_once_whatever_its_length(monkeypatch, passes):
     # The oracle's full run: every point analyzed, the budget never spent.
     program = parse_program(f"image m 0\nL: op 1\n    op 2\n    br L {'T' * passes}N\n"
                             "    halt\n")
@@ -161,8 +190,8 @@ def test_unlimited_budget_run_checks_twice_whatever_its_length(monkeypatch, pass
     monkeypatch.setattr(BudgetState, "charge", counting_charges)
     oracle = run_oracle(RunConfig(program=program, granularity="all"))
     assert len(oracle.record_stream) == passes
-    assert len(checks) <= 2
-    assert len(charges) <= 1
+    assert len(checks) == 1
+    assert len(charges) == 1
 
 
 @pytest.mark.parametrize("analysis_cost", [3, 0.1])
@@ -205,13 +234,13 @@ def test_period_count_limit_stops_a_spending_run_at_the_same_point(share):
     assert errors[0] == errors[1]
     # Both charged at the br of each of the first nine passes.  The
     # reference checked there and at the tenth, which is past the cap; the
-    # real server was asked at the first br and at the tenth, where its
-    # refill no longer holds.
+    # real server was asked only at the tenth, where its refill no longer
+    # holds.
     assert charges == [9, 9]
-    assert checks == [2, 10]
+    assert checks == [1, 10]
 
 
-def test_a_run_that_spends_every_period_checks_twice():
+def test_a_run_that_spends_every_period_checks_once():
     # Each pass is 5 units of guest time and the period 10, so every period
     # holds a br whose analysis call (3 units, over B = 2) spends the budget.
     program = parse_program("image m 0\nL: op 5\n    br L " + "T" * 200 + "N\n    halt\n")
@@ -224,7 +253,7 @@ def test_a_run_that_spends_every_period_checks_twice():
         found.append((outcome, state.period_index, state.period_loads(),
                       state.overshoot_log, state.charges))
         if server is Counting:
-            assert state.checks <= 2
+            assert state.checks == 1
     assert found[0] == found[1]
     loads = found[0][2]
     assert len(loads) > 100

@@ -351,6 +351,14 @@ def test_report_serializes_unbounded_budget(p1_det, tmp_path):
     assert doc["campaign"]["period"] == "inf"
 
 
+def test_report_serializes_unbounded_trace_length_and_step_limit(p1_det):
+    # json writes a bare inf as Infinity, which is not JSON.
+    config = RunConfig(program=p1_det, max_trace_len=math.inf, max_steps=math.inf)
+    doc = json.loads(json.dumps(report_document(run_campaign(config, 1)), allow_nan=False))
+    assert doc["campaign"]["max_trace_len"] == "inf"
+    assert doc["campaign"]["max_steps"] == "inf"
+
+
 # -- outcomes and the collector --------------------------------------------------------
 
 def loop_guest(iterations):
