@@ -40,16 +40,19 @@ def show(shape):
     return f"{(image, rel_start, length)} points={points}"
 
 
+# A run marks, per version, the entry of each trace it caches; shape reads
+# the marks to cut a walk and marks the entry it is asked for.
 print("\ntrace from the loop head:")
-print(" ", show(ctrl.shape(1000, set())))
+print(" ", show(ctrl.shape(1000, {})))
 print("  (covers 1000..1004, ends at the jmp; the ndbr at offset 2 is a side exit)")
 
+marks = {}
 print("\ntrace from a mid-region jump target:")
-print(" ", show(ctrl.shape(1003, set())))
+print(" ", show(ctrl.shape(1003, marks)))
 
 print("\nsame entry, but 1003 is already a cached trace start of this version:")
-print(" ", show(ctrl.shape(1000, {1003})), " <- stops right before the cached entry")
+print(" ", show(ctrl.shape(1000, marks)), " <- stops right before the cached entry")
 
 print("\ninstrumentation points at granularity 'all':",
       show(TraceMemo(RunConfig(program=program, max_trace_len=16, granularity="all"))
-           .shape(1000, set())))
+           .shape(1000, {})))

@@ -5,8 +5,12 @@ straight-line run of instructions with a single entry point: conditionals may
 sit anywhere (each is an exit), and the first jmp/call/ret/halt closes it.
 A run keeps one trace cache per version, keyed by entry address, and the
 trace shapes are kept in a TraceMemo that the runs of a campaign share.
-TraceMemo.shape is the only way to a shape: it applies the cut rule (_cut)
-and compiles each shape it has not seen with form_trace, once.
+TraceMemo.shape is the only way to a shape: it applies the cut rule, and
+compiles each shape it has not seen with form_trace, once.  The cut rule
+reads the run's marks, which are run state kept per version: per image the
+run has compiled in, a bytearray with one byte per address of the image and
+a 1 at each entry point of a cached trace of that version, so a walk is cut
+with one bytearray.find.
 
 Two versions exist per trace: V_INSTRUMENT carries analysis calls at its
 instrumentation points (when the redundancy log permits), V_BASE carries
@@ -247,16 +251,6 @@ def form_trace(memo: TraceMemo, entry: int, max_len: int) -> tuple:
     return img.name, rel, length, tuple(body)
 
 
-def _cut(entry: int, length: int, cached_entries) -> int:
-    """The length of a walk of `length` from `entry` once it stops just
-    before the entry point of an already-cached trace of the same version:
-    a jump into the middle of cached code starts a fresh trace at the target
-    rather than extending across it."""
-    if cached_entries.isdisjoint(range(entry + 1, entry + length)):
-        return length
-    return next(i for i in range(1, length) if entry + i in cached_entries)
-
-
 class TraceMemo:
     """Trace shapes compiled for the program, max trace length and
     granularity of a config, shared by every run that passes it to run()
@@ -269,7 +263,8 @@ class TraceMemo:
     V_INSTRUMENT traces share them.  `code` maps the address of each
     instruction that does something when executed (every kind but op), at
     both granularities, to its (kind, target, arg), read from the
-    program's columns.
+    program's columns.  The cut rule reads a run's marks (see `shape`),
+    which the memo does not keep.
     """
 
     def __init__(self, config: RunConfig):
@@ -280,20 +275,33 @@ class TraceMemo:
                      for addr, kind, target, arg in zip(count(img.base), img.kinds,
                                                         img.targets, img.args)
                      if kind != OP}
+        self._sizes = {img.name: len(img.kinds) for img in program.images}
         self._walks: dict[int, tuple] = {}
         self._cuts: dict[tuple[int, int], tuple] = {}
 
-    def shape(self, entry: int, cached_entries) -> tuple:
+    def shape(self, entry: int, marks: dict[str, bytearray]) -> tuple:
         """(image, rel_start, length, body) of the trace from `entry`, cut
-        just before the first of `cached_entries` (a set of addresses, the
-        entry points of already-cached traces of the running version) that
-        falls inside it, compiling it only on a miss."""
+        just before the first address inside it that `marks` holds,
+        compiling it only on a miss.
+
+        `marks` are the running version's: per image, a bytearray with one
+        byte per address and a 1 at the entry of each cached trace of that
+        version.  shape allocates an image's bytearray on the run's first
+        compile in it and marks `entry`, which the run then caches: a jump
+        into the middle of cached code starts a fresh trace at the target
+        rather than extending across it."""
         walk = self._walks.get(entry)
         if walk is None:
             walk = self._walks[entry] = form_trace(self, entry, self.max_len)
-        length = _cut(entry, walk[2], cached_entries)
-        if length == walk[2]:
+        image, rel, length, _ = walk
+        mark = marks.get(image)
+        if mark is None:
+            mark = marks[image] = bytearray(self._sizes[image])
+        mark[rel] = 1
+        cut = mark.find(1, rel + 1, rel + length)
+        if cut < 0:
             return walk
+        length = cut - rel
         shape = self._cuts.get((entry, length))
         if shape is None:
             shape = self._cuts[(entry, length)] = form_trace(self, entry, length)
@@ -426,9 +434,11 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     last_cold = HOT_BRANCH - 1
     call_stack: list[int] = []
     # Per version (indexed by V_BASE and V_INSTRUMENT): entry ->
-    # (image, rel_start, length, body, analysis attached).  A cache's keys
-    # are the entry points that cut later walks of its version.
+    # (image, rel_start, length, body, analysis attached), and the marks
+    # (see TraceMemo.shape) of the cache's keys, the entry points that cut
+    # later walks of that version.
     caches: tuple[dict[int, tuple], dict[int, tuple]] = ({}, {})
+    marks: tuple[dict[str, bytearray], dict[str, bytearray]] = ({}, {})
     # entry -> the longest (image, rel_start, prefix) committed from its
     # trace, per instrumented trace; an exit that commits the same prefix
     # again records this tuple, so a loop's repeated commits share one.
@@ -464,7 +474,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
         compiled = cache.get(pc)
         if compiled is None:
             t += config.compile_cost
-            image, rel, length, body = memo.shape(pc, cache.keys())
+            image, rel, length, body = memo.shape(pc, marks[version])
             analysis = False
             if version == V_INSTRUMENT:
                 candidate = (image, rel, length)

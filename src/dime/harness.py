@@ -72,7 +72,7 @@ class MetricsObserver:
             overlaps = self.analyzed[image].overlaps(rel_addr, rel_addr + length)
             self.counts[FP if overlaps else TRUE_PERMIT] += 1
         else:
-            covered = self.analyzed[image].covers(rel_addr, rel_addr + length)
+            covered = self.analyzed[image].end_at(rel_addr) >= rel_addr + length
             self.counts[TRUE_REJECT if covered else FN] += 1
 
     def on_commit(self, entry: tuple[str, int, int]) -> None:

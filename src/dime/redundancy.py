@@ -56,9 +56,11 @@ class LogFormatError(ValueError):
 class _Intervals:
     """Union of address ranges [lo, hi) on one image, as sorted intervals with
     a gap between neighbours: `add` coalesces every interval the new range
-    overlaps or touches.  So `ends` is sorted too, and a range lies in the
-    union iff one interval holds it.  Empty ranges overlap nothing and are
-    always covered."""
+    overlaps or touches.  So `ends` is sorted too, and a range [lo, hi) lies
+    in the union iff `end_at(lo) >= hi`.  `add` changes the lists in place:
+    it inserts a range that touches no interval, widens the one interval a
+    range touches, and replaces the intervals a range merges with one.
+    Empty ranges overlap nothing and are always covered."""
 
     __slots__ = ("starts", "ends")
 
@@ -72,10 +74,17 @@ class _Intervals:
         starts, ends = self.starts, self.ends
         i = bisect_left(ends, lo)       # first interval ending at or after lo
         j = bisect_right(starts, hi)    # past the last one starting at or before hi
-        if i < j:
-            lo, hi = min(lo, starts[i]), max(hi, ends[j - 1])
-        starts[i:j] = [lo]
-        ends[i:j] = [hi]
+        if i == j:
+            starts.insert(i, lo)
+            ends.insert(i, hi)
+        elif i + 1 == j:
+            if lo < starts[i]:
+                starts[i] = lo
+            if hi > ends[i]:
+                ends[i] = hi
+        else:
+            starts[i:j] = [min(lo, starts[i])]
+            ends[i:j] = [max(hi, ends[j - 1])]
 
     def end_at(self, addr: int) -> int:
         """End of the interval holding `addr`, or `addr` itself when none
@@ -83,17 +92,10 @@ class _Intervals:
         i = bisect_right(self.starts, addr) - 1
         return max(addr, self.ends[i]) if i >= 0 else addr
 
-    def holds(self, addr: int) -> bool:
-        return self.end_at(addr) > addr
-
     def overlaps(self, lo: int, hi: int) -> bool:
         """Whether any address in [lo, hi) is in the union."""
         i = bisect_left(self.starts, hi) - 1    # last interval starting below hi
         return lo < hi and i >= 0 and self.ends[i] > lo
-
-    def covers(self, lo: int, hi: int) -> bool:
-        """Whether every address in [lo, hi) is in the union."""
-        return self.end_at(lo) >= hi
 
 
 class LogStore:
@@ -124,12 +126,12 @@ class LogStore:
             return True
         if self.strategy == "hash":
             return rel_addr not in self._lengths.get(image, ())
-        union = self._union[image]
+        end = self._union[image].end_at(rel_addr)
         if self.strategy == "bst":
-            return not union.holds(rel_addr)
+            return end == rel_addr  # no interval holds the start
         # merger: reject only when the candidate ends strictly inside the
         # interval holding its start
-        return rel_addr + length >= union.end_at(rel_addr)
+        return rel_addr + length >= end
 
     def entries(self) -> Iterator[LogEntry]:
         """All entries sorted by (image, rel_addr); hash entries have length 0."""

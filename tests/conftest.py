@@ -33,6 +33,18 @@ def committed_points(program, granularity, outcome):
             if granularity == "all" or kinds[image][a] in CONTROL_TRANSFERS}
 
 
+def marks_of(program, addresses):
+    """The marks a run keeps for one version (see TraceMemo.shape) when
+    `addresses` are the entry points of its cached traces: per image that
+    holds one of them, a bytearray with one byte per address and a 1 at
+    each of them."""
+    marks = {}
+    for addr in addresses:
+        img = program.image_of(addr)
+        marks.setdefault(img.name, bytearray(len(img.kinds)))[addr - img.base] = 1
+    return marks
+
+
 # Canonical 6-instruction program: a loop whose exit is a nondeterministic branch.
 P1 = """\
 image main 1000

@@ -13,7 +13,7 @@ from dime.executor import GRANULARITIES
 from dime.program import CONTROL_TRANSFERS
 from dime.corpus import random_program
 
-from conftest import committed_points
+from conftest import committed_points, marks_of
 from reference import reference_run
 from test_differential import loop_guest
 from test_program import wide_program
@@ -29,11 +29,12 @@ def make_run(program, log_strategy="hash", log=None, seed=1, **overrides):
 
 # -- form_trace, through TraceMemo.shape ---------------------------------------
 
-def shape(program, entry, max_len=16, granularity="ctrl", cached_entries=frozenset()):
+def shape(program, entry, max_len=16, granularity="ctrl", cached_entries=()):
     """(image, rel_start, length, body) of the trace from `entry`, compiled
-    by a fresh memo."""
+    by a fresh memo, when `cached_entries` are the entry points of the
+    traces already cached in the running version."""
     config = RunConfig(program=program, max_trace_len=max_len, granularity=granularity)
-    return TraceMemo(config).shape(entry, cached_entries)
+    return TraceMemo(config).shape(entry, marks_of(program, cached_entries))
 
 
 def points(trace):
@@ -97,7 +98,7 @@ def test_form_trace_unresolvable_entry(p1):
 ])
 def test_form_trace_body_of_the_p1_loop_head(p1, granularity, body):
     memo = TraceMemo(RunConfig(program=p1, granularity=granularity))
-    t = memo.shape(1000, set())
+    t = memo.shape(1000, {})
     assert t == ("main", 0, 5, body)
     assert all(ins is memo.code[at] for _, at, _, _, _, ins in t[3] if ins is not None)
 
@@ -195,8 +196,8 @@ class RecordingMemo(TraceMemo):
         super().__init__(config)
         self.shapes = []
 
-    def shape(self, entry, cached_entries):
-        found = super().shape(entry, cached_entries)
+    def shape(self, entry, marks):
+        found = super().shape(entry, marks)
         self.shapes.append(found)
         return found
 

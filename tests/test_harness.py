@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dime import (ConfigError, LogEntry, LogStore, MetricsObserver, RunConfig, emit_report,
                   load, parse_program, redundancy, run_campaign, run_oracle,
@@ -43,13 +43,22 @@ def test_observer_counts_the_verdict_of_a_permit(committed, candidate, permitted
 
 
 def spans(images):
-    return st.tuples(st.sampled_from(images), st.integers(min_value=0, max_value=200),
-                     st.integers(min_value=0, max_value=30))
+    # Short spans in a small address space as well, so that commits often
+    # touch and the referee's union inserts, widens and merges intervals.
+    return st.one_of(
+        st.tuples(st.sampled_from(images), st.integers(min_value=0, max_value=200),
+                  st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("a"), st.integers(min_value=0, max_value=8),
+                  st.integers(min_value=0, max_value=3)))
 
 
 @settings(max_examples=200)
 @given(events=st.lists(st.one_of(st.tuples(st.none(), spans("ab")),
                                  st.tuples(st.booleans(), spans("abc"))), max_size=80))
+# A commit that merges two intervals, one it only meets end to start: random
+# draws reach a merge under most seeds but not all.
+@example(events=[(None, ("a", 0, 2)), (None, ("a", 4, 2)), (None, ("a", 2, 3)),
+                 (False, ("a", 0, 6)), (True, ("a", 6, 1))])
 def test_observer_verdicts_match_per_address_set(events):
     # Reference: the set of every analyzed (image, address).  An event is a
     # commit (None) or a permit decision (permitted or not), interleaved at

@@ -9,6 +9,7 @@ switch and cut traces.
 """
 
 import gc
+import math
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from dime import (ConfigError, LogStore, RunConfig, executor, form_trace, parse_
 from dime.executor import GRANULARITIES, TraceMemo
 from dime.redundancy import STRATEGIES
 
-from conftest import P1
+from conftest import P1, marks_of
 from test_differential import programs
 
 RUNS = 3
@@ -27,12 +28,12 @@ RUNS = 3
 
 class Unshared(TraceMemo):
     """A memo that remembers nothing: every shape comes from a fresh memo
-    with this run's cached entries, as when each run compiled its own."""
+    with this run's marks, as when each run compiled its own."""
 
-    def shape(self, entry, cached_entries):
+    def shape(self, entry, marks):
         fresh = TraceMemo(RunConfig(program=self.program, max_trace_len=self.max_len,
                                     granularity=self.granularity))
-        return fresh.shape(entry, cached_entries)
+        return fresh.shape(entry, marks)
 
 
 def run_sequence(config, strategy, memos):
@@ -67,6 +68,38 @@ def test_shared_memo_changes_no_outcome(texts, seed, granularity, max_len, strat
     direct, direct_log = run_sequence(config, strategy, [Unshared(config)] * RUNS)
     assert shared == fresh == direct
     assert shared_log == fresh_log == direct_log
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=programs(), granularity=st.sampled_from(GRANULARITIES),
+       max_len=st.one_of(st.integers(1, 16), st.just(math.inf)), data=st.data())
+def test_shape_cuts_the_walk_before_its_first_marked_address(texts, granularity,
+                                                             max_len, data):
+    # The plain rule: walk from the entry as form_trace does, then cut just
+    # before the smallest marked address strictly inside the walk, found by
+    # a linear scan.  Entries repeat and marked ones are drawn, so the scan
+    # must leave out the entry itself and the address at the walk's end; a
+    # walk the rule leaves whole is the one the memo compiled for the entry,
+    # with nothing else marked.
+    program = parse_program(texts[0])
+    memo = TraceMemo(RunConfig(program=program, granularity=granularity,
+                               max_trace_len=max_len))
+    addresses = [addr for img in program.images
+                 for addr in range(img.base, img.base + len(img.kinds))]
+    marked = data.draw(st.sets(st.sampled_from(addresses)))
+    entries = data.draw(st.lists(st.sampled_from(addresses), min_size=1, max_size=8))
+    marks = marks_of(program, marked)
+    for entry in entries:
+        whole = memo.shape(entry, {})
+        assert whole == form_trace(memo, entry, max_len)
+        walk = whole[2]
+        length = next((i for i in range(1, walk) if entry + i in marked), walk)
+        shape = memo.shape(entry, marks)
+        assert shape == form_trace(memo, entry, length)
+        assert (shape is whole) == (length == walk)
+        # shape marks its entry, which the run then caches, and nothing else
+        marked.add(entry)
+        assert marks == marks_of(program, marked)
 
 
 def recording_form_trace(monkeypatch):
@@ -121,8 +154,8 @@ def test_campaign_compiles_each_trace_shape_once(tmp_path, monkeypatch):
 def test_memo_shapes_are_untracked_by_the_collector(p1):
     for granularity in GRANULARITIES:
         memo = TraceMemo(RunConfig(program=p1, granularity=granularity))
-        shapes = [memo.shape(entry, set()) for entry in range(1000, 1006)]
-        shapes.append(memo.shape(1000, {1003}))
+        shapes = [memo.shape(entry, {}) for entry in range(1000, 1006)]
+        shapes.append(memo.shape(1000, marks_of(p1, {1003})))
         # A collection untracks a tuple whose items are untracked when it
         # reaches it, so the three levels (shape, body, item) take at most three.
         for _ in range(3):
