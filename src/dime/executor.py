@@ -62,8 +62,11 @@ per entry; only an entry that could pass it runs a cut body, which stops
 at the first instruction past the limit after that instruction's point
 check, and then raises.
 
-An instrumented trace keeps the longest (image, rel_start, prefix) entry
-that the run committed from it, and an exit with the same prefix records
+A trace's cache entry is the run's only record of it.  An instrumented
+trace's entry holds the log's answer and the longest (image, rel_start,
+prefix) that the run committed from it, as one field that is None when the
+log rejected the trace (and for every V_BASE trace); a commit that grows
+the prefix writes the entry back, and an exit with the same prefix records
 that very tuple again, so a loop's repeated commits share one.
 
 A br's outcomes come from its pattern, in order and cyclically, counted
@@ -92,10 +95,12 @@ built, so no pass, native or instrumented, starts from a bad one.
 
 A run keeps what it reports as plain tuples of strings, numbers and bools,
 which the garbage collector stops tracking: the tool's (kind, src, dst)
-records, the committed (image, rel_addr, length) entries and the permit
-queries ((image, rel_addr, length), permitted).  The same triples go to
-LogStore.commit and to the observer, and ExecutionOutcome holds them as
-they are.
+records and the committed (image, rel_addr, length) entries, which go to
+LogStore.commit and to the observer as they are.  The permits
+((image, rel_addr, length), permitted) are read from the V_INSTRUMENT
+cache when the run ends: each instrumented compile asks the log once and
+a dict keeps insertion order, so the cache's order is the query order.
+ExecutionOutcome holds these streams as they are.
 """
 
 from __future__ import annotations
@@ -141,7 +146,8 @@ class ExecutionOutcome:
     steps: int
     tool_output: tuple        # (kind, src, dst) per tool record, in order
     committed_entries: tuple  # (image, rel_addr, length) per exit that committed
-    permits: tuple            # ((image, rel_addr, length), permitted) in query order
+    permits: tuple            # ((image, rel_addr, length), permitted) per instrumented
+                              # trace, in compile order, read from the run's cache
     overshoots: tuple
     addr_path: tuple | None = None
 
@@ -434,15 +440,16 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     last_cold = HOT_BRANCH - 1
     call_stack: list[int] = []
     # Per version (indexed by V_BASE and V_INSTRUMENT): entry ->
-    # (image, rel_start, length, body, analysis attached), and the marks
-    # (see TraceMemo.shape) of the cache's keys, the entry points that cut
-    # later walks of that version.
+    # (image, rel_start, length, body, longest), and the marks (see
+    # TraceMemo.shape) of the cache's keys, the entry points that cut later
+    # walks of that version.  `longest` is the longest (image, rel_start,
+    # prefix) this run committed from the trace, (image, rel_start, 0) once
+    # the log permits it, None if the log rejects it or the version is
+    # V_BASE; an exit that commits the same prefix again records that tuple,
+    # so a loop's repeated commits share one.  Each V_INSTRUMENT compile asks
+    # the log once, so that cache, in insertion order, is the permit queries.
     caches: tuple[dict[int, tuple], dict[int, tuple]] = ({}, {})
     marks: tuple[dict[str, bytearray], dict[str, bytearray]] = ({}, {})
-    # entry -> the longest (image, rel_start, prefix) committed from its
-    # trace, per instrumented trace; an exit that commits the same prefix
-    # again records this tuple, so a loop's repeated commits share one.
-    longest: dict[int, tuple[str, int, int]] = {}
     check, charge = budget.check, budget.charge
     check_cost = config.check_cost
     analysis_cost = config.analysis_cost
@@ -455,7 +462,6 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     # The tool's records, one shared tuple per distinct (kind, src, dst).
     records: list[tuple[str, int, int]] = []
     shared: dict[tuple[str, int, int], tuple[str, int, int]] = {}
-    queries: list[tuple[tuple[str, int, int], bool]] = []
     path = [] if config.capture_path else None
     # The budget's last answer and the time it holds until, and the time
     # until which V_INSTRUMENT holds wherever no spending charge holds
@@ -475,18 +481,16 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
         if compiled is None:
             t += config.compile_cost
             image, rel, length, body = memo.shape(pc, marks[version])
-            analysis = False
+            longest = None
             if version == V_INSTRUMENT:
-                candidate = (image, rel, length)
-                analysis = log.permit(image, rel, length)
-                queries.append((candidate, analysis))
+                permitted = log.permit(image, rel, length)
                 if observer is not None:
-                    observer.on_permit(candidate, analysis)
-                if analysis:
-                    longest[pc] = (image, rel, 0)
-            compiled = cache[pc] = (image, rel, length, body, analysis)
+                    observer.on_permit((image, rel, length), permitted)
+                if permitted:
+                    longest = (image, rel, 0)
+            compiled = cache[pc] = (image, rel, length, body, longest)
 
-        image, rel, length, body, analysis = compiled
+        image, rel, length, body, longest = compiled
         if steps + length > max_steps:
             # This entry may pass the step limit.  Drop the items that start
             # past it, and keep the point check and analysis call of the one
@@ -515,7 +519,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                     end = off
                     next_pc = pc + off
                     break
-                if analysis:
+                if longest is not None:
                     if unlimited:
                         spent += analysis_cost
                     elif not charge(analysis_cost, now):
@@ -566,9 +570,10 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
             path.extend(range(pc, pc + end))
         if last_analyzed is not None:
             prefix = last_analyzed + 1
-            entry = longest[pc]
+            entry = longest
             if prefix > entry[2]:
-                entry = longest[pc] = (image, rel, prefix)
+                entry = (image, rel, prefix)
+                cache[pc] = compiled[:4] + (entry,)  # the uncut body
                 log.commit(entry)
                 if observer is not None:
                     observer.on_commit(entry)
@@ -589,7 +594,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
         steps=steps,
         tool_output=tuple(records),
         committed_entries=tuple(committed),
-        permits=tuple(queries),
+        permits=tuple((c[:3], c[4] is not None) for c in caches[V_INSTRUMENT].values()),
         overshoots=tuple(magnitude for _, magnitude in budget.overshoot_log),
         addr_path=tuple(path) if path is not None else None,
     )

@@ -265,8 +265,18 @@ def test_repeated_full_prefix_commits_share_one_entry():
     # run commits once and then records as the same tuple.
     program = parse_program("image m 0\nL: op 1\n    op 2\n    br L " + "T" * 20 + "N\n"
                             "    halt\n")
-    outcome = run(RunConfig(program=program, granularity="all"), LogStore("hash"),
+    commits = []
+
+    class Log(LogStore):
+        def commit(self, entry):
+            commits.append(entry)
+            super().commit(entry)
+
+    outcome = run(RunConfig(program=program, granularity="all"), Log("hash"),
                   BudgetState.unlimited())
     loop = [entry for entry in outcome.committed_entries if entry == ("m", 0, 3)]
     assert len(loop) == 20
     assert len({id(entry) for entry in loop}) == 1
+    # The log sees the loop's prefix once, and the last exit's, through the
+    # halt, once.
+    assert commits == [("m", 0, 3), ("m", 0, 4)]

@@ -5,17 +5,19 @@ import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dime import (ConfigError, ExecutionOutcome, GuestError, LogStore,
                   RunConfig, TraceMemo, executor, harness, native_run,
                   parse_program, run, run_campaign)
 from dime.executor import GRANULARITIES
+from dime.redundancy import STRATEGIES
 from dime.program import CONTROL_TRANSFERS
 from dime.corpus import random_program
 
 from conftest import committed_points, marks_of
 from reference import reference_run
-from test_differential import loop_guest
+from test_differential import loop_guest, programs
 from test_program import wide_program
 
 
@@ -250,22 +252,29 @@ def test_committed_union_contains_analyzed_at_ctrl_granularity():
             assert (image, rel_addr + length - 1) in analyzed
 
 
-class CountingLog(LogStore):
+class RecordingLog(LogStore):
+    """A log that records each permit query with its answer, and each commit."""
+
     def __init__(self, strategy):
         super().__init__(strategy)
-        self.commits = []
+        self.permits, self.commits = [], []
+
+    def permit(self, image, rel_addr, length):
+        permitted = super().permit(image, rel_addr, length)
+        self.permits.append(((image, rel_addr, length), permitted))
+        return permitted
 
     def commit(self, entry):
         self.commits.append(entry)
         super().commit(entry)
 
 
-class CommitObserver:
+class EventObserver:
     def __init__(self):
-        self.commits = []
+        self.permits, self.commits = [], []
 
     def on_permit(self, candidate, permitted):
-        pass
+        self.permits.append((candidate, permitted))
 
     def on_commit(self, entry):
         self.commits.append(entry)
@@ -276,7 +285,7 @@ def test_exits_recommitting_a_logged_prefix_skip_the_log(p1_det, strategy):
     # The loop body is one trace, so every exit after the first re-commits a
     # prefix the log already holds; only exits that lengthen it reach the log.
     config = RunConfig(program=p1_det, granularity="all", seed=1)
-    log, observer = CountingLog(strategy), CommitObserver()
+    log, observer = RecordingLog(strategy), EventObserver()
     out = run(config, log, config.make_budget(), observer=observer)
     assert out.committed_entries == (("main", 0, 5), ("main", 0, 5), ("main", 0, 3),
                                      ("main", 5, 1))
@@ -291,6 +300,38 @@ def test_one_permit_query_per_instrumented_trace_entry(p1_det):
     out, _, _ = make_run(p1_det, granularity="all", period=10, budget=3)
     starts = [(image, rel_addr) for (image, rel_addr, _), _ in out.permits]
     assert len(starts) == len(set(starts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=programs(), granularity=st.sampled_from(GRANULARITIES),
+       strategy=st.sampled_from(STRATEGIES), period=st.integers(1, 30),
+       share=st.sampled_from((0, 0.4, math.inf)), max_len=st.integers(1, 16))
+def test_outcome_permits_are_the_log_queries_in_order(texts, granularity, strategy,
+                                                      period, share, max_len):
+    # outcome.permits is read from the run's cache when the run ends; it must
+    # be the log's queries and answers, in the order the run asked them, as
+    # the observer saw them.  Only a commit that grows a trace's prefix
+    # reaches the log and the observer, and a repeated commit of the longest
+    # prefix so far records the very tuple that was committed.
+    program = parse_program(texts[0])
+    config = RunConfig(program=program, granularity=granularity, max_trace_len=max_len,
+                       period=math.inf if share == math.inf else period,
+                       budget=share * period)
+    log = RecordingLog(strategy)
+    for seed in range(2):  # the second run starts from the first one's log
+        log.permits, log.commits = [], []
+        observer = EventObserver()
+        out = run(replace(config, seed=seed), log, config.make_budget(), observer=observer)
+        assert list(out.permits) == log.permits == observer.permits
+        longest, grown = {}, []
+        for entry in out.committed_entries:
+            best = longest.get(entry[:2])
+            if best is None or entry[2] > best[2]:
+                longest[entry[:2]] = entry
+                grown.append(entry)
+            elif entry[2] == best[2]:
+                assert entry is best
+        assert log.commits == observer.commits == grown
 
 
 def test_budget_respected_per_period():
@@ -371,7 +412,7 @@ def test_step_limit_inside_an_op_run_before_a_point(granularity):
     full, _, _ = make_run(program, log_strategy="none", granularity=granularity)
     assert full.steps == len(ref_path) == 16
     for limit in range(1, len(ref_path)):
-        observer = CommitObserver()
+        observer = EventObserver()
         config = RunConfig(program=program, granularity=granularity, max_steps=limit,
                            period=10**6, budget=10**6, seed=1)
         budget = config.make_budget()

@@ -59,6 +59,10 @@ def spans(images):
 # draws reach a merge under most seeds but not all.
 @example(events=[(None, ("a", 0, 2)), (None, ("a", 4, 2)), (None, ("a", 2, 3)),
                  (False, ("a", 0, 6)), (True, ("a", 6, 1))])
+# Commits that widen an interval by exactly one address, at its end and at
+# its start, each followed by a permit about that address.
+@example(events=[(None, ("a", 0, 3)), (None, ("a", 3, 1)), (False, ("a", 3, 1))])
+@example(events=[(None, ("a", 1, 3)), (None, ("a", 0, 1)), (False, ("a", 0, 1))])
 def test_observer_verdicts_match_per_address_set(events):
     # Reference: the set of every analyzed (image, address).  An event is a
     # commit (None) or a permit decision (permitted or not), interleaved at

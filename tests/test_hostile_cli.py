@@ -1,5 +1,6 @@
 """Hostile input through `cli.main`, in-process: mutated program texts,
-extreme flag values and stale or corrupt log files.
+extreme flag values and stale or corrupt log files, among them valid saved
+logs of each strategy with one mutation.
 
 Whatever the draw, the command exits 0, 1 or 2.  A nonzero exit writes
 exactly one `dime: ` line to stderr and no traceback.  A configuration
@@ -8,6 +9,7 @@ the log file as it was.  The step limit stays at 10**4 or below, so a
 mutated program that loops ends in a guest error."""
 
 import contextlib
+import functools
 import io
 import os
 import random
@@ -30,6 +32,9 @@ VALUE_FLAGS = ("--ca", "--cbc", "--cir", "--budget", "--period", "--seed")
 # may not fit the program, and bytes that are no log.
 OLD_LOGS = (None, b"# dime-log v1 strategy=hash\n", b"# dime-log v1 strategy=bst\nmain,0,2\n",
             b"# dime-log v1 strategy=merger\nmain,1,99999\n", b"image main 0\n\xff\n")
+SAVED = ("hash", "bst", "merger")
+# Numbers that int() reads but that save never writes.
+NUMBER_FORMS = ("+{}", "0{}", " {}", "{} ", "{}.0", "-{}", "1_{}", "{}\t")
 
 
 @st.composite
@@ -40,6 +45,58 @@ def program_texts(draw):
     for _ in range(draw(st.integers(1, 2))):
         _mutate(rng, lines)
     return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def saved_log(strategy):
+    """(program text, log bytes) of a two-run campaign under `strategy`."""
+    text = random_program(random.Random(3))
+    with tempfile.TemporaryDirectory() as tmp:
+        program, log = os.path.join(tmp, "p.dime"), os.path.join(tmp, "run.log")
+        with open(program, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert invoke(["campaign", "--program", program, "--runs", "2", "--budget", "3",
+                       "--period", "10", "--log-strategy", strategy,
+                       "--log-file", log]) == (0, "")
+        with open(log, "rb") as fh:
+            data = fh.read()
+    assert data.count(b"\n") >= 3  # a header and at least two entries
+    return text, data
+
+
+@st.composite
+def mutated_logs(draw, strategy):
+    """The bytes of `strategy`'s saved log with one mutation: one bit
+    flipped, a dropped, duplicated or swapped line, another header strategy,
+    truncation, or a number in a form save never writes."""
+    data = saved_log(strategy)[1]
+    lines = data.split(b"\n")[:-1]
+    kind = draw(st.sampled_from(("flip", "drop", "duplicate", "swap", "header",
+                                 "truncate", "number")))
+    if kind == "flip":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([data[i] ^ 1 << draw(st.integers(0, 7))]) + data[i + 1:]
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "header":
+        other = draw(st.sampled_from(("hash", "bst", "merger", "none", "", "BST")))
+        lines[0] = b"# dime-log v1 strategy=" + other.encode()
+    else:  # a number of an entry line
+        i = max(i, 1)
+        fields = lines[i].split(b",")
+        k = draw(st.integers(1, len(fields) - 1))
+        form = draw(st.sampled_from(NUMBER_FORMS))
+        fields[k] = form.format(fields[k].decode()).encode()
+        lines[i] = b",".join(fields)
+    return b"\n".join(lines) + b"\n"
 
 
 @st.composite
@@ -69,9 +126,9 @@ def invoke(argv):
     return code, err.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(program_texts(), commands(), st.sampled_from(OLD_LOGS))
-def test_hostile_command_lines_exit_with_one_error_line(text, argv, old_log):
+def check_command(text, argv, old_log):
+    """Run argv[0] on program `text` and a log file holding `old_log` (None:
+    no file), and check the exit code, stderr and the log's bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         program, log = os.path.join(tmp, "p.dime"), os.path.join(tmp, "run.log")
         with open(program, "w", encoding="utf-8") as fh:
@@ -99,3 +156,25 @@ def test_hostile_command_lines_exit_with_one_error_line(text, argv, old_log):
             else:
                 with open(log, "rb") as fh:
                     assert fh.read() == old_log
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_texts(), commands(),
+       st.one_of(st.sampled_from(OLD_LOGS),
+                 st.sampled_from(SAVED).flatmap(mutated_logs)))
+def test_hostile_command_lines_exit_with_one_error_line(text, argv, old_log):
+    check_command(text, argv, old_log)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SAVED).flatmap(
+           lambda strategy: st.tuples(st.just(strategy), mutated_logs(strategy))),
+       st.sampled_from(("run", "run --resume", "campaign --runs 2")),
+       st.integers(0, 3))
+def test_mutated_saved_logs_exit_with_one_error_line(saved, command, seed):
+    # The program and strategy the log was saved for, and valid flags, so
+    # that the mutated bytes reach load and the checks of a loaded log.
+    strategy, old_log = saved
+    argv = [*command.split(), "--log-strategy", strategy, "--budget", "3",
+            "--period", "10", "--seed", str(seed)]
+    check_command(saved_log(strategy)[0], argv, old_log)
