@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -55,8 +54,6 @@ from .tools import TOOLS, write_tool_output
 
 
 def _time_units(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
     try:
         value = float(text)
     except ValueError:

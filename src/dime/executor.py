@@ -4,9 +4,10 @@ Execution proceeds trace by trace under a virtual clock.  A trace is a
 straight-line run of instructions with a single entry point: conditionals may
 sit anywhere (each is an exit), and the first jmp/call/ret/halt closes it.
 A run keeps one trace cache per version, keyed by entry address, and the
-trace shapes are kept in a TraceMemo that the runs of a campaign share.
-TraceMemo.shape is the only way to a shape: it applies the cut rule, and
-compiles each shape it has not seen with form_trace, once.  The cut rule
+trace walks are kept in a TraceMemo that the runs of a campaign share.
+TraceMemo.shape is the only way to a shape: it applies the cut rule to the
+entry's walk, which form_trace compiles once per campaign, and compiles a
+cut shape with form_trace each time the rule asks for one.  The cut rule
 reads the run's marks, which are run state kept per version: per image the
 run has compiled in, a bytearray with one byte per address of the image and
 a 1 at each entry point of a cached trace of that version, so a walk is cut
@@ -195,6 +196,8 @@ class RunConfig:
             raise ConfigError("max trace length must be a whole number or inf")
         if not self.max_steps >= 1:
             raise ConfigError("step limit must be >= 1")
+        if type(self.seed) is not int:  # Random(float) seeds by hash, a nan's by its id
+            raise ConfigError("seed must be an int")
         # Not make_budget(): the benchmark's tracer counts runs by its calls.
         BudgetState(self.period, self.budget)
         record_kinds(self.tool)
@@ -262,15 +265,16 @@ class TraceMemo:
     granularity of a config, shared by every run that passes it to run()
     with a config that agrees on those three.
 
-    A shape depends on nothing else, so a campaign compiles each one once:
-    per entry address the uncut walk, and per (entry, length) each shorter
-    shape that the cut rule asks for.  Shapes are plain tuples of numbers
-    and strings, which the garbage collector stops tracking, and V_BASE and
-    V_INSTRUMENT traces share them.  `code` maps the address of each
-    instruction that does something when executed (every kind but op), at
-    both granularities, to its (kind, target, arg), read from the
-    program's columns.  The cut rule reads a run's marks (see `shape`),
-    which the memo does not keep.
+    A shape depends on nothing else, so the memo keeps one per entry
+    address, the uncut walk, which a campaign compiles once; a shorter shape
+    that the cut rule asks for is compiled at that compile and kept only in
+    the run's cache, as the same cut rarely comes again.  Shapes are plain
+    tuples of numbers and strings, which the garbage collector stops
+    tracking, and V_BASE and V_INSTRUMENT traces share the walks.  `code`
+    maps the address of each instruction that does something when executed
+    (every kind but op), at both granularities, to its (kind, target, arg),
+    read from the program's columns.  The cut rule reads a run's marks (see
+    `shape`), which the memo does not keep.
     """
 
     def __init__(self, config: RunConfig):
@@ -283,12 +287,12 @@ class TraceMemo:
                      if kind != OP}
         self._sizes = {img.name: len(img.kinds) for img in program.images}
         self._walks: dict[int, tuple] = {}
-        self._cuts: dict[tuple[int, int], tuple] = {}
 
     def shape(self, entry: int, marks: dict[str, bytearray]) -> tuple:
         """(image, rel_start, length, body) of the trace from `entry`, cut
-        just before the first address inside it that `marks` holds,
-        compiling it only on a miss.
+        just before the first address inside it that `marks` holds: the
+        memo's walk when nothing cuts it (compiled on the memo's first
+        miss), else a shape compiled now.
 
         `marks` are the running version's: per image, a bytearray with one
         byte per address and a 1 at the entry of each cached trace of that
@@ -305,13 +309,7 @@ class TraceMemo:
             mark = marks[image] = bytearray(self._sizes[image])
         mark[rel] = 1
         cut = mark.find(1, rel + 1, rel + length)
-        if cut < 0:
-            return walk
-        length = cut - rel
-        shape = self._cuts.get((entry, length))
-        if shape is None:
-            shape = self._cuts[(entry, length)] = form_trace(self, entry, length)
-        return shape
+        return walk if cut < 0 else form_trace(self, entry, cut - rel)
 
 
 def _cursor(pattern: str, executions: int):

@@ -239,13 +239,16 @@ class LogStore:
 
 
 def load(path) -> LogStore:
-    """Read a persisted log; the header names the strategy."""
+    """Read a persisted log; the header names the strategy.  Only a line
+    feed ends a line, as save writes them: a carriage return, or any other
+    character that str.splitlines() takes for a line break, stays in its
+    line, which then fails a check."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            lines = fh.read().removesuffix("\n").split("\n")
     except UnicodeDecodeError:
         raise LogFormatError(f"{path}: not an ASCII dime log") from None
-    if not lines or not lines[0].startswith(_FILE_HEADER):
+    if not lines[0].startswith(_FILE_HEADER):  # an empty file included
         raise LogFormatError(f"{path}: missing dime-log header")
     strategy = lines[0][len(_FILE_HEADER):]
     if strategy not in ("hash", "bst", "merger"):

@@ -199,6 +199,24 @@ def test_guest_error_exit_code(tmp_path, capsys):
     assert "guest error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strategy", ["hash", "bst", "merger"])
+def test_campaign_failing_in_run_2_keeps_run_1s_save(tmp_path, capsys, strategy):
+    # At seed 1 the oracle and run 1 fall through the ndbr to the halt, and
+    # run 2 takes it to a ret on an empty call stack.
+    program = tmp_path / "p.dime"
+    program.write_text("image m 0\n    op 1\n    ndbr BAD 0.5\n    halt\nBAD: ret\n")
+    ends = []
+    for runs in ("1", "2"):
+        log = tmp_path / f"{runs}.log"
+        code = main(["campaign", "--program", str(program), "--runs", runs, "--seed", "1",
+                     "--log-strategy", strategy, "--log-file", str(log)])
+        ends.append((code, capsys.readouterr().err, log.read_bytes()))
+    (one, one_err, saved), (two, two_err, kept) = ends
+    assert (one, one_err) == (0, "")
+    assert (two, two_err) == (2, "dime: guest error: ret at 3 with empty call stack\n")
+    assert kept == saved
+
+
 def test_period_count_past_float_range_is_guest_error(tmp_path, capsys):
     # One op of 10**6 units under T = 1e-300: the halt's budget check lands
     # about 1e306 periods in, where (k + 1) * T no longer moves as k grows.

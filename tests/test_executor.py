@@ -487,6 +487,9 @@ BAD_SETTINGS = [
     ({"max_trace_len": 2.5}, ConfigError, "max trace length must be a whole number or inf"),
     *[({"max_steps": value}, ConfigError, "step limit must be >= 1")
       for value in (0, math.nan)],
+    # Random(nan) seeds by the nan's identity, and a report cannot write inf.
+    *[({"seed": value}, ConfigError, "seed must be an int")
+      for value in (math.nan, math.inf, 1.5, "1", True)],
     # The period and budget are BudgetState's, with its ValueError.
     ({"budget": 20}, ValueError, "budget must satisfy 0 <= B <= T"),
     ({"budget": -1}, ValueError, "budget must satisfy 0 <= B <= T"),

@@ -5,7 +5,8 @@ logs of each strategy with one mutation.
 Whatever the draw, the command exits 0, 1 or 2.  A nonzero exit writes
 exactly one `dime: ` line to stderr and no traceback.  A configuration
 error (exit 1), and a guest error (exit 2) of a command with one run, leave
-the log file as it was.  The step limit stays at 10**4 or below, so a
+the log file as it was.  `dime run` refuses a saved log with a line break
+that save never writes.  The step limit stays at 10**4 or below, so a
 mutated program that loops ends in a guest error."""
 
 import contextlib
@@ -35,6 +36,9 @@ OLD_LOGS = (None, b"# dime-log v1 strategy=hash\n", b"# dime-log v1 strategy=bst
 SAVED = ("hash", "bst", "merger")
 # Numbers that int() reads but that save never writes.
 NUMBER_FORMS = ("+{}", "0{}", " {}", "{} ", "{}.0", "-{}", "1_{}", "{}\t")
+# Line breaks to str.splitlines() that save never writes: save ends each line
+# with a line feed, and load splits at nothing else.
+LINE_BREAKS = (b"\r", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
 @st.composite
@@ -66,18 +70,24 @@ def saved_log(strategy):
 
 @st.composite
 def mutated_logs(draw, strategy):
-    """The bytes of `strategy`'s saved log with one mutation: one bit
-    flipped, a dropped, duplicated or swapped line, another header strategy,
-    truncation, or a number in a form save never writes."""
+    """(kind, bytes) of `strategy`'s saved log with one mutation of that
+    kind: one bit flipped, a dropped, duplicated or swapped line, another
+    header strategy, truncation, a number in a form save never writes, or a
+    line feed replaced by, or put after, another line break."""
     data = saved_log(strategy)[1]
     lines = data.split(b"\n")[:-1]
     kind = draw(st.sampled_from(("flip", "drop", "duplicate", "swap", "header",
-                                 "truncate", "number")))
+                                 "truncate", "number", "line break")))
     if kind == "flip":
         i = draw(st.integers(0, len(data) - 1))
-        return data[:i] + bytes([data[i] ^ 1 << draw(st.integers(0, 7))]) + data[i + 1:]
+        return kind, data[:i] + bytes([data[i] ^ 1 << draw(st.integers(0, 7))]) + data[i + 1:]
     if kind == "truncate":
-        return data[:draw(st.integers(0, len(data) - 1))]
+        return kind, data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "line break":
+        i = draw(st.sampled_from([i for i, byte in enumerate(data) if byte == ord("\n")]))
+        # data[i + 1:] drops the line feed, data[i:] keeps it after the break
+        return kind, (data[:i] + draw(st.sampled_from(LINE_BREAKS))
+                      + data[i + draw(st.integers(0, 1)):])
     i = draw(st.integers(0, len(lines) - 1))
     if kind == "drop":
         del lines[i]
@@ -96,7 +106,7 @@ def mutated_logs(draw, strategy):
         form = draw(st.sampled_from(NUMBER_FORMS))
         fields[k] = form.format(fields[k].decode()).encode()
         lines[i] = b",".join(fields)
-    return b"\n".join(lines) + b"\n"
+    return kind, b"\n".join(lines) + b"\n"
 
 
 @st.composite
@@ -156,12 +166,13 @@ def check_command(text, argv, old_log):
             else:
                 with open(log, "rb") as fh:
                     assert fh.read() == old_log
+    return code, err
 
 
 @settings(max_examples=300, deadline=None)
 @given(program_texts(), commands(),
        st.one_of(st.sampled_from(OLD_LOGS),
-                 st.sampled_from(SAVED).flatmap(mutated_logs)))
+                 st.sampled_from(SAVED).flatmap(mutated_logs).map(lambda m: m[1])))
 def test_hostile_command_lines_exit_with_one_error_line(text, argv, old_log):
     check_command(text, argv, old_log)
 
@@ -174,7 +185,11 @@ def test_hostile_command_lines_exit_with_one_error_line(text, argv, old_log):
 def test_mutated_saved_logs_exit_with_one_error_line(saved, command, seed):
     # The program and strategy the log was saved for, and valid flags, so
     # that the mutated bytes reach load and the checks of a loaded log.
-    strategy, old_log = saved
+    strategy, (kind, old_log) = saved
     argv = [*command.split(), "--log-strategy", strategy, "--budget", "3",
             "--period", "10", "--seed", str(seed)]
-    check_command(saved_log(strategy)[0], argv, old_log)
+    code, err = check_command(saved_log(strategy)[0], argv, old_log)
+    if kind == "line break" and argv[0] == "run":
+        # load refuses a line break save never writes (exit 1 keeps the old
+        # bytes, as check_command asserts); a campaign reads no log file.
+        assert code == 1 and err.startswith("dime: config error: ")

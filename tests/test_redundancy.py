@@ -218,7 +218,11 @@ def test_load_rejects_corrupt_line(tmp_path):
     # save writes no blank line, so load reads none
     ("# dime-log v1 strategy=hash\nmain,1\n\nmain,2\n", ":3: expected 2 fields, got 1$"),
     ("# dime-log v1 strategy=merger\n\n", ":2: expected 3 fields, got 1$"),
-], ids=["none-strategy", "negative-start", "zero-length", "blank-line", "blank-last-line"])
+    # save ends each line with a line feed only, so load splits at nothing else
+    ("# dime-log v1 strategy=bst\r\nmain,0,5\x0cmain,7,2\r", r": unknown strategy 'bst\\r'$"),
+    ("# dime-log v1 strategy=bst\nmain,0,5\r", ":2: number not in the form save writes$"),
+], ids=["none-strategy", "negative-start", "zero-length", "blank-line", "blank-last-line",
+        "crlf-header", "cr-line-end"])
 def test_load_rejects_a_log_that_save_never_writes(tmp_path, text, message):
     path = tmp_path / "log"
     path.write_text(text)

@@ -1,7 +1,8 @@
-"""The per-campaign trace memo: shared shapes change no result, and each
-trace shape is compiled once per campaign.
+"""The per-campaign trace memo: shared walks change no result, each
+entry's uncut walk is compiled once per campaign, and a cut shape is
+compiled at each compile where the cut rule asks for it.
 
-Runs that share a memo reuse the shapes that earlier runs compiled, so the
+Runs that share a memo reuse the walks that earlier runs compiled, so the
 memo must be invisible: every ExecutionOutcome field and the final log equal
 those of runs that each start from an empty memo, and of runs that take
 every trace from a fresh memo, under tight budgets that make both versions
@@ -102,49 +103,77 @@ def test_shape_cuts_the_walk_before_its_first_marked_address(texts, granularity,
         assert marks == marks_of(program, marked)
 
 
-def recording_form_trace(monkeypatch):
-    """Record (entry, length) of every form_trace call the executor makes."""
-    calls = []
+def recording_compiles(monkeypatch):
+    """Record (entry, length) of every form_trace call the executor makes,
+    and check each TraceMemo.shape call against the cut rule, read off the
+    run's marks by a linear scan: it returns the rule's shape, and it calls
+    form_trace for the entry's uncut walk on the memo's first miss only,
+    then once more for the rule's cut when that is shorter.  Returns the
+    calls and the entry of each shape call, one per compile into a run's
+    cache."""
+    calls, compiles = [], []
 
     def recording(memo, entry, max_len):
         shape = form_trace(memo, entry, max_len)
         calls.append((entry, shape[2]))
         return shape
 
+    real_shape = TraceMemo.shape
+
+    def checked_shape(memo, entry, marks):
+        image, rel, walk = form_trace(memo, entry, memo.max_len)[:3]
+        mark = marks.get(image, b"")
+        length = next((i for i in range(1, walk) if mark and mark[rel + i]), walk)
+        first = entry not in memo._walks
+        before = len(calls)
+        shape = real_shape(memo, entry, marks)
+        assert shape == form_trace(memo, entry, length)
+        assert calls[before:] == [(entry, walk)] * first + [(entry, length)] * (length < walk)
+        compiles.append(entry)
+        return shape
+
     monkeypatch.setattr(executor, "form_trace", recording)
-    return calls
+    monkeypatch.setattr(TraceMemo, "shape", checked_shape)
+    return calls, compiles
+
+
+def uncut_walks(memo, calls):
+    """The calls that compiled an entry's uncut walk."""
+    return [(entry, length) for entry, length in calls
+            if length == form_trace(memo, entry, memo.max_len)[2]]
 
 
 def test_switching_runs_cut_traces_and_share_them(p1, monkeypatch):
     # T = 3, B = 1 at `all`: the budget runs out mid-trace, so execution
     # switches versions and later walks stop before entries made on the way.
-    calls = recording_form_trace(monkeypatch)
+    calls, compiles = recording_compiles(monkeypatch)
     config = RunConfig(program=p1, granularity="all", period=3, budget=1, seed=4)
     memo = TraceMemo(config)
     outcomes, _ = run_sequence(config, "none", [memo] * RUNS)
-    uncut = {entry: form_trace(memo, entry, 16)[2] for entry, _ in calls}
-    assert any(length < uncut[entry] for entry, length in calls)  # a cut shape
-    assert len(calls) == len(set(calls))
+    walks = uncut_walks(memo, calls)
+    assert len(walks) < len(calls)  # a cut shape
+    assert len(walks) == len(set(walks))
     # The memo serves both versions and every run: far more traces were
     # compiled into the runs' caches than form_trace was called.
     permits = sum(len(out.permits) for out in outcomes)
-    assert len(calls) < permits
+    assert len(calls) < permits < len(compiles)
 
 
-def test_campaign_compiles_each_trace_shape_once(tmp_path, monkeypatch):
+def test_campaign_compiles_each_uncut_walk_once(tmp_path, monkeypatch):
     program = parse_program(P1)
-    calls = recording_form_trace(monkeypatch)
+    calls, compiles = recording_compiles(monkeypatch)
     config = RunConfig(program=program, granularity="all", period=3, budget=1, seed=4,
                        max_trace_len=4, log_strategy="bst",
                        log_path=str(tmp_path / "memo.log"))
     first = run_campaign(config, 4)
     compiled = list(calls)
-    assert compiled and len(compiled) == len(set(compiled))
+    walks = uncut_walks(TraceMemo(config), compiled)
+    assert walks and len(walks) == len(set(walks))
     # The oracle's full run and the four budgeted runs each compile every
     # trace they enter, so without sharing the calls would be counted per run.
-    assert len(compiled) < sum(len(out.permits) for out in first.outcomes)
+    assert len(compiled) < sum(len(out.permits) for out in first.outcomes) < len(compiles)
     # The memo lives for one campaign: a second one, on the same Program,
-    # compiles the same shapes again, in the same order.
+    # compiles the same walks and cuts again, in the same order.
     calls.clear()
     second = run_campaign(config, 4)
     assert calls == compiled
