@@ -71,14 +71,36 @@ the prefix writes the entry back, and an exit with the same prefix records
 that very tuple again, so a loop's repeated commits share one.
 
 A br's outcomes come from its pattern, in order and cyclically, counted
-per run and per address.  A cold br keeps in the run's `pattern_pos` the
-number of times it has executed, and reads its outcome from the pattern by
-that count.  On its HOT_BRANCH-th execution in the run the count gives way
-to an itertools.cycle over the pattern, rotated to the next outcome, and
-each later execution is one next() on it.  The cursor is kept per address,
-so every trace, version and native block that ends at the br draws from it.
-Making a cursor costs about two cold executions and adds an object the
-collector tracks, so a br that runs only a few times per run stays cold.
+per run and per address.  run() keeps in `pattern_pos` the number of times
+each br has executed and reads its outcome from the pattern by that count,
+so every trace and version that ends at the br reads the same count.  The
+native pass does the same while a br is cold; on its HOT_BRANCH-th
+execution the count gives way to an itertools.cycle over the pattern,
+rotated to the next outcome, and each later execution is one next() on it,
+from the native block that holds it.  Making a cursor costs about two cold
+executions and adds an object the collector tracks, so a br that runs only
+a few times per run stays cold.
+
+run() fast-forwards a hot loop: when an entry takes a br that has executed
+at least HOT_BRANCH times, that is its trace's first item and whose target
+is at or below the trace's pc, and no analysis call in the loop is charged
+(the log rejected the trace, the version is V_BASE, or the budget is
+unlimited, so the calls are only summed), the loop may run in closed form.
+Its cycle is the br's trace and the cached op-only traces (one item, no
+point, no instruction) that fall through from the target into it, so its
+one point is the br.  Nothing in it can change while the br is taken, every
+entry fits the step limit and every point comes before `until`, the time
+the budget's answer holds until: it makes no check, charge, compile or
+observer call.  So run() skips the largest number of iterations that the
+rest of the pattern's run of Ts, `until` and the step limit (tested as
+each entry would test it) allow, in one step: the clock, `now`, the step
+count, the br's count and `spent` grow by that many iterations' worth, and
+the commit tuple, the tool record and the path range of one iteration are
+appended that many times.  The generic loop then runs the iteration that
+sees the N, crosses `until` or nears the limit.  The clock and every cost
+in the cycle must be ints, so that the multiplication is exact and equal
+to the sums it replaces; with a float among them the loop runs iteration
+by iteration.
 
 Trace walks and the native pass read the program's instruction columns, so
 no run builds an Instruction object.  An analysis call does no bookkeeping
@@ -119,9 +141,12 @@ from .tools import record_kinds
 
 GRANULARITIES = ("ctrl", "all")
 
-# The execution of a br in a run at which its count gives way to a cursor
-# (see the module docstring).  A cursor made at the first execution slowed
-# the native pass of a guest whose brs run 1-4 times per run by over a quarter.
+# The execution of a br in a run from which run() may fast-forward the loop
+# it closes, and at which the native pass's count gives way to a cursor (see
+# the module docstring).  A cursor made at the first execution slowed the
+# native pass of a guest whose brs run 1-4 times per run by over a quarter,
+# and a fast-forward tried at every taken br slowed that guest's campaign by
+# about a tenth.
 HOT_BRANCH = 8
 
 # The largest analysis, check or compile cost a run accepts: every cost up to
@@ -196,6 +221,8 @@ class RunConfig:
             raise ConfigError("max trace length must be a whole number or inf")
         if not self.max_steps >= 1:
             raise ConfigError("step limit must be >= 1")
+        if self.max_steps % 1 and self.max_steps != math.inf:
+            raise ConfigError("step limit must be a whole number or inf")
         if type(self.seed) is not int:  # Random(float) seeds by hash, a nan's by its id
             raise ConfigError("seed must be an int")
         # Not make_budget(): the benchmark's tracer counts runs by its calls.
@@ -319,6 +346,75 @@ def _cursor(pattern: str, executions: int):
     return cycle(pattern[k:] + pattern[:k])
 
 
+def _head_cost(cache: dict[int, tuple], start: int, stop: int) -> int | None:
+    """The summed cost of the cached traces that fall through from `start`
+    to `stop`, or None unless there are such traces and each is op-only: one
+    item, with no point and no instruction."""
+    cost = 0
+    while start < stop:
+        compiled = cache.get(start)
+        if compiled is None or len(compiled[3]) != 1 or compiled[3][0][1] is not None:
+            return None
+        cost += compiled[3][0][4]
+        start += compiled[2]
+    return cost if start == stop else None
+
+
+def _skips(pattern: str, executions: int, room: int | float, lap_steps: int, now: int,
+           lap: int, until: float) -> int:
+    """How many iterations of a loop can run in closed form after its
+    closing br was taken for the `executions`-th time, at a point at time
+    `now`.  Each iteration takes `lap_steps` steps and `lap` clock units,
+    and its one point, the br, comes `lap` after the last.  The count is
+    the least of three bounds: the Ts left in a row in `pattern`; the
+    iterations whose points come before `until`; and the iterations whose
+    entries all pass the step limit, where `room` is what the limit leaves
+    after the first iteration's furthest-reaching entry (inf without a
+    limit).  It is 0 when no bound is finite, so a loop without end stays
+    on the generic path.  `now` and `lap` are ints, so every comparison
+    with `until` is exact."""
+    k = executions % len(pattern)
+    return cycle(pattern[k:] + pattern[:k])
+
+
+def _head_cost(cache: dict[int, tuple], start: int, stop: int) -> int | None:
+    """The summed cost of the cached traces that fall through from `start`
+    to `stop`, or None unless there are such traces and each is op-only: one
+    item, with no point and no instruction."""
+    cost = 0
+    while start < stop:
+        compiled = cache.get(start)
+        if compiled is None or len(compiled[3]) != 1 or compiled[3][0][1] is not None:
+            return None
+        cost += compiled[3][0][4]
+        start += compiled[2]
+    return cost if start == stop else None
+
+
+def _skips(pattern: str, executions: int, room: int | float, lap_steps: int, now: int,
+           lap: int, until: float) -> int:
+    """How many iterations of a loop closed by a taken br with `pattern`,
+    each `lap_steps` steps and `lap` clock units long with its one point
+    `lap` after the last, at `now`, can run in closed form after the br's
+    `executions`-th execution: the br is taken in each of them, every one
+    of their points comes before `until`, and each entry of the br's trace
+    has `room` (the step limit minus the steps through its first such
+    entry) to spare.  Where no bound is finite, 0, so a loop without end
+    stays on the generic path.  Every comparison is exact, as `room`,
+    `now` and `lap` are ints or inf and `until` an int or float."""
+    k = executions % len(pattern)
+    taken = (pattern[k:] + pattern[:k]).find("N")
+    bounds = [taken] if taken >= 0 else []
+    if room != math.inf:
+        bounds.append(room // lap_steps + 1)
+    if until != math.inf:
+        if not now + lap < until:
+            return 0
+        if lap:
+            bounds.append((math.ceil(until) - 1 - now) // lap)
+    return max(0, min(bounds, default=0))
+
+
 def _native_block(program: Program, pc: int) -> tuple:
     """(steps, cost, addr, kind, target, arg) of the straight run from `pc`:
     its leading ops and the instruction at `addr` that ends them.  Ops that
@@ -429,13 +525,13 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
             program, config.max_trace_len, config.granularity):
         raise ConfigError("trace memo belongs to another program, max trace length "
                           "or granularity")
-    # Guest-visible state: per br address its execution count while cold and
-    # its cursor once hot (see HOT_BRANCH), the ndbr RNG and the call stack.
-    # Instrumentation never touches it, so the executed address sequence is
-    # the same with instrumentation on or off.
+    # Guest-visible state: per br address its execution count, the ndbr RNG
+    # and the call stack.  Instrumentation never touches it, so the executed
+    # address sequence is the same with instrumentation on or off.
     random = Random(config.seed).random
-    pattern_pos: dict[int, int | cycle] = {}
+    pattern_pos: dict[int, int] = {}
     last_cold = HOT_BRANCH - 1
+    hot = 0  # the executions of a hot br that the entry took, else 0
     call_stack: list[int] = []
     # Per version (indexed by V_BASE and V_INSTRUMENT): entry ->
     # (image, rel_start, length, body, longest), and the marks (see
@@ -452,6 +548,8 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     check_cost = config.check_cost
     analysis_cost = config.analysis_cost
     max_steps = config.max_steps
+    if max_steps != math.inf:
+        max_steps = int(max_steps)  # whole, so every step arithmetic is exact
     t = 0
     steps = 0
     version = V_INSTRUMENT
@@ -530,13 +628,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                 continue
             kind, nxt, arg = ins
             if kind == BR:
-                pos = pattern_pos.get(at, 0)
-                if type(pos) is int:  # cold: pos counts the executions so far
-                    pattern_pos[at] = pos + 1 if pos < last_cold else _cursor(arg, pos + 1)
-                    if arg[pos % len(arg)] != "T":
-                        continue  # not taken: on to the next item
-                elif next(pos) != "T":
-                    continue
+                pos = pattern_pos.get(at, 0)  # the executions so far
+                pattern_pos[at] = pos + 1
+                if arg[pos % len(arg)] != "T":
+                    continue  # not taken: on to the next item
+                if pos >= last_cold and (longest is None or unlimited) and body[0][1] == at:
+                    hot = pos + 1  # see the entry's end
             elif kind == NDBR:
                 if not random() < arg:
                     continue
@@ -578,6 +675,33 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
             elif prefix < entry[2]:
                 entry = (image, rel, prefix)
             committed.append(entry)
+        if hot:
+            # A hot br, the trace's first item, was taken, and no analysis
+            # call it made was charged; the loop variables still hold its
+            # item.  Fast-forward the loop it closes if nothing in the loop
+            # can change over the iterations skipped (see the module
+            # docstring).
+            executions, hot = hot, 0
+            heads = _head_cost(cache, next_pc, pc) if next_pc <= pc else None
+            lap = None if heads is None else (
+                heads + lead + check_cost + cost + (0 if longest is None else analysis_cost))
+            if type(lap) is int and type(t) is int:
+                lap_steps = pc + end - next_pc
+                # The br's trace is an iteration's last entry and reaches furthest.
+                room = max_steps - steps - (pc - next_pc) - length
+                skips = _skips(arg, executions, room, lap_steps, now, lap, until)
+                if skips:
+                    t += skips * lap
+                    now += skips * lap
+                    steps += skips * lap_steps
+                    pattern_pos[at] = executions + skips
+                    if longest is not None:  # analysed, the calls only summed
+                        spent += skips * analysis_cost
+                        committed += [committed[-1]] * skips
+                        if BR in keeps:
+                            records += [records[-1]] * skips
+                    if path is not None:
+                        path += [*range(next_pc, pc + end)] * skips
         pc = next_pc
 
     if now is not None:

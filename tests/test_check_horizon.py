@@ -15,6 +15,13 @@ field, in the periods closed, the per-period loads, the overshoots and the
 final log, and a run must stop at the period-count limit at the same point.
 The reference must really be asked at every point, or the comparison would
 pit the real server against itself.
+
+The reference also keeps every run on the generic trace loop: run()
+fast-forwards a hot loop only over points that come before the time its
+answer holds until, which the reference holds at -inf.  So the same
+comparison, on guests whose loops run their back edge past HOT_BRANCH,
+checks the loops run in closed form against the loops run iteration by
+iteration, step-limit errors included.
 """
 
 import math
@@ -25,12 +32,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import (BudgetContractError, BudgetState, LogEntry, LogStore, RunConfig,
-                  parse_program, run, run_oracle)
-from dime.executor import GRANULARITIES
+from dime import (BudgetContractError, BudgetState, GuestError, LogEntry, LogStore,
+                  RunConfig, executor, parse_program, run, run_oracle)
+from dime.executor import GRANULARITIES, HOT_BRANCH
 from dime.redundancy import STRATEGIES
 
-from test_differential import programs
+from reference import reference_run
+from test_differential import COSTS, programs
 
 RUNS = 2
 
@@ -84,14 +92,21 @@ def log_bytes(log):
 def run_sequence(config, strategy, server):
     """RUNS runs against one log of `strategy`, each with a fresh `server`:
     per run the outcome and the server's closed periods, loads and
-    overshoots, then the final log's bytes."""
+    overshoots, or the message of the GuestError it raised, then the final
+    log's bytes.  A run that raises skips its last check, so the servers
+    may differ then."""
     log = LogStore(strategy)
     runs = []
     for k in range(1, RUNS + 1):
         state = server(period=config.period, budget=config.budget)
-        outcome = run(replace(config, seed=config.seed + k), log, state)
-        log.finalize()
-        if server is EveryPoint and config.check_cost:
+        try:
+            outcome = run(replace(config, seed=config.seed + k), log, state)
+        except GuestError as error:
+            runs.append(str(error))
+            continue
+        finally:
+            log.finalize()
+        if server is EveryPoint and config.check_cost and type(outcome.virtual_time) is int:
             # One check per point passed, and one more after the last point.
             points = points_passed(config, outcome, state)
             assert state.checks == points + (points > 0)
@@ -115,6 +130,148 @@ def test_horizon_changes_no_outcome(texts, seed, granularity, max_len, strategy,
                        capture_path=True)
     assert (run_sequence(config, strategy, Counting)
             == run_sequence(config, strategy, EveryPoint))
+
+
+@st.composite
+def hot_loops(draw):
+    """Guests whose loops take their back edge up to 3 * HOT_BRANCH times in
+    a row, often more than HOT_BRANCH + 4 times.  A loop's body is ops
+    only, so its br is the first item of its trace, and a loop may be
+    entered by a jmp into its body, so that the trace from its head stops
+    there: op-only, it falls through into the br's trace.  Loops in
+    routines run again at each call, their br's count carried over, and a
+    pattern may end the loop more than once."""
+    labels = iter(f"L{i}" for i in range(1000))
+
+    def ops(low, high):
+        return [f"op {draw(COSTS)}" for _ in range(draw(st.integers(low, high)))]
+
+    def loop():
+        head, mid, body = next(labels), next(labels), ops(1, 5)
+        cut = draw(st.integers(0, len(body)))
+        runs = draw(st.lists(st.integers(HOT_BRANCH + 4, 3 * HOT_BRANCH)
+                             | st.integers(0, HOT_BRANCH + 3), min_size=1, max_size=3))
+        pattern = "".join("T" * taken + "N" for taken in runs)
+        return [*([f"jmp {mid}"] if cut else []), f"{head}:", *body[:cut],
+                *([f"{mid}:"] if cut else []), *body[cut:], f"br {head} {pattern}"]
+
+    routines = [loop() + ["ret"] for _ in range(draw(st.integers(0, 2)))]
+    main = []
+    for piece in draw(st.lists(st.sampled_from(("loop", "ops", "call")), min_size=1,
+                               max_size=6)):
+        if piece == "loop":
+            main += loop()
+        elif piece == "call" and routines:
+            main.append(f"call R{draw(st.integers(0, len(routines) - 1))}")
+        else:
+            main += ops(1, 12)
+    lines = ["image m 0", *main, "halt"]
+    if routines:
+        lines.append("image lib 10000")
+        for r, routine in enumerate(routines):
+            lines += [f"R{r}:", *routine]
+    return "\n".join(line if line.endswith(":") or line.startswith("image")
+                     else "    " + line for line in lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=hot_loops(), granularity=st.sampled_from(GRANULARITIES),
+       max_len=st.integers(1, 8), strategy=st.sampled_from(STRATEGIES),
+       period=st.sampled_from((2, 7, 60, math.inf)), share=st.sampled_from((0, 0.4, 1)),
+       check_cost=st.sampled_from((0, 1, 2, 0.1)), analysis_cost=st.sampled_from((1, 3, 0.1)),
+       limit=st.none() | st.floats(0, 1))
+def test_fast_forward_changes_no_outcome(text, granularity, max_len, strategy, period, share,
+                                         check_cost, analysis_cost, limit):
+    # share 1 with T = inf is the unlimited server, whose analysis calls a
+    # fast-forward sums; share 0 answers 0, so the run is V_BASE; the
+    # second run's log rejects what the first committed.  A float cost
+    # keeps fast-forward off, and a fast-forward that did not would add it
+    # in another order.  A step limit drawn below the guest's length often
+    # falls inside a loop, and must stop both runs with the same error.
+    program = parse_program(text)
+    steps = len(reference_run(program)[2])
+    config = RunConfig(program=program, granularity=granularity, period=period,
+                       budget=period * share if share else 0, analysis_cost=analysis_cost,
+                       check_cost=check_cost, max_trace_len=max_len,
+                       max_steps=steps if limit is None else max(1, round(limit * steps)),
+                       capture_path=True)
+    assert (run_sequence(config, strategy, Counting)
+            == run_sequence(config, strategy, EveryPoint))
+
+
+def skips_taken(monkeypatch):
+    """The iteration counts run() skips, in order, while the test runs."""
+    found = []
+    real = executor._skips
+
+    def counting(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    monkeypatch.setattr(executor, "_skips", counting)
+    return found
+
+
+@pytest.mark.parametrize("executions", [HOT_BRANCH - 1, HOT_BRANCH, HOT_BRANCH + 1,
+                                        HOT_BRANCH + 2, 3 * HOT_BRANCH])
+@pytest.mark.parametrize("entered", ["H", "M"])
+@pytest.mark.parametrize("period, budget, strategy", [
+    (math.inf, math.inf, "none"),  # every run analysed, the calls summed
+    (math.inf, math.inf, "hash"),  # the second run's log rejects the loop
+    (7, 0, "none"),                # every run V_BASE
+    (7, 3, "none"),                # every br charged: no fast-forward
+], ids=["unlimited", "rejected", "zero", "charged"])
+def test_fast_forward_at_the_hot_threshold(monkeypatch, executions, entered, period,
+                                           budget, strategy):
+    # A loop whose br executes `executions` times.  Entered at M, its head's
+    # trace is the op at H, which falls through into the br's trace.  The
+    # br's HOT_BRANCH-th execution is the first that may fast-forward, and
+    # then skips the taken ones left before the N.
+    program = parse_program(f"image m 0\n    jmp {entered}\nH:  op 1\nM:  op 2\n"
+                            f"    br H {'T' * (executions - 1)}N\n    halt\n")
+    config = RunConfig(program=program, period=period, budget=budget, check_cost=1,
+                       capture_path=True)
+    found = skips_taken(monkeypatch)
+    assert (run_sequence(config, strategy, Counting)
+            == run_sequence(config, strategy, EveryPoint))
+    # Each of the two runs skips once, the reference never.
+    skipped = executions - 1 - HOT_BRANCH if budget != 3 else 0
+    assert [n for n in found if n] == [skipped] * 2 * (skipped > 0)
+
+
+@pytest.mark.parametrize("period", range(5, 13))
+@pytest.mark.parametrize("check_cost, analysis_cost", [(0, 1), (0, 3), (1, 1), (1, 3)])
+def test_fast_forward_stops_before_the_answer_changes(period, check_cost, analysis_cost):
+    # B = 1: the br's analysis call spends the budget in each period, so the
+    # loop runs in V_BASE, in closed form, up to the end of the period, and
+    # switches back to V_INSTRUMENT at the first point at or past it.  Some
+    # periods end right at a point.
+    program = parse_program("image m 0\nH:  op 1\n    br H " + "T" * 200 + "N\n    halt\n")
+    config = RunConfig(program=program, period=period, budget=1, check_cost=check_cost,
+                       analysis_cost=analysis_cost, capture_path=True)
+    assert (run_sequence(config, "none", Counting)
+            == run_sequence(config, "none", EveryPoint))
+
+
+@pytest.mark.parametrize("max_steps, skipped", [
+    # The trace from H is op, br and halt, 3 steps, and an iteration is 2.
+    # After the br's HOT_BRANCH-th execution the run has taken 16 steps,
+    # and it skips the iterations whose entries end by the limit: k of
+    # them where 16 + 2 * (k - 1) + 3 <= max_steps.
+    (20, 1), (21, 2), (22, 2), (100, 41), (101, 42), (10**6, 100 - HOT_BRANCH),
+])
+def test_fast_forward_leaves_the_entries_near_the_step_limit(monkeypatch, max_steps, skipped):
+    # Past the limit a run raises whatever it skipped, so only the count of
+    # skipped iterations shows where a fast-forward stops.
+    program = parse_program("image m 0\nH:  op 1\n    br H " + "T" * 100 + "N\n    halt\n")
+    found = skips_taken(monkeypatch)
+    config = RunConfig(program=program, max_steps=max_steps, period=10, budget=0)
+    if max_steps < 203:
+        with pytest.raises(GuestError, match="^step limit exceeded$"):
+            run(config, LogStore("none"), config.make_budget())
+    else:
+        assert run(config, LogStore("none"), config.make_budget()).steps == 203
+    assert [n for n in found if n] == [skipped]
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,10 +12,10 @@ from dime import (ConfigError, ExecutionOutcome, GuestError, LogStore,
                   parse_program, run, run_campaign)
 from dime.executor import GRANULARITIES
 from dime.redundancy import STRATEGIES
-from dime.program import CONTROL_TRANSFERS
+from dime.program import BR, CONTROL_TRANSFERS, HALT, Program, ProgramImage
 from dime.corpus import random_program
 
-from conftest import committed_points, marks_of
+from conftest import committed_points, marks_of, wall_budget
 from reference import reference_run
 from test_differential import loop_guest, programs
 from test_program import wide_program
@@ -363,9 +363,10 @@ def test_tool_output_subset_of_reference_under_any_budget(p1):
     pytest.param(loop_guest("TN", 1, executor.HOT_BRANCH - 1), 2, id="just-hot"),
 ])
 def test_a_cursor_is_made_once_per_hot_branch_per_pass(monkeypatch, text, hot):
-    # A campaign makes 2 + runs passes: the native and the full run of its
-    # oracle, then each budgeted run.  Cold branches allocate nothing, and
-    # the native blocks that end at one br share its cursor.
+    # Only the native pass makes cursors, one per campaign, in its oracle:
+    # run() keeps a plain count per br, from which it reads the outcomes and
+    # the taken run ahead of a fast-forwarded loop.  Cold branches allocate
+    # nothing, and the native blocks that end at one br share its cursor.
     made = []
 
     def counting(pattern):
@@ -375,7 +376,36 @@ def test_a_cursor_is_made_once_per_hot_branch_per_pass(monkeypatch, text, hot):
     monkeypatch.setattr(executor, "cycle", counting)
     config = RunConfig(program=parse_program(text), period=10, budget=3)
     run_campaign(config, runs=3)
-    assert len(made) == hot * (2 + 3)
+    assert len(made) == hot
+
+
+@pytest.mark.parametrize("budget, log_entries, max_steps", [
+    # Every iteration commits and records, so a longer run would hold
+    # hundreds of MB of list slots.
+    pytest.param(math.inf, (), 10**7, id="unlimited"),
+    pytest.param(0, (), 10**8, id="zero-budget"),
+    pytest.param(math.inf, (("m", 0, 2),), 10**8, id="rejected"),
+])
+def test_a_hot_loop_runs_in_closed_form(budget, log_entries, max_steps):
+    # Iteration by iteration, millions of trace entries take seconds.
+    program = parse_program("image m 0\nH:  op 1\n    br H T\n")
+    log = LogStore("hash")
+    for entry in log_entries:
+        log.commit(entry)
+    config = RunConfig(program=program, max_steps=max_steps,
+                       period=math.inf if budget else 10, budget=budget)
+    with wall_budget(1.0), pytest.raises(GuestError, match="^step limit exceeded$"):
+        run(config, log, config.make_budget())
+
+
+def test_a_loop_that_takes_no_time_runs_in_closed_form():
+    # A hand-built image whose br costs nothing: every point of the loop
+    # falls at time 0, before any time the budget's answer holds until.
+    image = ProgramImage("m", 0, (BR, HALT), (0, 1), (0, None), ("T" * 10**6 + "N", None))
+    config = RunConfig(program=Program([image]), max_steps=10**7, period=10, budget=0)
+    with wall_budget(1.0):
+        outcome = run(config, LogStore("none"), config.make_budget())
+    assert (outcome.virtual_time, outcome.steps) == (1, 10**6 + 2)
 
 
 # -- errors ----------------------------------------------------------------------
@@ -487,6 +517,8 @@ BAD_SETTINGS = [
     ({"max_trace_len": 2.5}, ConfigError, "max trace length must be a whole number or inf"),
     *[({"max_steps": value}, ConfigError, "step limit must be >= 1")
       for value in (0, math.nan)],
+    # A run would stop at 2 steps and report 2.5.
+    ({"max_steps": 2.5}, ConfigError, "step limit must be a whole number or inf"),
     # Random(nan) seeds by the nan's identity, and a report cannot write inf.
     *[({"seed": value}, ConfigError, "seed must be an int")
       for value in (math.nan, math.inf, 1.5, "1", True)],
@@ -520,6 +552,7 @@ def test_each_rule_admits_its_boundary(p1):
                       {"check_cost": 0, "compile_cost": 0, "analysis_cost": 0.5},
                       {"max_trace_len": 1, "max_steps": 1},
                       {"max_trace_len": 2.0}, {"max_trace_len": math.inf},
+                      {"max_steps": 2.0}, {"max_steps": math.inf},
                       {"budget": 10}, {"budget": 0}, {"period": 1e-300, "budget": 1e-300}):
         config = replace(RunConfig(program=p1, **VALID), **overrides)
         assert {k: getattr(config, k) for k in overrides} == overrides
