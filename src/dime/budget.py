@@ -22,6 +22,15 @@ is past the open period closes every period up to it in one step
 closes the periods it skipped as checking at each of them would.
 The closed periods are kept as one record per charged period; every other
 period's load is the int 0.
+
+`charge_series(cost, now, lap, n)` makes up to n charges of one cost at
+evenly spaced times, as that many charge() calls would, in one step per
+period: it closes the periods they reach and stops before the first charge
+that would spend the budget.  So a series never overshoots, and moves the
+horizon only by closing periods.  It acts only on ints (cost, times,
+budget, period and the remaining budget), where its products equal the
+sums they replace; with a float among them it makes no charge, and the
+caller charges one call at a time.
 """
 
 from __future__ import annotations
@@ -172,6 +181,42 @@ class BudgetState:
         self.remaining = remaining
         self.horizon = self._period_end
         return 0
+
+    def charge_series(self, cost: int, now: int, lap: int, n: int) -> int:
+        """Make up to `n` charges of `cost`, at `now`, `now + lap`, ..., as
+        that many charge() calls would, stopping before the first one that
+        would spend the budget; return how many it made.
+
+        It steps once per period, not per charge: it closes the periods it
+        reaches as charge() would, and in each takes as many charges as fall
+        before the period's end and leave budget.  A series that stops
+        before a spending charge never overshoots and moves `horizon` only
+        by closing periods; one that reaches 2**53 periods raises there, as
+        charge() would.  It makes none unless the cost, times, budget,
+        period and remaining budget are ints, so the arithmetic is exact,
+        cost and lap are > 0 and `now` is not before the last time the
+        server saw: charge() takes, or refuses, such a call alone."""
+        budget = self.budget
+        if not (type(cost) is type(now) is type(lap) is type(budget) is type(self.period)
+                is type(self.remaining) is int and cost > 0 and lap > 0
+                and now >= self._last_now):
+            return 0
+        made = 0
+        while made < n:
+            # A charge past the open period finds the budget refilled.
+            remaining = self.remaining if now < self._period_end else budget
+            fits = (remaining - 1) // cost  # charges that leave budget
+            if fits <= 0:
+                break
+            if not now < self._period_end:
+                self._close(now)
+            take = min(n - made, fits, (self._period_end - 1 - now) // lap + 1)
+            made += take
+            self.remaining = remaining - take * cost
+            self.t_ins_this_period += take * cost
+            self._last_now = now + (take - 1) * lap
+            now = self._last_now + lap
+        return made
 
     def period_loads(self) -> list[float]:
         """t_ins of every period so far, in order: the closed ones, then the

@@ -83,24 +83,31 @@ a few times per run stays cold.
 
 run() fast-forwards a hot loop: when an entry takes a br that has executed
 at least HOT_BRANCH times, that is its trace's first item and whose target
-is at or below the trace's pc, and no analysis call in the loop is charged
-(the log rejected the trace, the version is V_BASE, or the budget is
-unlimited, so the calls are only summed), the loop may run in closed form.
-Its cycle is the br's trace and the cached op-only traces (one item, no
-point, no instruction) that fall through from the target into it, so its
-one point is the br.  Nothing in it can change while the br is taken, every
-entry fits the step limit and every point comes before `until`, the time
-the budget's answer holds until: it makes no check, charge, compile or
-observer call.  So run() skips the largest number of iterations that the
-rest of the pattern's run of Ts, `until` and the step limit (tested as
-each entry would test it) allow, in one step: the clock, `now`, the step
-count, the br's count and `spent` grow by that many iterations' worth, and
-the commit tuple, the tool record and the path range of one iteration are
-appended that many times.  The generic loop then runs the iteration that
-sees the N, crosses `until` or nears the limit.  The clock and every cost
-in the cycle must be ints, so that the multiplication is exact and equal
-to the sums it replaces; with a float among them the loop runs iteration
-by iteration.
+is at or below the trace's pc, and the br's own analysis call, if it made
+one, did not spend the budget, the loop may run in closed form.  Its cycle
+is the br's trace and the cached op-only traces (one item, no point, no
+instruction) that fall through from the target into it, so its one point
+is the br.  Nothing in it can change while the br is taken, every entry
+fits the step limit, every point comes before `until`, the time the
+budget's answer holds until, and no analysis call spends the budget: it
+makes no check, compile or observer call.  So run() skips the largest
+number of iterations that the rest of the pattern's run of Ts, `until` and
+the step limit (tested as each entry would test it) allow, in one step.
+Where the loop's calls are charged (the log permitted the trace, in
+V_INSTRUMENT, under a limited budget), the server takes them in one
+BudgetState.charge_series, which closes the periods they cross and stops
+before the call that would spend the budget, and run() skips only the
+iterations whose calls it took; uncharged calls (the log rejected the
+trace, the version is V_BASE, or the budget is unlimited, so the calls
+are only summed) need no server.  The clock, `now`, the step count and
+the br's count grow by the iterations' worth, as does `spent` under an
+unlimited budget, and the commit tuple, the tool record and the path
+range of one iteration are appended that many times.  The generic loop
+then runs the iteration that sees the N, crosses `until`, nears the limit
+or spends the budget.  The clock and every cost in the cycle must be ints,
+so that the multiplication is exact and equal to the sums it replaces;
+with a float among them, or a float period or budget on a charged loop,
+the loop runs iteration by iteration.
 
 Trace walks and the native pass read the program's instruction columns, so
 no run builds an Instruction object.  An analysis call does no bookkeeping
@@ -362,37 +369,6 @@ def _head_cost(cache: dict[int, tuple], start: int, stop: int) -> int | None:
 
 def _skips(pattern: str, executions: int, room: int | float, lap_steps: int, now: int,
            lap: int, until: float) -> int:
-    """How many iterations of a loop can run in closed form after its
-    closing br was taken for the `executions`-th time, at a point at time
-    `now`.  Each iteration takes `lap_steps` steps and `lap` clock units,
-    and its one point, the br, comes `lap` after the last.  The count is
-    the least of three bounds: the Ts left in a row in `pattern`; the
-    iterations whose points come before `until`; and the iterations whose
-    entries all pass the step limit, where `room` is what the limit leaves
-    after the first iteration's furthest-reaching entry (inf without a
-    limit).  It is 0 when no bound is finite, so a loop without end stays
-    on the generic path.  `now` and `lap` are ints, so every comparison
-    with `until` is exact."""
-    k = executions % len(pattern)
-    return cycle(pattern[k:] + pattern[:k])
-
-
-def _head_cost(cache: dict[int, tuple], start: int, stop: int) -> int | None:
-    """The summed cost of the cached traces that fall through from `start`
-    to `stop`, or None unless there are such traces and each is op-only: one
-    item, with no point and no instruction."""
-    cost = 0
-    while start < stop:
-        compiled = cache.get(start)
-        if compiled is None or len(compiled[3]) != 1 or compiled[3][0][1] is not None:
-            return None
-        cost += compiled[3][0][4]
-        start += compiled[2]
-    return cost if start == stop else None
-
-
-def _skips(pattern: str, executions: int, room: int | float, lap_steps: int, now: int,
-           lap: int, until: float) -> int:
     """How many iterations of a loop closed by a taken br with `pattern`,
     each `lap_steps` steps and `lap` clock units long with its one point
     `lap` after the last, at `now`, can run in closed form after the br's
@@ -632,7 +608,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                 pattern_pos[at] = pos + 1
                 if arg[pos % len(arg)] != "T":
                     continue  # not taken: on to the next item
-                if pos >= last_cold and (longest is None or unlimited) and body[0][1] == at:
+                if pos >= last_cold and answer == version and body[0][1] == at:
                     hot = pos + 1  # see the entry's end
             elif kind == NDBR:
                 if not random() < arg:
@@ -676,11 +652,11 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                 entry = (image, rel, prefix)
             committed.append(entry)
         if hot:
-            # A hot br, the trace's first item, was taken, and no analysis
-            # call it made was charged; the loop variables still hold its
-            # item.  Fast-forward the loop it closes if nothing in the loop
-            # can change over the iterations skipped (see the module
-            # docstring).
+            # A hot br, the trace's first item, was taken, and its analysis
+            # call, if any, left the answer as it was; the loop variables
+            # still hold its item.  Fast-forward the loop it closes if
+            # nothing in the loop can change over the iterations skipped
+            # (see the module docstring).
             executions, hot = hot, 0
             heads = _head_cost(cache, next_pc, pc) if next_pc <= pc else None
             lap = None if heads is None else (
@@ -690,13 +666,18 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                 # The br's trace is an iteration's last entry and reaches furthest.
                 room = max_steps - steps - (pc - next_pc) - length
                 skips = _skips(arg, executions, room, lap_steps, now, lap, until)
+                if skips and longest is not None and not unlimited:
+                    # Charged: the server takes the calls up to, not
+                    # including, the one that spends the budget.
+                    skips = budget.charge_series(analysis_cost, now + lap, lap, skips)
                 if skips:
                     t += skips * lap
                     now += skips * lap
                     steps += skips * lap_steps
                     pattern_pos[at] = executions + skips
-                    if longest is not None:  # analysed, the calls only summed
-                        spent += skips * analysis_cost
+                    if longest is not None:  # analysed
+                        if unlimited:
+                            spent += skips * analysis_cost
                         committed += [committed[-1]] * skips
                         if BR in keeps:
                             records += [records[-1]] * skips

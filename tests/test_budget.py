@@ -332,6 +332,73 @@ def test_closed_form_advance_matches_stepping_each_period_with_float_costs(
         period, share, steps, probes)
 
 
+def charged(state, charges):
+    """`state` after `charges`, (time step, cost) pairs, each made only
+    where a check at its time would pass, as run() makes them."""
+    now = state._last_now
+    for step, cost in charges:
+        now += step
+        if copy.deepcopy(state).check(now):
+            state.charge(cost, now)
+    return state
+
+
+def single_charges(state, cost, now, lap, n):
+    """How many of `n` charge() calls at now, now + lap, ... `state` takes
+    before the first one that would spend its budget or raise, and the
+    state after them."""
+    made = 0
+    while made < n:
+        trial = copy.deepcopy(state)
+        try:
+            if not trial.charge(cost, now + made * lap):
+                break
+        except BudgetContractError:
+            break
+        state, made = trial, made + 1
+    return made, state
+
+
+@settings(deadline=None)
+@given(period=st.integers(1, 30), data=st.data(),
+       before=st.lists(st.tuples(st.integers(0, 25), st.integers(1, 12)), max_size=6),
+       after=st.lists(st.tuples(st.integers(0, 25), st.integers(1, 12)), max_size=3),
+       wait=st.integers(0, 40), cost=st.integers(1, 6), lap=st.integers(1, 15),
+       n=st.integers(0, 50))
+def test_charge_series_matches_single_charges(period, data, before, after, wait, cost, lap,
+                                              n):
+    # The server is first put where a run may leave it: some charges, one
+    # that spends the budget, one past that charge's horizon, and some more.
+    # The series then starts `wait` after the last charge, so it may start
+    # in the spent period, a later one, or the open one with budget left.
+    budget = data.draw(st.integers(1, period))
+    state = charged(BudgetState(period, budget), before)
+    state = charged(state, [(0, budget)])
+    state = charged(state, [(state.horizon - state._last_now, 1)] + after)
+    now = state._last_now + wait
+    made, expected = single_charges(copy.deepcopy(state), cost, now, lap, n)
+    assert state.charge_series(cost, now, lap, n) == made
+    # Every field: the period index, the closed periods' records and the
+    # open one's load, remaining, horizon, overshoots and last time.
+    assert vars(state) == vars(expected)
+
+
+@pytest.mark.parametrize("period, budget, spent, cost, now, lap", [
+    (10.0, 3, 1, 1, 6, 1), (10, 3.0, 1, 1, 6, 1), (10, 3, 0.5, 1, 6, 1),
+    (10, 3, 1, 1.0, 6, 1), (10, 3, 1, 1, 6.0, 1), (10, 3, 1, 1, 6, 1.0),
+    (math.inf, math.inf, 1, 1, 6, 1), (2.5, 1, 0, 1, 6, 1),
+    (10, 3, 1, 0, 6, 1), (10, 3, 1, 1, 6, 0), (10, 3, 1, 1, 4, 1)])
+def test_charge_series_makes_no_charge_off_the_ints(period, budget, spent, cost, now, lap):
+    # A float among the numbers (the remaining budget after a charge of
+    # `spent` at 5 included), a cost or lap of 0, or a time before that
+    # charge's: the caller charges one call at a time, and charge()
+    # decides, or raises.
+    state = charged(BudgetState(period, budget), [(5, spent)])
+    before = copy.deepcopy(vars(state))
+    assert state.charge_series(cost, now, lap, 5) == 0
+    assert vars(state) == before
+
+
 def test_one_huge_op_closes_twenty_million_periods_in_one_check():
     # The halt's check comes at t = 2000001 (one analysis call, then the op),
     # 20,000,010 periods of 0.1 in; stepping over them one at a time took

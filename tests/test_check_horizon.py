@@ -177,21 +177,29 @@ def hot_loops(draw):
 @settings(max_examples=300, deadline=None)
 @given(text=hot_loops(), granularity=st.sampled_from(GRANULARITIES),
        max_len=st.integers(1, 8), strategy=st.sampled_from(STRATEGIES),
-       period=st.sampled_from((2, 7, 60, math.inf)), share=st.sampled_from((0, 0.4, 1)),
+       period=st.sampled_from((2, 7, 60, math.inf)),
+       share=st.sampled_from((0, 0.4, 1, None)), whole=st.integers(1, 12),
        check_cost=st.sampled_from((0, 1, 2, 0.1)), analysis_cost=st.sampled_from((1, 3, 0.1)),
        limit=st.none() | st.floats(0, 1))
 def test_fast_forward_changes_no_outcome(text, granularity, max_len, strategy, period, share,
-                                         check_cost, analysis_cost, limit):
+                                         whole, check_cost, analysis_cost, limit):
     # share 1 with T = inf is the unlimited server, whose analysis calls a
     # fast-forward sums; share 0 answers 0, so the run is V_BASE; the
-    # second run's log rejects what the first committed.  A float cost
-    # keeps fast-forward off, and a fast-forward that did not would add it
-    # in another order.  A step limit drawn below the guest's length often
+    # second run's log rejects what the first committed.  share None is an
+    # int budget in [1, T] (or `whole` with T = inf), so with int costs the
+    # server takes a charged loop's calls in one series, which stops
+    # before a call that spends the budget.  A float cost keeps
+    # fast-forward off, and a fast-forward that did not would add it in
+    # another order.  A step limit drawn below the guest's length often
     # falls inside a loop, and must stop both runs with the same error.
     program = parse_program(text)
     steps = len(reference_run(program)[2])
+    if share is None:
+        budget = whole if period == math.inf else 1 + (whole - 1) % period
+    else:
+        budget = period * share if share else 0
     config = RunConfig(program=program, granularity=granularity, period=period,
-                       budget=period * share if share else 0, analysis_cost=analysis_cost,
+                       budget=budget, analysis_cost=analysis_cost,
                        check_cost=check_cost, max_trace_len=max_len,
                        max_steps=steps if limit is None else max(1, round(limit * steps)),
                        capture_path=True)
@@ -200,15 +208,22 @@ def test_fast_forward_changes_no_outcome(text, granularity, max_len, strategy, p
 
 
 def skips_taken(monkeypatch):
-    """The iteration counts run() skips, in order, while the test runs."""
+    """The iteration counts run() skips, in order, while the test runs: what
+    `_skips` allows, or, where the loop is charged, what the server's
+    charge_series then takes of it."""
     found = []
-    real = executor._skips
+    real, series = executor._skips, BudgetState.charge_series
 
     def counting(*args):
         found.append(real(*args))
         return found[-1]
 
+    def charging(self, *args):
+        found[-1] = series(self, *args)
+        return found[-1]
+
     monkeypatch.setattr(executor, "_skips", counting)
+    monkeypatch.setattr(BudgetState, "charge_series", charging)
     return found
 
 
@@ -219,8 +234,9 @@ def skips_taken(monkeypatch):
     (math.inf, math.inf, "none"),  # every run analysed, the calls summed
     (math.inf, math.inf, "hash"),  # the second run's log rejects the loop
     (7, 0, "none"),                # every run V_BASE
-    (7, 3, "none"),                # every br charged: no fast-forward
-], ids=["unlimited", "rejected", "zero", "charged"])
+    (7, 3, "none"),                # every br charged, none spends the budget
+    (1000, 12, "none"),            # the br's 12th charge spends the budget
+], ids=["unlimited", "rejected", "zero", "charged", "spent"])
 def test_fast_forward_at_the_hot_threshold(monkeypatch, executions, entered, period,
                                            budget, strategy):
     # A loop whose br executes `executions` times.  Entered at M, its head's
@@ -234,9 +250,19 @@ def test_fast_forward_at_the_hot_threshold(monkeypatch, executions, entered, per
     found = skips_taken(monkeypatch)
     assert (run_sequence(config, strategy, Counting)
             == run_sequence(config, strategy, EveryPoint))
-    # Each of the two runs skips once, the reference never.
-    skipped = executions - 1 - HOT_BRANCH if budget != 3 else 0
-    assert [n for n in found if n] == [skipped] * 2 * (skipped > 0)
+    # The reference never skips.  Each of the two runs skips the Ts left
+    # after the br's HOT_BRANCH-th execution, charged or not: an iteration
+    # is 6 units, so no period of 7 holds 3 charges.
+    left = executions - 1 - HOT_BRANCH
+    skipped = [left]
+    if budget == 12:
+        # All in the first period, where the jmp makes the first charge.
+        # The series takes the br's 9th and 10th and stops before its 11th,
+        # the 12th charge, which spends the budget.  The br's 12th execution
+        # switches to V_BASE, whose first pass compiles the head's trace,
+        # and its 13th skips the Ts left.
+        skipped = [min(left, 10 - HOT_BRANCH), executions - 14]
+    assert [n for n in found if n] == [n for n in skipped if n > 0] * 2
 
 
 @pytest.mark.parametrize("period", range(5, 13))
@@ -251,6 +277,33 @@ def test_fast_forward_stops_before_the_answer_changes(period, check_cost, analys
                        analysis_cost=analysis_cost, capture_path=True)
     assert (run_sequence(config, "none", Counting)
             == run_sequence(config, "none", EveryPoint))
+
+
+@pytest.mark.parametrize("period", [20, 31, 45])
+@pytest.mark.parametrize("budget", [7, 11, 20])
+@pytest.mark.parametrize("analysis_cost", [1, 2])
+def test_a_charged_loop_runs_in_closed_form_up_to_the_spending_call(
+        monkeypatch, period, budget, analysis_cost):
+    # An iteration is 5 or 6 units, so a period holds 3 to 9 of the br's
+    # charged calls.  Where they spend the budget, the server takes the
+    # ones before the spending call in one series, and the generic loop
+    # runs the iteration that spends; where they do not, the series runs
+    # on over period ends.
+    program = parse_program("image m 0\nH:  op 1\n    op 1\n    br H " + "T" * 300 + "N\n"
+                            "    halt\n")
+    config = RunConfig(program=program, period=period, budget=budget, check_cost=1,
+                       analysis_cost=analysis_cost, capture_path=True)
+    made = []
+    real = BudgetState.charge_series
+
+    def recording(self, *args):
+        made.append(real(self, *args))
+        return made[-1]
+
+    monkeypatch.setattr(BudgetState, "charge_series", recording)
+    assert (run_sequence(config, "none", Counting)
+            == run_sequence(config, "none", EveryPoint))
+    assert any(made)
 
 
 @pytest.mark.parametrize("max_steps, skipped", [
