@@ -71,15 +71,10 @@ the prefix writes the entry back, and an exit with the same prefix records
 that very tuple again, so a loop's repeated commits share one.
 
 A br's outcomes come from its pattern, in order and cyclically, counted
-per run and per address.  run() keeps in `pattern_pos` the number of times
-each br has executed and reads its outcome from the pattern by that count,
-so every trace and version that ends at the br reads the same count.  The
-native pass does the same while a br is cold; on its HOT_BRANCH-th
-execution the count gives way to an itertools.cycle over the pattern,
-rotated to the next outcome, and each later execution is one next() on it,
-from the native block that holds it.  Making a cursor costs about two cold
-executions and adds an object the collector tracks, so a br that runs only
-a few times per run stays cold.
+per run and per address.  Both interpreters keep in `pattern_pos` the
+number of times each br has executed and read its outcome from the pattern
+by that count, so every trace and version that ends at the br reads the
+same count, and the run of Ts ahead of a hot br is one find on the pattern.
 
 run() fast-forwards a hot loop: when an entry takes a br that has executed
 at least HOT_BRANCH times, that is its trace's first item and whose target
@@ -109,6 +104,18 @@ so that the multiplication is exact and equal to the sums it replaces;
 with a float among them, or a float period or budget on a charged loop,
 the loop runs iteration by iteration.
 
+The native pass fast-forwards a hot loop in the same way.  When a br that
+has executed at least HOT_BRANCH times is taken to a target at or below
+it, its lap is the chain of native blocks from the target to the block
+that ends at the br, found once per br and run (see _native_lap): jmps,
+fall-throughs and calls and rets that balance within the lap, nothing that
+reads the RNG, another br's count or a frame from before the lap.  So one
+lap is the same every time the br is taken, and the pass skips, in one
+step, as many laps as the rest of the pattern's run of Ts and the step
+limit (tested as each block would test it) allow, adding their cost, steps
+and path and the br's executions.  The clock and the lap's cost must be
+ints; with a float among them the loop runs lap by lap.
+
 Trace walks and the native pass read the program's instruction columns, so
 no run builds an Instruction object.  An analysis call does no bookkeeping
 beyond its clock and its charge: every point that an entry reaches before
@@ -137,7 +144,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, cycle
+from itertools import count
 from random import Random
 
 from .budget import BudgetState, V_BASE, V_INSTRUMENT
@@ -148,13 +155,16 @@ from .tools import record_kinds
 
 GRANULARITIES = ("ctrl", "all")
 
-# The execution of a br in a run from which run() may fast-forward the loop
-# it closes, and at which the native pass's count gives way to a cursor (see
-# the module docstring).  A cursor made at the first execution slowed the
-# native pass of a guest whose brs run 1-4 times per run by over a quarter,
-# and a fast-forward tried at every taken br slowed that guest's campaign by
-# about a tenth.
+# The execution of a br in a run from which run() and the native pass may
+# fast-forward the loop it closes (see the module docstring).  A
+# fast-forward tried at every taken br slowed a guest whose brs run 1-4
+# times per run by about a tenth of its campaign.
 HOT_BRANCH = 8
+
+# The most native blocks in a lap (see _native_lap): a walk from a br's
+# target that has not come back to the br by then, as in a loop of jmps
+# that never reaches it, makes no lap.
+MAX_LAP_BLOCKS = 64
 
 # The largest analysis, check or compile cost a run accepts: every cost up to
 # it converts to a float exactly, as the budget arithmetic and the slow-down
@@ -346,13 +356,6 @@ class TraceMemo:
         return walk if cut < 0 else form_trace(self, entry, cut - rel)
 
 
-def _cursor(pattern: str, executions: int):
-    """The outcomes of a br with `pattern` after its first `executions`
-    executions, one next() each, without end."""
-    k = executions % len(pattern)
-    return cycle(pattern[k:] + pattern[:k])
-
-
 def _head_cost(cache: dict[int, tuple], start: int, stop: int) -> int | None:
     """The summed cost of the cached traces that fall through from `start`
     to `stop`, or None unless there are such traces and each is op-only: one
@@ -377,7 +380,11 @@ def _skips(pattern: str, executions: int, room: int | float, lap_steps: int, now
     has `room` (the step limit minus the steps through its first such
     entry) to spare.  Where no bound is finite, 0, so a loop without end
     stays on the generic path.  Every comparison is exact, as `room`,
-    `now` and `lap` are ints or inf and `until` an int or float."""
+    `now` and `lap` are ints or inf and `until` an int or float.
+
+    The native pass asks it too, for laps with no point: with `until` inf,
+    only the pattern and `room` bound the skips, and `now` and `lap` are
+    not read."""
     k = executions % len(pattern)
     taken = (pattern[k:] + pattern[:k]).find("N")
     bounds = [taken] if taken >= 0 else []
@@ -391,15 +398,15 @@ def _skips(pattern: str, executions: int, room: int | float, lap_steps: int, now
     return max(0, min(bounds, default=0))
 
 
-def _native_block(program: Program, pc: int) -> tuple:
+def _native_block(program: Program, pc: int) -> tuple | None:
     """(steps, cost, addr, kind, target, arg) of the straight run from `pc`:
-    its leading ops and the instruction at `addr` that ends them.  Ops that
-    reach the end of their image end in a jmp that counts no step, at and to
-    the address past it: the run falls through to the next image, or off
-    every image."""
+    its leading ops and the instruction at `addr` that ends them, or None
+    when `pc` is outside every image.  Ops that reach the end of their image
+    end in a jmp that counts no step, at and to the address past it: the run
+    falls through to the next image, or off every image."""
     img = program.image_of(pc)
     if img is None:
-        raise GuestError(f"address {pc} outside every image")
+        return None
     kinds, costs = img.kinds, img.costs
     start = i = pc - img.base
     cost = 0
@@ -411,6 +418,51 @@ def _native_block(program: Program, pc: int) -> tuple:
     return i - start, cost, img.base + i, JMP, img.base + i, None
 
 
+def _native_lap(program: Program, blocks: dict[int, tuple], start: int,
+                br: int) -> tuple | None:
+    """(cost, steps, ranges) of one lap of the loop that the br at `br`
+    closes by jumping back to `start`: the native blocks from `start`
+    through the one that ends at the br, their summed cost and steps, and
+    the address range of each, in order.  Blocks it looks up join `blocks`.
+
+    None unless every block on the way ends in a jmp, a fall-through, or a
+    call or a ret that balance within the lap, so its call stack is empty at
+    the br: an ndbr, another br, a halt, a ret that would pop a frame from
+    before the lap, an address outside every image, a walk of more than
+    MAX_LAP_BLOCKS blocks or a cost that is not an int makes no lap, as such
+    a lap could differ from one time to the next, never come back to the br
+    or add up other than block by block.  Never raises."""
+    cost = steps = 0
+    ranges = []
+    stack = []
+    pc = start
+    for _ in range(MAX_LAP_BLOCKS):
+        block = blocks.get(pc)
+        if block is None:
+            block = _native_block(program, pc)
+            if block is None:
+                return None
+            blocks[pc] = block
+        n, block_cost, at, kind, nxt, _ = block
+        cost += block_cost
+        steps += n
+        ranges.append(range(pc, pc + n))
+        if kind == BR:
+            if at != br or stack or type(cost) is not int:
+                return None
+            return cost, steps, tuple(ranges)
+        if kind == CALL:
+            stack.append(at + 1)
+        elif kind == RET:
+            if not stack:
+                return None
+            nxt = stack.pop()
+        elif kind != JMP:  # ndbr or halt
+            return None
+        pc = nxt
+    return None
+
+
 def native_run(config: RunConfig) -> ExecutionOutcome:
     """Run the guest with no instrumentation at all: pure guest cost.
 
@@ -418,17 +470,20 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
     returns an outcome whose record fields are empty.  Straight runs are
     looked up once and then cached by start address, so each later visit
     executes its ops in one step and dispatches the instruction that ends
-    them inline.  Once a br is hot, the first block that reaches it after
-    that holds its cursor in place of its pattern, so the block draws from
-    it with no lookup; the cache lives only as long as the call.
+    them inline.  A hot loop whose lap is fixed runs in closed form, as in
+    run() (see the module docstring); the block cache and the laps live
+    only as long as the call.
     """
     program = config.program
     max_steps = config.max_steps
+    if max_steps != math.inf:
+        max_steps = int(max_steps)  # whole, so every step arithmetic is exact
     random = Random(config.seed).random
-    pattern_pos: dict[int, int | cycle] = {}
+    pattern_pos: dict[int, int] = {}
     last_cold = HOT_BRANCH - 1
     call_stack: list[int] = []
     blocks: dict[int, tuple] = {}
+    laps: dict[int, tuple | None] = {}  # per hot br that was taken: its lap or None
     pc = program.entry
     t = 0
     steps = 0
@@ -436,7 +491,10 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
     while True:
         block = blocks.get(pc)
         if block is None:
-            block = blocks[pc] = _native_block(program, pc)
+            block = _native_block(program, pc)
+            if block is None:
+                raise GuestError(f"address {pc} outside every image")
+            blocks[pc] = block
         n, cost, at, kind, nxt, arg = block
         steps += n
         if steps > max_steps:
@@ -445,18 +503,25 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
             path.extend(range(pc, pc + n))
         t += cost
         if kind == BR:
-            if type(arg) is str:  # the block holds the pattern, not a cursor
-                pos = pattern_pos.get(at, 0)
-                if type(pos) is int:  # cold: pos counts the executions so far
-                    pattern_pos[at] = pos + 1 if pos < last_cold else _cursor(arg, pos + 1)
-                    if arg[pos % len(arg)] != "T":
-                        nxt = at + 1
-                else:  # hot: the block holds the cursor from now on
-                    blocks[pc] = n, cost, at, kind, nxt, pos
-                    if next(pos) != "T":
-                        nxt = at + 1
-            elif next(arg) != "T":
+            pos = pattern_pos.get(at, 0)  # the executions so far
+            pattern_pos[at] = pos + 1
+            if arg[pos % len(arg)] != "T":
                 nxt = at + 1
+            elif pos >= last_cold and nxt <= at and type(t) is int:
+                # A hot br jumps back: skip the laps that repeat this one.
+                lap = laps.get(at)
+                if lap is None and at not in laps:
+                    lap = laps[at] = _native_lap(program, blocks, nxt, at)
+                if lap is not None:
+                    lap_cost, lap_steps, ranges = lap
+                    skips = _skips(arg, pos + 1, max_steps - steps - lap_steps, lap_steps,
+                                   0, lap_cost, math.inf)
+                    if skips:
+                        t += skips * lap_cost
+                        steps += skips * lap_steps
+                        pattern_pos[at] = pos + 1 + skips
+                        if path is not None:
+                            path += [addr for span in ranges for addr in span] * skips
         elif kind == NDBR:
             if not random() < arg:
                 nxt = at + 1

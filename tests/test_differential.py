@@ -14,23 +14,31 @@ the end of its last image.  A step limit that leaves no room for the last
 instruction before that must raise the step-limit error, not the fall-off
 one, which pins where a run of ops that is executed in one step checks it.
 
-A br is cold for its first HOT_BRANCH - 1 executions in a run and draws from
-a cursor after that, so loop guests whose branches run on either side of
-that threshold, with patterns on either side of its length, pin the switch.
+A br may fast-forward the loop it closes from its HOT_BRANCH-th execution
+in a run on, so loop guests whose branches run on either side of that
+threshold, with patterns on either side of its length, pin the switch.
+Some generated loops call a routine, whose ret the native pass's lap
+balances, and a step limit drawn inside the run must stop native_run
+exactly where the reference stops.  Hand-written laps that the native pass
+must not skip (a call stack that grows, an ndbr, a ret to a frame from
+before the lap, a walk off every image, a jmp to itself) match the
+reference's path and time, or its error, and hot loops on a float clock
+read, bit for bit, what they read when no br gets hot.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dime import (BudgetState, GuestError, LogStore, RunConfig, native_run, parse_program,
-                  run)
+from dime import (BudgetState, GuestError, LogStore, RunConfig, executor, native_run,
+                  parse_program, run)
 from dime.executor import GRANULARITIES, HOT_BRANCH
-from dime.program import CONTROL_TRANSFERS
+from dime.program import BR, CONTROL_TRANSFERS, HALT, JMP, OP, Program, ProgramImage
 
-from conftest import committed_points
+from conftest import committed_points, wall_budget
 from reference import reference_run
 
 COSTS = st.sampled_from((0, 1, 1, 2, 3))
@@ -41,7 +49,8 @@ K = HOT_BRANCH
 def programs(draw):
     labels = iter(f"L{i}" for i in range(1000))
     routines = draw(st.integers(0, 3))
-    pieces = draw(st.lists(st.sampled_from(("ops", "loop", "skip", "jump", "call")),
+    pieces = draw(st.lists(st.sampled_from(("ops", "loop", "skip", "jump", "call",
+                                            "call loop")),
                            min_size=1, max_size=10))
 
     def ops(low, high):
@@ -51,6 +60,13 @@ def programs(draw):
     for piece in pieces:
         if piece == "loop":
             head, body = next(labels), ops(1, 6)
+            main += [f"{head}: {body[0]}", *body[1:]]
+            main.append(f"br {head} {'T' * draw(st.integers(1, 2 * K + 1))}N")
+        elif piece == "call loop" and routines:
+            # A lap through a routine: the call and its ret balance in it.
+            head, body = next(labels), ops(0, 3)
+            body.insert(draw(st.integers(0, len(body))),
+                        f"call R{draw(st.integers(0, routines - 1))}")
             main += [f"{head}: {body[0]}", *body[1:]]
             main.append(f"br {head} {'T' * draw(st.integers(1, 2 * K + 1))}N")
         elif piece in ("skip", "jump"):
@@ -89,11 +105,13 @@ def programs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(texts=programs(), seed=st.integers(0, 99),
-       granularity=st.sampled_from(GRANULARITIES), max_len=st.integers(1, 16))
-def test_interpreters_match_reference(texts, seed, granularity, max_len):
+       granularity=st.sampled_from(GRANULARITIES), max_len=st.integers(1, 16),
+       data=st.data())
+def test_interpreters_match_reference(texts, seed, granularity, max_len, data):
     program, falling = (parse_program(text) for text in texts)
     records, native_time, path = reference_run(program, seed)
     steps = len(path)  # the halt is the last step; without it, execution falls off
+    limit = data.draw(st.integers(1, steps + 1), label="limit")
 
     config = RunConfig(program=program, granularity=granularity, max_trace_len=max_len,
                        max_steps=steps, seed=seed, capture_path=True)
@@ -110,6 +128,11 @@ def test_interpreters_match_reference(texts, seed, granularity, max_len):
     if steps > 2:
         with pytest.raises(GuestError, match="step limit"):
             native(falling, steps - 2)
+    if limit < steps:
+        with pytest.raises(GuestError, match="step limit"):
+            native(program, limit)
+    else:
+        assert native(program, limit).addr_path == tuple(path)
 
     def instrumented(program, max_steps):
         return run(replace(config, program=program, max_steps=max_steps), LogStore("none"),
@@ -175,3 +198,134 @@ def test_branches_that_cross_the_hot_threshold_match_reference(length, execution
                     # The budget runs out inside the loop: the run switches to
                     # the base version there, and records only some transfers.
                     assert len(out.tool_output) < len(records)
+
+
+def native_skips(monkeypatch):
+    """What `_skips` returns to the native pass, call by call, while the test
+    runs (run()'s calls are not recorded): the native pass asks it once per
+    hot taken br whose lap it found, and skips that many laps."""
+    found = []
+    real = executor._skips
+
+    def recording(*args):
+        skips = real(*args)
+        if sys._getframe(1).f_code.co_name == "native_run":
+            found.append(skips)
+        return skips
+
+    monkeypatch.setattr(executor, "_skips", recording)
+    return found
+
+
+NO_LAP = {
+    # Each lap calls S, which never returns, so the call stack grows by a
+    # frame per lap.
+    "growing-stack": f"""\
+image m 0
+H:  call S
+S:  op 1
+    br H {'T' * 11}N
+    halt
+""",
+    "ndbr": f"""\
+image m 0
+H:  op 1
+    ndbr X 0.5
+    op 2
+X:  op 1
+    br H {'T' * 20}N
+    halt
+""",
+    # The lap from X returns to M, popping the frame that M pushed before
+    # the lap, and M calls R again.
+    "ret-before-lap": f"""\
+image m 0
+M:  call R
+    jmp M
+X:  ret
+R:  op 1
+    br X {'T' * 20}N
+    halt
+""",
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("text", NO_LAP.values(), ids=NO_LAP)
+def test_a_lap_that_may_change_runs_block_by_block(monkeypatch, text, seed):
+    program = parse_program(text)
+    _, native_time, path = reference_run(program, seed)
+    found = native_skips(monkeypatch)
+    out = native_run(RunConfig(program=program, seed=seed, capture_path=True))
+    assert (out.virtual_time, out.addr_path) == (native_time, tuple(path))
+    assert found == []
+
+
+def test_a_lap_that_walks_off_every_image_raises_where_the_reference_does(monkeypatch):
+    # The br at 11 is not taken for its first HOT_BRANCH executions, then
+    # taken to X, whose op falls through to address 1, outside every image.
+    # Execution then raises there, after X's step, and the lap is never
+    # formed: looking for it must not raise either.
+    program = parse_program(f"""\
+image m 10
+L:  op 1
+    br X {'N' * K}T
+    jmp L
+image a 0
+X:  op 1
+""")
+    found = native_skips(monkeypatch)
+    fell_off = 3 * K + 3  # the steps executed before the fall-off
+    for max_steps in range(fell_off - 3, fell_off + 3):
+        with pytest.raises(RuntimeError) as expected:
+            reference_run(program, max_steps=max_steps)
+        error = ("address 1 outside every image" if "fell off" in str(expected.value)
+                 else "step limit exceeded")
+        with pytest.raises(GuestError, match=f"^{error}$"):
+            native_run(RunConfig(program=program, max_steps=max_steps))
+        assert (max_steps >= fell_off) == (error != "step limit exceeded")
+    assert found == []
+
+
+def test_a_lap_that_never_comes_back_is_given_up(monkeypatch):
+    # Once hot, the br is taken to X, a jmp to itself, so the walk from X
+    # never reaches the br, and execution spins there up to the limit.
+    program = parse_program(f"image m 0\n    jmp L\nX:  jmp X\nL:  br X {'N' * K}T\n"
+                            "    jmp L\n")
+    found = native_skips(monkeypatch)
+    with wall_budget(1.0), pytest.raises(GuestError, match="^step limit exceeded$"):
+        native_run(RunConfig(program=program, max_steps=1000))
+    with pytest.raises(RuntimeError, match="^step limit exceeded$"):
+        reference_run(program, max_steps=1000)
+    assert found == []
+
+
+FLOAT_LOOPS = {
+    # A float cost in the lap.
+    "float-lap": Program([ProgramImage("m", 0, (OP, BR, HALT), (0.1, 1, 1), (None, 0, None),
+                                       (None, "T" * 300 + "N", None))]),
+    # An int lap, from 1 to the br, on a clock that the op at 0 made a
+    # float: a third, whose sums with ints round unlike one product does.
+    "float-clock": Program([ProgramImage("m", 0, (OP, OP, BR, HALT), (1 / 3, 1, 2, 1),
+                                         (None, None, 1, None),
+                                         (None, None, "T" * 300 + "N", None))]),
+    # A float lap first taken on an int clock: the br at 10 falls through to
+    # the br at 11, which takes it back, HOT_BRANCH times, then jumps to the
+    # lap at 0, which comes back to it.
+    "float-lap-int-clock": Program([
+        ProgramImage("m", 10, (BR, BR, HALT), (1, 1, 1), (0, 10, None),
+                     ("N" * K + "T" * 300 + "N", "T" * K + "N", None)),
+        ProgramImage("lap", 0, (OP, JMP), (0.1, 2), (None, 10), (None, None))]),
+}
+
+
+@pytest.mark.parametrize("program", FLOAT_LOOPS.values(), ids=FLOAT_LOOPS)
+def test_a_hot_loop_on_a_float_clock_adds_its_costs_block_by_block(monkeypatch, program):
+    # The clock must read, bit for bit, what it reads when no br gets hot.
+    config = RunConfig(program=program, capture_path=True)
+    hot = native_run(config)
+    monkeypatch.setattr(executor, "HOT_BRANCH", 10**6)
+    cold = native_run(config)
+    assert type(hot.virtual_time) is float
+    assert hot.virtual_time.hex() == cold.virtual_time.hex()
+    assert hot.addr_path == cold.addr_path == tuple(reference_run(program)[2])

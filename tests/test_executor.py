@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import re
@@ -17,7 +16,7 @@ from dime.corpus import random_program
 
 from conftest import committed_points, marks_of, wall_budget
 from reference import reference_run
-from test_differential import loop_guest, programs
+from test_differential import loop_guest, native_skips, programs
 from test_program import wide_program
 
 
@@ -355,28 +354,79 @@ def test_tool_output_subset_of_reference_under_any_budget(p1):
     assert set(out.tool_output) <= set(ref_records)
 
 
-@pytest.mark.parametrize("text, hot", [
-    pytest.param(wide_program(60), 0, id="wide"),  # each br runs 1-4 times per pass
-    # Two brs that run 20, HOT_BRANCH - 1 and HOT_BRANCH times per pass.
-    pytest.param(loop_guest("TN", 10, 10), 2, id="loop"),
-    pytest.param(loop_guest("TN", 1, executor.HOT_BRANCH - 2), 0, id="just-cold"),
-    pytest.param(loop_guest("TN", 1, executor.HOT_BRANCH - 1), 2, id="just-hot"),
+def lap_guest(first, second):
+    """loop_guest with a call in place of its inner br: the routine's loop
+    runs `first` times on the first call and `second` on the second, and
+    each lap from H calls F, which returns into it, so the back edge's lap
+    is the same every time."""
+    back = "T" * (first - 1) + "N" + "T" * (second - 1) + "N"
+    return f"""\
+image m 0
+    call R
+    call R
+    halt
+R:  jmp M
+H:  op 1
+M:  op 2
+    call F
+    op 3
+    br H {back}
+    ret
+F:  op 1
+    ret
+"""
+
+
+@pytest.mark.parametrize("text, skipped", [
+    pytest.param(wide_program(60), [], id="wide"),  # each br runs 1-4 times per pass
+    # The back edge's lap holds the br at S, whose count it would move.
+    pytest.param(loop_guest("TN", 10, 10), [], id="loop"),
+    # The back edge executes HOT_BRANCH - 1 times in all, so it never gets
+    # hot, or HOT_BRANCH + 2 times, so its HOT_BRANCH-th execution is taken
+    # and skips the one T left before the last N.
+    pytest.param(lap_guest(1, executor.HOT_BRANCH - 2), [], id="just-cold"),
+    pytest.param(lap_guest(1, executor.HOT_BRANCH + 1), [1], id="just-hot"),
+    # Hot on its 8th execution, with one T left before the first N, and hot
+    # again on the second call, with eight.
+    pytest.param(lap_guest(10, 10), [1, 8], id="lap"),
 ])
-def test_a_cursor_is_made_once_per_hot_branch_per_pass(monkeypatch, text, hot):
-    # Only the native pass makes cursors, one per campaign, in its oracle:
-    # run() keeps a plain count per br, from which it reads the outcomes and
-    # the taken run ahead of a fast-forwarded loop.  Cold branches allocate
-    # nothing, and the native blocks that end at one br share its cursor.
-    made = []
-
-    def counting(pattern):
-        made.append(pattern)
-        return itertools.cycle(pattern)
-
-    monkeypatch.setattr(executor, "cycle", counting)
+def test_the_native_pass_fast_forwards_each_hot_lap(monkeypatch, text, skipped):
+    # The campaign's one native pass, in its oracle, skips the laps that a
+    # hot back edge leaves before its next N; cold branches and laps that
+    # are not fixed run block by block.
+    found = native_skips(monkeypatch)
     config = RunConfig(program=parse_program(text), period=10, budget=3)
     run_campaign(config, runs=3)
-    assert len(made) == hot
+    assert [skips for skips in found if skips] == skipped
+
+
+@pytest.mark.parametrize("max_steps, skipped", [
+    # A lap is the block from H, 2 steps, and the br's HOT_BRANCH-th
+    # execution ends at step 16, so the pass skips the k laps with
+    # 16 + 2 * k <= max_steps, up to the 92 Ts left.
+    (17, 0), (18, 1), (19, 1), (100, 42), (101, 42), (10**6, 100 - executor.HOT_BRANCH),
+])
+def test_the_native_fast_forward_leaves_the_blocks_near_the_step_limit(
+        monkeypatch, max_steps, skipped):
+    # Past the limit the pass raises whatever it skipped, so only the count
+    # of skipped laps shows where a fast-forward stops.
+    found = native_skips(monkeypatch)
+    config = RunConfig(program=parse_program("image m 0\nH:  op 1\n    br H " + "T" * 100
+                                             + "N\n    halt\n"), max_steps=max_steps)
+    if max_steps < 203:
+        with pytest.raises(GuestError, match="^step limit exceeded$"):
+            native_run(config)
+    else:
+        assert native_run(config).steps == 203
+    assert found[0] == skipped
+
+
+def test_a_native_hot_loop_runs_in_closed_form():
+    # Block by block, 10**8 steps take seconds.
+    config = RunConfig(program=parse_program("image m 0\nH:  op 1\n    br H T\n"),
+                       max_steps=10**8)
+    with wall_budget(1.0), pytest.raises(GuestError, match="^step limit exceeded$"):
+        native_run(config)
 
 
 @pytest.mark.parametrize("budget, log_entries, max_steps", [
