@@ -104,17 +104,21 @@ so that the multiplication is exact and equal to the sums it replaces;
 with a float among them, or a float period or budget on a charged loop,
 the loop runs iteration by iteration.
 
-The native pass fast-forwards a hot loop in the same way.  When a br that
-has executed at least HOT_BRANCH times is taken to a target at or below
-it, its lap is the chain of native blocks from the target to the block
-that ends at the br, found once per br and run (see _native_lap): jmps,
-fall-throughs and calls and rets that balance within the lap, nothing that
-reads the RNG, another br's count or a frame from before the lap.  So one
-lap is the same every time the br is taken, and the pass skips, in one
-step, as many laps as the rest of the pattern's run of Ts and the step
-limit (tested as each block would test it) allow, adding their cost, steps
-and path and the br's executions.  The clock and the lap's cost must be
-ints; with a float among them the loop runs lap by lap.
+The native pass fast-forwards a hot loop in the same way, once it has run
+one lap of it.  When a br that has executed at least HOT_BRANCH - 1 times
+is taken on an int clock and its lap is not known, the pass marks the br
+with the clock, the step count and the call depth.  The next br to execute
+unmarks it, and so do an ndbr and a ret below the marked depth.  When that
+next br is the marked one, at the marked depth, the blocks run since the
+mark are its lap: jmps, fall-throughs, and calls and rets that balance
+within the lap, from the br's target back to the br.  Their targets are
+fixed, and nothing in the lap reads the RNG, another br's count or a frame
+from before it, so the lap, its cost, steps and path, is the same every time
+the br is taken, and the pass keeps it per br.  Then at each taken
+execution of the br it skips, in one step, as many laps as the rest of the
+pattern's run of Ts and the step limit (tested as each block would test it)
+allow, adding their cost, steps and path and the br's executions.  The
+clock must be an int; on a float clock the loop runs lap by lap.
 
 Trace walks and the native pass read the program's instruction columns, so
 no run builds an Instruction object.  An analysis call does no bookkeeping
@@ -156,15 +160,11 @@ from .tools import record_kinds
 GRANULARITIES = ("ctrl", "all")
 
 # The execution of a br in a run from which run() and the native pass may
-# fast-forward the loop it closes (see the module docstring).  A
+# fast-forward the loop it closes; the native pass runs the lap before it
+# from the br's previous, taken execution (see the module docstring).  A
 # fast-forward tried at every taken br slowed a guest whose brs run 1-4
 # times per run by about a tenth of its campaign.
 HOT_BRANCH = 8
-
-# The most native blocks in a lap (see _native_lap): a walk from a br's
-# target that has not come back to the br by then, as in a loop of jmps
-# that never reaches it, makes no lap.
-MAX_LAP_BLOCKS = 64
 
 # The largest analysis, check or compile cost a run accepts: every cost up to
 # it converts to a float exactly, as the budget arithmetic and the slow-down
@@ -398,15 +398,15 @@ def _skips(pattern: str, executions: int, room: int | float, lap_steps: int, now
     return max(0, min(bounds, default=0))
 
 
-def _native_block(program: Program, pc: int) -> tuple | None:
+def _native_block(program: Program, pc: int) -> tuple:
     """(steps, cost, addr, kind, target, arg) of the straight run from `pc`:
-    its leading ops and the instruction at `addr` that ends them, or None
-    when `pc` is outside every image.  Ops that reach the end of their image
-    end in a jmp that counts no step, at and to the address past it: the run
-    falls through to the next image, or off every image."""
+    its leading ops and the instruction at `addr` that ends them.  Ops that
+    reach the end of their image end in a jmp that counts no step, at and to
+    the address past it: the run falls through to the next image, or off
+    every image.  Raises GuestError when `pc` is outside every image."""
     img = program.image_of(pc)
     if img is None:
-        return None
+        raise GuestError(f"address {pc} outside every image")
     kinds, costs = img.kinds, img.costs
     start = i = pc - img.base
     cost = 0
@@ -418,51 +418,6 @@ def _native_block(program: Program, pc: int) -> tuple | None:
     return i - start, cost, img.base + i, JMP, img.base + i, None
 
 
-def _native_lap(program: Program, blocks: dict[int, tuple], start: int,
-                br: int) -> tuple | None:
-    """(cost, steps, ranges) of one lap of the loop that the br at `br`
-    closes by jumping back to `start`: the native blocks from `start`
-    through the one that ends at the br, their summed cost and steps, and
-    the address range of each, in order.  Blocks it looks up join `blocks`.
-
-    None unless every block on the way ends in a jmp, a fall-through, or a
-    call or a ret that balance within the lap, so its call stack is empty at
-    the br: an ndbr, another br, a halt, a ret that would pop a frame from
-    before the lap, an address outside every image, a walk of more than
-    MAX_LAP_BLOCKS blocks or a cost that is not an int makes no lap, as such
-    a lap could differ from one time to the next, never come back to the br
-    or add up other than block by block.  Never raises."""
-    cost = steps = 0
-    ranges = []
-    stack = []
-    pc = start
-    for _ in range(MAX_LAP_BLOCKS):
-        block = blocks.get(pc)
-        if block is None:
-            block = _native_block(program, pc)
-            if block is None:
-                return None
-            blocks[pc] = block
-        n, block_cost, at, kind, nxt, _ = block
-        cost += block_cost
-        steps += n
-        ranges.append(range(pc, pc + n))
-        if kind == BR:
-            if at != br or stack or type(cost) is not int:
-                return None
-            return cost, steps, tuple(ranges)
-        if kind == CALL:
-            stack.append(at + 1)
-        elif kind == RET:
-            if not stack:
-                return None
-            nxt = stack.pop()
-        elif kind != JMP:  # ndbr or halt
-            return None
-        pc = nxt
-    return None
-
-
 def native_run(config: RunConfig) -> ExecutionOutcome:
     """Run the guest with no instrumentation at all: pure guest cost.
 
@@ -470,8 +425,8 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
     returns an outcome whose record fields are empty.  Straight runs are
     looked up once and then cached by start address, so each later visit
     executes its ops in one step and dispatches the instruction that ends
-    them inline.  A hot loop whose lap is fixed runs in closed form, as in
-    run() (see the module docstring); the block cache and the laps live
+    them inline.  A hot loop runs in closed form once the pass has run one
+    lap of it (see the module docstring); the block cache and the laps live
     only as long as the call.
     """
     program = config.program
@@ -480,10 +435,16 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
         max_steps = int(max_steps)  # whole, so every step arithmetic is exact
     random = Random(config.seed).random
     pattern_pos: dict[int, int] = {}
-    last_cold = HOT_BRANCH - 1
+    # A taken br is marked from its (HOT_BRANCH - 1)-th execution on, so that
+    # its HOT_BRANCH-th may skip; colder brs skip the lap lookup too.
+    first_mark = HOT_BRANCH - 2
     call_stack: list[int] = []
     blocks: dict[int, tuple] = {}
-    laps: dict[int, tuple | None] = {}  # per hot br that was taken: its lap or None
+    # Per hot br: its lap as (cost, steps, path), once the pass has run it.
+    laps: dict[int, tuple] = {}
+    # (br, t, steps, call depth) just after a hot br whose lap is not known
+    # was taken, until the next br; steps also index the path.
+    mark = None
     pc = program.entry
     t = 0
     steps = 0
@@ -491,10 +452,7 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
     while True:
         block = blocks.get(pc)
         if block is None:
-            block = _native_block(program, pc)
-            if block is None:
-                raise GuestError(f"address {pc} outside every image")
-            blocks[pc] = block
+            block = blocks[pc] = _native_block(program, pc)
         n, cost, at, kind, nxt, arg = block
         steps += n
         if steps > max_steps:
@@ -505,15 +463,21 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
         if kind == BR:
             pos = pattern_pos.get(at, 0)  # the executions so far
             pattern_pos[at] = pos + 1
+            if mark is not None:
+                if mark[0] == at and mark[3] == len(call_stack):
+                    # Back at the marked br at its depth: what ran since is its lap.
+                    laps[at] = (t - mark[1], steps - mark[2],
+                                None if path is None else path[mark[2]:])
+                mark = None
             if arg[pos % len(arg)] != "T":
                 nxt = at + 1
-            elif pos >= last_cold and nxt <= at and type(t) is int:
-                # A hot br jumps back: skip the laps that repeat this one.
+            elif pos >= first_mark and type(t) is int:
                 lap = laps.get(at)
-                if lap is None and at not in laps:
-                    lap = laps[at] = _native_lap(program, blocks, nxt, at)
-                if lap is not None:
-                    lap_cost, lap_steps, ranges = lap
+                if lap is None:
+                    mark = (at, t, steps, len(call_stack))
+                else:
+                    # Skip the laps that repeat the one the pass ran.
+                    lap_cost, lap_steps, lap_path = lap
                     skips = _skips(arg, pos + 1, max_steps - steps - lap_steps, lap_steps,
                                    0, lap_cost, math.inf)
                     if skips:
@@ -521,8 +485,9 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
                         steps += skips * lap_steps
                         pattern_pos[at] = pos + 1 + skips
                         if path is not None:
-                            path += [addr for span in ranges for addr in span] * skips
+                            path += lap_path * skips
         elif kind == NDBR:
+            mark = None
             if not random() < arg:
                 nxt = at + 1
         elif kind == CALL:
@@ -531,6 +496,8 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
             if not call_stack:
                 raise GuestError(f"ret at {at} with empty call stack")
             nxt = call_stack.pop()
+            if mark is not None and len(call_stack) < mark[3]:
+                mark = None  # the lap would return to a frame from before it
         elif kind != JMP:  # halt
             return ExecutionOutcome(t, steps, (), (), (), (),
                                     tuple(path) if path is not None else None)

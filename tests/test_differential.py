@@ -18,7 +18,8 @@ A br may fast-forward the loop it closes from its HOT_BRANCH-th execution
 in a run on, so loop guests whose branches run on either side of that
 threshold, with patterns on either side of its length, pin the switch.
 Some generated loops call a routine, whose ret the native pass's lap
-balances, and a step limit drawn inside the run must stop native_run
+balances, some are chains of jmp-linked blocks closed by a br that may jump
+forward, and a step limit drawn inside the run must stop native_run
 exactly where the reference stops.  Hand-written laps that the native pass
 must not skip (a call stack that grows, an ndbr, a ret to a frame from
 before the lap, a walk off every image, a jmp to itself) match the
@@ -36,7 +37,8 @@ from hypothesis import given, settings, strategies as st
 from dime import (BudgetState, GuestError, LogStore, RunConfig, executor, native_run,
                   parse_program, run)
 from dime.executor import GRANULARITIES, HOT_BRANCH
-from dime.program import BR, CONTROL_TRANSFERS, HALT, JMP, OP, Program, ProgramImage
+from dime.program import (BR, CALL, CONTROL_TRANSFERS, HALT, JMP, OP, RET, Program,
+                          ProgramImage)
 
 from conftest import committed_points, wall_budget
 from reference import reference_run
@@ -50,7 +52,7 @@ def programs(draw):
     labels = iter(f"L{i}" for i in range(1000))
     routines = draw(st.integers(0, 3))
     pieces = draw(st.lists(st.sampled_from(("ops", "loop", "skip", "jump", "call",
-                                            "call loop")),
+                                            "call loop", "jmp loop")),
                            min_size=1, max_size=10))
 
     def ops(low, high):
@@ -69,6 +71,24 @@ def programs(draw):
                         f"call R{draw(st.integers(0, routines - 1))}")
             main += [f"{head}: {body[0]}", *body[1:]]
             main.append(f"br {head} {'T' * draw(st.integers(1, 2 * K + 1))}N")
+        elif piece == "jmp loop":
+            # A lap of jmp-linked blocks laid out in any order, closed by a
+            # br to the first block or, sometimes, forward to one more block
+            # past them all, whose jmp goes back to the first.
+            blocks = [next(labels) for _ in range(draw(st.integers(1, 4)))]
+            out = next(labels)
+            target = next(labels) if draw(st.booleans()) else blocks[0]
+            ends = [[f"jmp {label}"] for label in blocks[1:]]
+            ends.append([f"br {target} {'T' * draw(st.integers(1, 2 * K + 1))}N",
+                         f"jmp {out}"])
+            code = dict(zip(blocks, ends))
+            main.append(f"jmp {blocks[0]}")
+            for label in draw(st.permutations(blocks)):
+                body = ops(1, 3)
+                main += [f"{label}: {body[0]}", *body[1:], *code[label]]
+            if target != blocks[0]:
+                main += [f"{target}: op {draw(COSTS)}", f"jmp {blocks[0]}"]
+            main.append(f"{out}: op {draw(COSTS)}")
         elif piece in ("skip", "jump"):
             target = next(labels)
             if piece == "jump":
@@ -202,8 +222,9 @@ def test_branches_that_cross_the_hot_threshold_match_reference(length, execution
 
 def native_skips(monkeypatch):
     """What `_skips` returns to the native pass, call by call, while the test
-    runs (run()'s calls are not recorded): the native pass asks it once per
-    hot taken br whose lap it found, and skips that many laps."""
+    runs (run()'s calls are not recorded): the native pass asks it at each
+    taken execution of a br whose lap it has run since marking the br, and
+    skips that many laps."""
     found = []
     real = executor._skips
 
@@ -264,8 +285,8 @@ def test_a_lap_that_may_change_runs_block_by_block(monkeypatch, text, seed):
 def test_a_lap_that_walks_off_every_image_raises_where_the_reference_does(monkeypatch):
     # The br at 11 is not taken for its first HOT_BRANCH executions, then
     # taken to X, whose op falls through to address 1, outside every image.
-    # Execution then raises there, after X's step, and the lap is never
-    # formed: looking for it must not raise either.
+    # Execution then raises there, after X's step, before the br runs
+    # again, so the pass learns no lap and skips none.
     program = parse_program(f"""\
 image m 10
 L:  op 1
@@ -288,8 +309,9 @@ X:  op 1
 
 
 def test_a_lap_that_never_comes_back_is_given_up(monkeypatch):
-    # Once hot, the br is taken to X, a jmp to itself, so the walk from X
-    # never reaches the br, and execution spins there up to the limit.
+    # Once hot, the br is taken to X, a jmp to itself, so execution spins
+    # there up to the limit, and the br it marked never runs again to close
+    # a lap.
     program = parse_program(f"image m 0\n    jmp L\nX:  jmp X\nL:  br X {'N' * K}T\n"
                             "    jmp L\n")
     found = native_skips(monkeypatch)
@@ -316,6 +338,13 @@ FLOAT_LOOPS = {
         ProgramImage("m", 10, (BR, BR, HALT), (1, 1, 1), (0, 10, None),
                      ("N" * K + "T" * 300 + "N", "T" * K + "N", None)),
         ProgramImage("lap", 0, (OP, JMP), (0.1, 2), (None, 10), (None, None))]),
+    # An int lap that R's first call learns and skips on an int clock, met
+    # again in R's second call, after the op at 1 made the clock a float.
+    "known-lap-float-clock": Program([
+        ProgramImage("m", 0, (CALL, OP, CALL, HALT), (0, 1 / 3, 0, 1), (10, None, 10, None),
+                     (None,) * 4),
+        ProgramImage("r", 10, (OP, BR, RET), (1, 2, 0), (None, 10, None),
+                     (None, "T" * 9 + "N" + "T" * 300 + "N", None))]),
 }
 
 

@@ -389,6 +389,14 @@ F:  op 1
     # Hot on its 8th execution, with one T left before the first N, and hot
     # again on the second call, with eight.
     pytest.param(lap_guest(10, 10), [1, 8], id="lap"),
+    # The same, with the second call to R made from Q: the lap learned at
+    # call depth 1 is skipped at depth 2.
+    pytest.param(lap_guest(10, 10).replace("    call R\n    halt", "    call Q\n    halt\n"
+                                           "Q:  call R\n    ret"), [1, 8], id="deeper-call"),
+    # A loop closed by a br that jumps forward, to F, whose jmp goes back:
+    # the lap learned at the 8th execution skips the 42 Ts left.
+    pytest.param("image m 0\nL:  op 1\n    br F " + "T" * 50 + "N\n    halt\nF:  op 2\n"
+                 "    jmp L\n", [42], id="forward-br"),
 ])
 def test_the_native_pass_fast_forwards_each_hot_lap(monkeypatch, text, skipped):
     # The campaign's one native pass, in its oracle, skips the laps that a
@@ -398,6 +406,9 @@ def test_the_native_pass_fast_forwards_each_hot_lap(monkeypatch, text, skipped):
     config = RunConfig(program=parse_program(text), period=10, budget=3)
     run_campaign(config, runs=3)
     assert [skips for skips in found if skips] == skipped
+    _, native_time, path = reference_run(config.program)
+    out = native_run(replace(config, capture_path=True))
+    assert (out.virtual_time, out.addr_path) == (native_time, tuple(path))
 
 
 @pytest.mark.parametrize("max_steps, skipped", [
@@ -421,12 +432,24 @@ def test_the_native_fast_forward_leaves_the_blocks_near_the_step_limit(
     assert found[0] == skipped
 
 
+def chain_loop(blocks, pattern):
+    """A loop of `blocks` native blocks from H, each an op, linked by jmps
+    and closed by a br of `pattern`, then a halt."""
+    links = "".join(f"    jmp B{i}\nB{i}: op 1\n" for i in range(1, blocks))
+    return f"image m 0\nH:  op 1\n{links}    br H {pattern}\n    halt\n"
+
+
 def test_a_native_hot_loop_runs_in_closed_form():
-    # Block by block, 10**8 steps take seconds.
-    config = RunConfig(program=parse_program("image m 0\nH:  op 1\n    br H T\n"),
-                       max_steps=10**8)
-    with wall_budget(1.0), pytest.raises(GuestError, match="^step limit exceeded$"):
-        native_run(config)
+    # Block by block, 10**8 steps take seconds, and a lap of many blocks is
+    # learned as one of a single block is.
+    for blocks in (1, 101):
+        config = RunConfig(program=parse_program(chain_loop(blocks, "T")), max_steps=10**8)
+        with wall_budget(1.0), pytest.raises(GuestError, match="^step limit exceeded$"):
+            native_run(config)
+        program = parse_program(chain_loop(blocks, "T" * 30 + "N"))
+        _, native_time, path = reference_run(program)
+        out = native_run(RunConfig(program=program, capture_path=True))
+        assert (out.virtual_time, out.addr_path) == (native_time, tuple(path))
 
 
 @pytest.mark.parametrize("budget, log_entries, max_steps", [
