@@ -31,6 +31,14 @@ horizon only by closing periods.  It acts only on ints (cost, times,
 budget, period and the remaining budget), where its products equal the
 sums they replace; with a float among them it makes no charge, and the
 caller charges one call at a time.
+
+`snapshot(t)` gives the server's phase at time t, its state relative to t
+and the period grid, and where its records stand.  Where a later phase
+equals an earlier one whole periods later, the calls between them may be
+made again in the same pattern, and `repeat(since, n)` makes them n more
+times in one step: it copies the closed-period records and overshoots made
+since the earlier snapshot, shifted by whole periods, and moves the open
+period on.  It too acts only on ints, and stops short of 2**53 periods.
 """
 
 from __future__ import annotations
@@ -217,6 +225,57 @@ class BudgetState:
             self._last_now = now + (take - 1) * lap
             now = self._last_now + lap
         return made
+
+    def snapshot(self, t: float) -> tuple:
+        """(phase, since) at time `t`.  The phase is the state relative to
+        `t` and the period grid: where two snapshots' phases are equal and
+        their times a whole number of periods apart, every call made after
+        the second at the same offsets from its `t` as after the first gets
+        the same answer and makes the same records, shifted by those
+        periods.  `since` is where the records stand, for repeat()."""
+        end = self._period_end
+        return ((self.remaining, self.t_ins_this_period, end - t, self.horizon == end),
+                (self.period_index, len(self._loads), self._recorded, len(self.overshoot_log)))
+
+    def repeat(self, since: tuple, n: int) -> int:
+        """Make again, up to `n` times, what the calls since the snapshot
+        `since` made, each time shifted by the whole periods that have
+        passed since it, as the same calls made again at the shifted times
+        would; return how many times it did.
+
+        The caller vouches that the server's phase equals the snapshot's and
+        that some period has closed since.  It then appends copies of the
+        closed-period records and overshoots made since the snapshot and
+        moves the open period, its end, the horizon of a spending charge and
+        the last time on; the remaining budget and open load stay as they
+        are.  It makes none unless the period, budget, remaining budget,
+        open load, last time and every record and overshoot copied are ints,
+        so the arithmetic is exact, and makes only as many as leave the last
+        call's copy before 2**53 periods, where charge() would raise."""
+        index, records, recorded, overshoots = since
+        periods = self.period_index - index
+        loads, log = self._loads[records:], self.overshoot_log[overshoots:]
+        if not (periods > 0 and all(type(x) is int for x in (
+                self.period, self.budget, self.remaining, self.t_ins_this_period,
+                self._last_now, *loads, *(x for entry in log for x in entry)))):
+            return 0
+        shift = periods * self.period
+        n = max(0, min(n, (self._cap - 1 - self._last_now) // shift))
+        if loads:
+            # Each copy's first record counts its gap from the copy before.
+            gaps = self._gaps[records:]
+            gaps[0] += recorded + periods - self._recorded
+            self._gaps += gaps * n
+            self._loads += loads * n
+            self._recorded += n * periods
+        self.overshoot_log += [(time + k * shift, magnitude) for k in range(1, n + 1)
+                               for time, magnitude in log]
+        if self.horizon == self._period_end:
+            self.horizon += n * shift
+        self.period_index += n * periods
+        self._period_end += n * shift
+        self._last_now += n * shift
+        return n
 
     def period_loads(self) -> list[float]:
         """t_ins of every period so far, in order: the closed ones, then the

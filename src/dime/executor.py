@@ -76,38 +76,62 @@ number of times each br has executed and read its outcome from the pattern
 by that count, so every trace and version that ends at the br reads the
 same count, and the run of Ts ahead of a hot br is one find on the pattern.
 
-run() fast-forwards a hot loop: when an entry takes a br that has executed
-at least HOT_BRANCH times, that is its trace's first item and whose target
-is at or below the trace's pc, and the br's own analysis call, if it made
-one, did not spend the budget, the loop may run in closed form.  Its cycle
-is the br's trace and the cached op-only traces (one item, no point, no
-instruction) that fall through from the target into it, so its one point
-is the br.  Nothing in it can change while the br is taken, every entry
-fits the step limit, every point comes before `until`, the time the
-budget's answer holds until, and no analysis call spends the budget: it
-makes no check, compile or observer call.  So run() skips the largest
-number of iterations that the rest of the pattern's run of Ts, `until` and
-the step limit (tested as each entry would test it) allow, in one step.
-Where the loop's calls are charged (the log permitted the trace, in
-V_INSTRUMENT, under a limited budget), the server takes them in one
-BudgetState.charge_series, which closes the periods they cross and stops
-before the call that would spend the budget, and run() skips only the
-iterations whose calls it took; uncharged calls (the log rejected the
-trace, the version is V_BASE, or the budget is unlimited, so the calls
-are only summed) need no server.  The clock, `now`, the step count and
-the br's count grow by the iterations' worth, as does `spent` under an
-unlimited budget, and the commit tuple, the tool record and the path
-range of one iteration are appended that many times.  The generic loop
-then runs the iteration that sees the N, crosses `until`, nears the limit
-or spends the budget.  The clock and every cost in the cycle must be ints,
-so that the multiplication is exact and equal to the sums it replaces;
-with a float among them, or a float period or budget on a charged loop,
-the loop runs iteration by iteration.
+run() fast-forwards a hot loop by replaying what it did, once it has run
+it.  When an entry takes a br that has executed at least HOT_BRANCH - 1
+times, on an int clock, run() snapshots the run state at the entry's end:
+the clock, `now`, the step count, the br's count, the lengths of the commit
+and record lists (a captured path holds `steps` addresses), `spent`, the
+version, the answer and `until`, and where rule (c) below needs it, the
+server's BudgetState.snapshot.  The br's snapshots form a span, which any
+other br ends, as do an ndbr, a ret below the br's call depth, a compile, a
+commit that grows a trace's prefix and a check, each of them a branch off
+the per-item path already.  While none of them runs, the traces, the call
+stack below the br's depth and every br count but the br's own stay as
+they were, and nothing reads the RNG, the log or the observer, so what the
+run does from the br's target on depends only on the version, the answer,
+`until`, the clock and the server.  So at each later taken execution of the
+br in the span run() replays, k times in one step, what the run did since
+an earlier one, under one of three rules:
 
-The native pass fast-forwards a hot loop in the same way, once it has run
-one lap of it.  When a br that has executed at least HOT_BRANCH - 1 times
-is taken on an int clock and its lap is not known, the pass marks the br
-with the clock, the step count and the call depth.  The next br to execute
+- (a) Since the last execution nothing was charged, and the version, the
+  answer (equal to it) and `until` are as they were.  Every point of the
+  lap came before `until`, and a replayed lap runs as this one did, shifted
+  in time, while its points do.  k is the largest number of laps that the
+  rest of the pattern's run of Ts, `until` and the step limit (tested as
+  each entry would test it) allow; calls that are not charged (the log
+  rejected the trace, the version is V_BASE, or the budget is unlimited, so
+  the calls are only summed) need no server.
+- (b) As (a), but the lap made one charge, the br's own, which left budget.
+  The server takes the replayed laps' charges in one
+  BudgetState.charge_series, which closes the periods they cross and stops
+  before the charge that would spend the budget, and run() replays only
+  the laps whose charges it took.
+- (c) Neither, but the state (the version, the answer, `until` relative to
+  the clock unless it is the refill time, and the server's phase) is the
+  state at the saved execution, some charge came between, and the clock has
+  moved by whole periods: the cycle of laps since then repeats as it ran.
+  k counts the whole cycles that the pattern's run of Ts, the refill time
+  and the step limit allow, and BudgetState.repeat copies the closed-period
+  records and overshoots that the cycle made, shifted by whole periods, as
+  many times.  The first saved execution is the first after a charge in
+  the span; it moves to the current one after `power` more executions, and
+  `power` doubles (Brent's cycle detection), so one saved snapshot finds a
+  cycle of any length.
+
+A replay appends the commit, record and path slices made since the earlier
+snapshot k times, moves the br's count on by its laps, and shifts the clock,
+`now`, the step count, `spent` and `until` (where it moved at all) by k
+times their change since then.  The generic loop then runs the lap that sees
+the N, crosses `until`, nears the step limit or spends the budget, and the
+span goes on.  Every replayed quantity must be an int, so that the products
+are exact and equal to the sums they replace: on a float clock no br is
+snapshotted, and the server makes no series or repeat with a float among
+its numbers, so such a loop runs lap by lap.
+
+The native pass learns a hot loop's lap by running it too, but once per
+br.  When a br that has executed at least HOT_BRANCH - 1 times is taken on
+an int clock and its lap is not known, the pass marks the br with the
+clock, the step count and the call depth.  The next br to execute
 unmarks it, and so do an ndbr and a ret below the marked depth.  When that
 next br is the marked one, at the marked depth, the blocks run since the
 mark are its lap: jmps, fall-throughs, and calls and rets that balance
@@ -160,8 +184,8 @@ from .tools import record_kinds
 GRANULARITIES = ("ctrl", "all")
 
 # The execution of a br in a run from which run() and the native pass may
-# fast-forward the loop it closes; the native pass runs the lap before it
-# from the br's previous, taken execution (see the module docstring).  A
+# fast-forward the loop it closes; both learn the lap before it from the
+# br's previous, taken execution (see the module docstring).  A
 # fast-forward tried at every taken br slowed a guest whose brs run 1-4
 # times per run by about a tenth of its campaign.
 HOT_BRANCH = 8
@@ -356,38 +380,27 @@ class TraceMemo:
         return walk if cut < 0 else form_trace(self, entry, cut - rel)
 
 
-def _head_cost(cache: dict[int, tuple], start: int, stop: int) -> int | None:
-    """The summed cost of the cached traces that fall through from `start`
-    to `stop`, or None unless there are such traces and each is op-only: one
-    item, with no point and no instruction."""
-    cost = 0
-    while start < stop:
-        compiled = cache.get(start)
-        if compiled is None or len(compiled[3]) != 1 or compiled[3][0][1] is not None:
-            return None
-        cost += compiled[3][0][4]
-        start += compiled[2]
-    return cost if start == stop else None
-
-
 def _skips(pattern: str, executions: int, room: int | float, lap_steps: int, now: int,
-           lap: int, until: float) -> int:
-    """How many iterations of a loop closed by a taken br with `pattern`,
-    each `lap_steps` steps and `lap` clock units long with its one point
-    `lap` after the last, at `now`, can run in closed form after the br's
-    `executions`-th execution: the br is taken in each of them, every one
-    of their points comes before `until`, and each entry of the br's trace
-    has `room` (the step limit minus the steps through its first such
-    entry) to spare.  Where no bound is finite, 0, so a loop without end
-    stays on the generic path.  Every comparison is exact, as `room`,
-    `now` and `lap` are ints or inf and `until` an int or float.
+           lap: int, until: float, laps: int = 1) -> int:
+    """How many repeats of `laps` iterations of a loop closed by a taken br
+    with `pattern`, each repeat `lap_steps` steps and `lap` clock units long
+    with its last point `lap` after the one before, at `now`, can run in
+    closed form after the br's `executions`-th execution: the br is taken in
+    each of them, every one of their points comes before `until`, and all
+    but the first fit in `room`, the step limit less the steps through the
+    first.  (An entry that may pass the limit raises only at an instruction
+    past it; for a single lap run() also leaves the rest of the br's trace
+    out of `room`, so that every entry it skips ends by the limit.)  Where
+    no bound is finite, 0, so a loop without end stays on the generic path.
+    Every comparison is exact, as `room`, `now` and `lap` are ints or inf
+    and `until` an int or float.
 
     The native pass asks it too, for laps with no point: with `until` inf,
     only the pattern and `room` bound the skips, and `now` and `lap` are
     not read."""
     k = executions % len(pattern)
     taken = (pattern[k:] + pattern[:k]).find("N")
-    bounds = [taken] if taken >= 0 else []
+    bounds = [taken // laps] if taken >= 0 else []
     if room != math.inf:
         bounds.append(room // lap_steps + 1)
     if until != math.inf:
@@ -538,9 +551,24 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     # address sequence is the same with instrumentation on or off.
     random = Random(config.seed).random
     pattern_pos: dict[int, int] = {}
-    last_cold = HOT_BRANCH - 1
-    hot = 0  # the executions of a hot br that the entry took, else 0
     call_stack: list[int] = []
+    # A taken br is hot from its (HOT_BRANCH - 1)-th execution on, so that
+    # its HOT_BRANCH-th may replay the lap before it.  `hot` is the
+    # executions of a hot br that the entry took, else 0.  `marked` is the
+    # br, and `depth` the call depth, of the span that the run is learning:
+    # the stretch since that hot br was first taken in which it is the only
+    # br executed, and no ndbr, ret below that depth, compile, growing
+    # commit or check ran.  `last` is the snapshot at the br's last taken
+    # execution, (t, steps, len(committed), len(records), spent, until,
+    # version, answer).  `saved` is the one a later state is compared with
+    # to find a cycle, moved on after `power` executions, which then
+    # doubles (Brent's cycle detection): `last` then, the executions, the
+    # state (version, answer, until less t or None at `refill`, the
+    # server's phase) and the server's `since`.
+    first_hot = HOT_BRANCH - 2
+    hot = 0
+    marked = last = saved = None
+    depth, power = 0, 1
     # Per version (indexed by V_BASE and V_INSTRUMENT): entry ->
     # (image, rel_start, length, body, longest), and the marks (see
     # TraceMemo.shape) of the cache's keys, the entry points that cut later
@@ -572,10 +600,11 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     # V_BASE; `now` is the time of the last instrumentation point.
     answer = V_INSTRUMENT
     until = -math.inf
-    refill = budget.refill
+    refill, period = budget.refill, budget.period
     now = None
-    # B = inf (and so T = inf): no charge can change an answer, so the
-    # analysis calls are summed here and charged once when the run ends.
+    # The analysis calls' cost so far.  With B = inf (and so T = inf) no
+    # charge can change an answer, so the calls are only summed here, and
+    # charged once when the run ends.
     unlimited = budget.budget == math.inf
     spent = 0
 
@@ -583,6 +612,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
         cache = caches[version]
         compiled = cache.get(pc)
         if compiled is None:
+            marked = None
             t += config.compile_cost
             image, rel, length, body = memo.shape(pc, marks[version])
             longest = None
@@ -615,6 +645,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                         answer = V_INSTRUMENT
                         until = refill
                     else:
+                        marked = None
                         answer = check(now)
                         until = budget.horizon
                 t += check_cost
@@ -624,9 +655,8 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                     next_pc = pc + off
                     break
                 if longest is not None:
-                    if unlimited:
-                        spent += analysis_cost
-                    elif not charge(analysis_cost, now):
+                    spent += analysis_cost
+                    if not (unlimited or charge(analysis_cost, now)):
                         answer = V_BASE
                         until = budget.horizon
                     t += analysis_cost
@@ -639,10 +669,14 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                 pos = pattern_pos.get(at, 0)  # the executions so far
                 pattern_pos[at] = pos + 1
                 if arg[pos % len(arg)] != "T":
+                    marked = None
                     continue  # not taken: on to the next item
-                if pos >= last_cold and answer == version and body[0][1] == at:
+                if pos < first_hot:
+                    marked = None
+                else:
                     hot = pos + 1  # see the entry's end
             elif kind == NDBR:
+                marked = None
                 if not random() < arg:
                     continue
             elif kind == CALL:
@@ -651,6 +685,8 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                 if not call_stack:
                     raise GuestError(f"ret at {at} with empty call stack")
                 nxt = call_stack.pop()
+                if len(call_stack) < depth:
+                    marked = None  # a lap would return to a frame from before it
             elif kind != JMP:  # halt
                 end = off + 1
                 next_pc = None
@@ -675,6 +711,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
             prefix = last_analyzed + 1
             entry = longest
             if prefix > entry[2]:
+                marked = None
                 entry = (image, rel, prefix)
                 cache[pc] = compiled[:4] + (entry,)  # the uncut body
                 log.commit(entry)
@@ -684,41 +721,73 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                 entry = (image, rel, prefix)
             committed.append(entry)
         if hot:
-            # A hot br, the trace's first item, was taken, and its analysis
-            # call, if any, left the answer as it was; the loop variables
-            # still hold its item.  Fast-forward the loop it closes if
-            # nothing in the loop can change over the iterations skipped
-            # (see the module docstring).
+            # A hot br was taken and its exit recorded; the loop variables
+            # still hold its item.  Replay the lap since its last taken
+            # execution, or the cycle of laps since the saved one, if what
+            # it did repeats (see the module docstring).
             executions, hot = hot, 0
-            heads = _head_cost(cache, next_pc, pc) if next_pc <= pc else None
-            lap = None if heads is None else (
-                heads + lead + check_cost + cost + (0 if longest is None else analysis_cost))
-            if type(lap) is int and type(t) is int:
-                lap_steps = pc + end - next_pc
-                # The br's trace is an iteration's last entry and reaches furthest.
-                room = max_steps - steps - (pc - next_pc) - length
-                skips = _skips(arg, executions, room, lap_steps, now, lap, until)
-                if skips and longest is not None and not unlimited:
-                    # Charged: the server takes the calls up to, not
-                    # including, the one that spends the budget.
-                    skips = budget.charge_series(analysis_cost, now + lap, lap, skips)
-                if skips:
-                    t += skips * lap
-                    now += skips * lap
-                    steps += skips * lap_steps
-                    pattern_pos[at] = executions + skips
-                    if longest is not None:  # analysed
-                        if unlimited:
-                            spent += skips * analysis_cost
-                        committed += [committed[-1]] * skips
-                        if BR in keeps:
-                            records += [records[-1]] * skips
-                    if path is not None:
-                        path += [*range(next_pc, pc + end)] * skips
+            if type(t) is not int:
+                marked = None
+            else:
+                if at != marked or len(call_stack) != depth:
+                    marked, depth, saved = at, len(call_stack), None
+                    move = False
+                else:
+                    # (a) No charge, or (b) one, the br's, that left budget,
+                    # and the answer, version and `until` as they were.
+                    t0, s0, c0, r0, spent0, until0, version0, answer0 = last
+                    k, laps = 0, 1
+                    if (version == answer == version0 == answer0 and until == until0 and (
+                            unlimited or spent == spent0
+                            or spent - spent0 == analysis_cost and last_analyzed == end - 1)):
+                        lap, lap_steps = t - t0, steps - s0
+                        k = _skips(arg, executions, max_steps - steps - lap_steps - (length - end),
+                                   lap_steps, now, lap, until)
+                        if k and spent != spent0 and not unlimited:
+                            # The server takes the charges up to, not
+                            # including, the one that spends the budget.
+                            k = budget.charge_series(analysis_cost, now + lap, lap, k)
+                    if (not k and saved is not None and spent != saved[4]
+                            and (t - saved[0]) % period == 0
+                            and (version, answer, None if until == refill else until - t,
+                                 budget.snapshot(t)[0]) == saved[9]):
+                        # (c) A charged cycle: the state is the saved one's,
+                        # whole periods later.
+                        t0, s0, c0, r0, spent0, until0 = saved[:6]
+                        laps, cycle_steps = executions - saved[8], steps - s0
+                        k = _skips(arg, executions, max_steps - steps - cycle_steps,
+                                   cycle_steps, now, t - t0, refill, laps)
+                        if k:
+                            k = budget.repeat(saved[10], k)
+                    if k:
+                        shift = k * (t - t0)
+                        now += shift
+                        t += shift
+                        steps += k * (steps - s0)
+                        spent += k * (spent - spent0)
+                        if until != until0:
+                            until += k * (until - until0)
+                        executions += k * laps
+                        pattern_pos[at] = executions
+                        committed += committed[c0:] * k
+                        records += records[r0:] * k
+                        if path is not None:
+                            path += path[s0:] * k
+                    # Only a charged cycle repeats, so the first saved
+                    # snapshot is the first after a charge.
+                    move = (spent != spent0 and not unlimited if saved is None
+                            else executions - saved[8] >= power)
+                last = (t, steps, len(committed), len(records), spent, until, version, answer)
+                if move:
+                    phase, since = budget.snapshot(t)
+                    power = 1 if saved is None else 2 * power
+                    saved = (*last, executions,
+                             (version, answer, None if until == refill else until - t, phase),
+                             since)
         pc = next_pc
 
     if now is not None:
-        if spent:
+        if unlimited and spent:
             # At the last point rather than the last call: a server may have
             # been checked since, and an unlimited one records no charge time.
             charge(spent, now)

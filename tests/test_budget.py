@@ -399,6 +399,88 @@ def test_charge_series_makes_no_charge_off_the_ints(period, budget, spent, cost,
     assert vars(state) == before
 
 
+def charge_cycles(state, start, offsets, cost, length, count):
+    """Snapshots of `state` at start, start + length, ..., start + count *
+    length, with `count` cycles of charges between them: charges of `cost`
+    at the `offsets` from each cycle's start, each made only where a check
+    at its time would pass, as run() makes them."""
+    marks = [state.snapshot(start)]
+    for c in range(count):
+        for offset in offsets:
+            now = start + c * length + offset
+            if copy.deepcopy(state).check(now):
+                state.charge(cost, now)
+        marks.append(state.snapshot(start + (c + 1) * length))
+    return marks
+
+
+@settings(deadline=None)
+@given(period=st.integers(1, 12), data=st.data(),
+       before=st.lists(st.tuples(st.integers(0, 25), st.integers(1, 12)), max_size=4),
+       wait=st.integers(0, 40), periods=st.integers(1, 4), n=st.integers(0, 6))
+def test_repeat_matches_single_charges(period, data, before, wait, periods, n):
+    # Cycles of `periods` periods, each charged at the same offsets: a cost
+    # over B overshoots, a period without an offset stays uncharged between
+    # records, and the first cycle starts `wait` after the charges before
+    # it, often once the open period has ended.  Where the server's phase
+    # at the start of cycle j is its phase at the start of cycle i, n
+    # repeats of the cycles from i to j leave it as n * (j - i) more cycles
+    # of single charges do.
+    budget = data.draw(st.integers(1, period))
+    cost = data.draw(st.integers(1, 2 * budget))
+    length = periods * period
+    offsets = sorted(data.draw(st.sets(st.integers(0, length - 1), min_size=1, max_size=4)))
+    first = charged(BudgetState(period, budget), before)
+    start = first._last_now + wait
+    marks = charge_cycles(copy.deepcopy(first), start, offsets, cost, length, 5)
+    pairs = [(i, j) for j in range(len(marks)) for i in range(j) if marks[i][0] == marks[j][0]]
+    if not pairs:
+        return  # no cycle: the cycles charge nothing
+    i, j = pairs[0]
+    state = copy.deepcopy(first)
+    charge_cycles(state, start, offsets, cost, length, j)
+    expected = copy.deepcopy(first)
+    charge_cycles(expected, start, offsets, cost, length, j + n * (j - i))
+    assert state.repeat(marks[i][1], n) == n
+    # Every field: the period index, the closed periods' records and the
+    # open one's load, remaining, horizon, overshoots and last time.
+    assert vars(state) == vars(expected)
+
+
+@pytest.mark.parametrize("period, budget, cost", [
+    (10.0, 3, 1), (10, 3.0, 1), (10, 3, 1.0), (math.inf, 3, 1), (10, 3, 0.5)])
+def test_repeat_makes_nothing_off_the_ints(period, budget, cost):
+    # A float among the period, budget and costs, or T = inf, under which no
+    # period closes: the caller runs the cycle one call at a time.  The
+    # cost 0.5 leaves the remaining budget and the loads floats.
+    state = BudgetState(period, budget)
+    length = 20 if period == math.inf else 2 * period
+    marks = charge_cycles(state, 5, [0, 3, 12], cost, length, 2)
+    before = copy.deepcopy(vars(state))
+    assert state.repeat(marks[1][1], 5) == 0
+    assert vars(state) == before
+
+
+def test_repeat_stops_before_the_period_count_cap():
+    # Cycles of two periods of 3 with charges at offsets 0 and 4, the first
+    # 34 units before the cap at 2**53 periods: the sixth cycle's second
+    # charge would come right at it, where charge() raises, so the server
+    # repeats cycles 3 to 5, 3 of the 10 asked for, as single charges would
+    # make them.
+    period, length = 3, 6
+    start = MAX_PERIODS * period - 34
+    state = BudgetState(period, 2)
+    marks = charge_cycles(state, start, [0, 4], 2, length, 2)
+    assert marks[1][0] == marks[2][0]
+    expected = copy.deepcopy(state)
+    assert state.repeat(marks[1][1], 10) == 3
+    charge_cycles(expected, start + 2 * length, [0, 4], 2, length, 3)
+    assert vars(state) == vars(expected)
+    assert state.period_index == MAX_PERIODS - 2
+    with pytest.raises(BudgetContractError, match="2\\*\\*53"):
+        charge_cycles(expected, start + 5 * length, [0, 4], 2, length, 1)
+
+
 def test_one_huge_op_closes_twenty_million_periods_in_one_check():
     # The halt's check comes at t = 2000001 (one analysis call, then the op),
     # 20,000,010 periods of 0.1 in; stepping over them one at a time took

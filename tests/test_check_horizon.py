@@ -17,15 +17,18 @@ The reference must really be asked at every point, or the comparison would
 pit the real server against itself.
 
 The reference also keeps every run on the generic trace loop: run()
-fast-forwards a hot loop only over points that come before the time its
-answer holds until, which the reference holds at -inf.  So the same
-comparison, on guests whose loops run their back edge past HOT_BRANCH,
-checks the loops run in closed form against the loops run iteration by
-iteration, step-limit errors included.
+replays a hot loop's laps only over points that come before the time its
+answer holds until, and a cycle of laps only before the refill time, both
+of which the reference holds at -inf, and a check ends the span that run()
+learns a lap in.  So the same comparison, on guests whose loops run their
+back edge past HOT_BRANCH, checks the loops run in closed form against the
+loops run iteration by iteration, step-limit errors included.
 """
 
+import importlib.util
 import math
 import os
+import random
 import tempfile
 from dataclasses import replace
 
@@ -38,7 +41,7 @@ from dime.executor import GRANULARITIES, HOT_BRANCH
 from dime.redundancy import STRATEGIES
 
 from reference import reference_run
-from test_differential import COSTS, programs
+from test_differential import COSTS, NO_LAP, programs
 
 RUNS = 2
 
@@ -135,10 +138,10 @@ def test_horizon_changes_no_outcome(texts, seed, granularity, max_len, strategy,
 @st.composite
 def hot_loops(draw):
     """Guests whose loops take their back edge up to 3 * HOT_BRANCH times in
-    a row, often more than HOT_BRANCH + 4 times.  A loop's body is ops
-    only, so its br is the first item of its trace, and a loop may be
-    entered by a jmp into its body, so that the trace from its head stops
-    there: op-only, it falls through into the br's trace.  Loops in
+    a row, often more than HOT_BRANCH + 4 times.  A loop's body is ops, and
+    may call a leaf routine (ops, then a ret), as switchstorm's nests do, so
+    that a lap runs through several traces.  A loop may be entered by a jmp
+    into its body, so that the trace from its head stops there.  Loops in
     routines run again at each call, their br's count carried over, and a
     pattern may end the loop more than once."""
     labels = iter(f"L{i}" for i in range(1000))
@@ -146,8 +149,13 @@ def hot_loops(draw):
     def ops(low, high):
         return [f"op {draw(COSTS)}" for _ in range(draw(st.integers(low, high)))]
 
+    leaves = [ops(0, 4) + ["ret"] for _ in range(draw(st.integers(0, 2)))]
+
     def loop():
         head, mid, body = next(labels), next(labels), ops(1, 5)
+        if leaves and draw(st.booleans()):
+            body.insert(draw(st.integers(0, len(body))),
+                        f"call S{draw(st.integers(0, len(leaves) - 1))}")
         cut = draw(st.integers(0, len(body)))
         runs = draw(st.lists(st.integers(HOT_BRANCH + 4, 3 * HOT_BRANCH)
                              | st.integers(0, HOT_BRANCH + 3), min_size=1, max_size=3))
@@ -166,10 +174,11 @@ def hot_loops(draw):
         else:
             main += ops(1, 12)
     lines = ["image m 0", *main, "halt"]
-    if routines:
+    if routines or leaves:
         lines.append("image lib 10000")
-        for r, routine in enumerate(routines):
-            lines += [f"R{r}:", *routine]
+        for name, routine in [*((f"R{r}", x) for r, x in enumerate(routines)),
+                              *((f"S{r}", x) for r, x in enumerate(leaves))]:
+            lines += [f"{name}:", *routine]
     return "\n".join(line if line.endswith(":") or line.startswith("image")
                      else "    " + line for line in lines) + "\n"
 
@@ -177,9 +186,9 @@ def hot_loops(draw):
 @settings(max_examples=300, deadline=None)
 @given(text=hot_loops(), granularity=st.sampled_from(GRANULARITIES),
        max_len=st.integers(1, 8), strategy=st.sampled_from(STRATEGIES),
-       period=st.sampled_from((2, 7, 60, math.inf)),
-       share=st.sampled_from((0, 0.4, 1, None)), whole=st.integers(1, 12),
-       check_cost=st.sampled_from((0, 1, 2, 0.1)), analysis_cost=st.sampled_from((1, 3, 0.1)),
+       period=st.sampled_from((2, 6, 7, 60, math.inf)),
+       share=st.sampled_from((0, 0.4, 1, None, "ca")), whole=st.integers(1, 12),
+       check_cost=st.sampled_from((0, 1, 2, 0.1)), analysis_cost=st.sampled_from((1, 2, 3, 0.1)),
        limit=st.none() | st.floats(0, 1))
 def test_fast_forward_changes_no_outcome(text, granularity, max_len, strategy, period, share,
                                          whole, check_cost, analysis_cost, limit):
@@ -188,14 +197,20 @@ def test_fast_forward_changes_no_outcome(text, granularity, max_len, strategy, p
     # second run's log rejects what the first committed.  share None is an
     # int budget in [1, T] (or `whole` with T = inf), so with int costs the
     # server takes a charged loop's calls in one series, which stops
-    # before a call that spends the budget.  A float cost keeps
-    # fast-forward off, and a fast-forward that did not would add it in
-    # another order.  A step limit drawn below the guest's length often
-    # falls inside a loop, and must stop both runs with the same error.
+    # before a call that spends the budget.  share "ca" is B = analysis_cost
+    # (at most T), so that, as in switchstorm, every call spends the budget,
+    # or overshoots it where T < ca, and a period shorter than a lap holds
+    # one call: the run replays cycles of laps whose state at the br comes
+    # back whole periods later.  A float cost keeps fast-forward off, and a
+    # fast-forward that did not would add it in another order.  A step
+    # limit drawn below the guest's length often falls inside a loop, and
+    # must stop both runs with the same error.
     program = parse_program(text)
     steps = len(reference_run(program)[2])
     if share is None:
         budget = whole if period == math.inf else 1 + (whole - 1) % period
+    elif share == "ca":
+        budget = min(analysis_cost, period)
     else:
         budget = period * share if share else 0
     config = RunConfig(program=program, granularity=granularity, period=period,
@@ -205,6 +220,42 @@ def test_fast_forward_changes_no_outcome(text, granularity, max_len, strategy, p
                        capture_path=True)
     assert (run_sequence(config, strategy, Counting)
             == run_sequence(config, strategy, EveryPoint))
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file: the benchmark's guest
+    generators and campaign settings."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["loopnest", "widecode", "switchstorm"])
+def test_bench_guests_replay_no_outcome(monkeypatch, name):
+    # No corpus loop gets hot, so the benchmark's own guests, at a tenth of
+    # their size and with their campaign settings, show that the laps and
+    # cycles run() replays in loopnest and switchstorm change no outcome.
+    # widecode's brs never get hot; it shows that nothing else moved.
+    generator, settings, _, _ = bench_workloads()[name]
+    settings = dict(settings)
+    strategy = settings.pop("log_strategy")
+    config = RunConfig(program=parse_program(generator(random.Random(1), 0.1)),
+                       capture_path=True, **settings)
+    made = []
+    real = BudgetState.repeat
+
+    def recording(self, *args):
+        made.append(real(self, *args))
+        return made[-1]
+
+    monkeypatch.setattr(BudgetState, "repeat", recording)
+    found = skips_taken(monkeypatch)
+    assert (run_sequence(config, strategy, Counting)
+            == run_sequence(config, strategy, EveryPoint))
+    assert (any(found), any(made)) == {"loopnest": (True, False), "widecode": (False, False),
+                                        "switchstorm": (True, True)}[name]
 
 
 def skips_taken(monkeypatch):
@@ -259,10 +310,50 @@ def test_fast_forward_at_the_hot_threshold(monkeypatch, executions, entered, per
         # All in the first period, where the jmp makes the first charge.
         # The series takes the br's 9th and 10th and stops before its 11th,
         # the 12th charge, which spends the budget.  The br's 12th execution
-        # switches to V_BASE, whose first pass compiles the head's trace,
-        # and its 13th skips the Ts left.
-        skipped = [min(left, 10 - HOT_BRANCH), executions - 14]
+        # switches to V_BASE and compiles the br's trace there, and its 13th
+        # compiles the head's: each compile ends the lap being learned, so
+        # the lap is learned again from the 13th, and the 14th skips the Ts
+        # left.
+        skipped = [min(left, 10 - HOT_BRANCH), executions - 15]
     assert [n for n in found if n] == [n for n in skipped if n > 0] * 2
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+@pytest.mark.parametrize("period, budget", [(math.inf, math.inf), (7, 0), (7, 3), (10, 2)])
+@pytest.mark.parametrize("text", NO_LAP.values(), ids=NO_LAP)
+def test_a_lap_that_may_change_is_never_replayed(monkeypatch, text, granularity, period,
+                                                 budget):
+    # The native pass's laps that may change: a call stack that grows, an
+    # ndbr, a ret to a frame from before the lap, a cold br in the lap.  Each
+    # ends the span that run() learns a hot br's lap in, so no replay is
+    # tried, and the runs are the reference's.
+    config = RunConfig(program=parse_program(text), granularity=granularity, period=period,
+                       budget=budget, check_cost=1, capture_path=True)
+    found = skips_taken(monkeypatch)
+    assert (run_sequence(config, "none", Counting)
+            == run_sequence(config, "none", EveryPoint))
+    assert found == []
+
+
+def test_a_hot_loop_fast_forwards_again_after_each_version_switch(monkeypatch):
+    # An iteration is 6 units in V_INSTRUMENT (4 ops, the br and its call)
+    # and 5 in V_BASE, and with B = 10 of T = 100 the br's 10th call in a
+    # period spends the budget.  In the first period the series takes the
+    # br's 9th charge, its 10th spends, and once the run has switched to
+    # V_BASE it skips 5 iterations up to the period's end.  In each later
+    # period it switches back to V_INSTRUMENT at the br, learns the charged
+    # lap from the iteration after that, has the server take 7 charges in
+    # one series, runs the iteration whose call spends the budget and the
+    # one that switches to V_BASE at the br, learns the uncharged lap from
+    # the next, and skips 6.
+    program = parse_program("image m 0\nH:  op 1\n    op 1\n    op 1\n    op 1\n    br H "
+                            + "T" * 200 + "N\n    halt\n")
+    config = RunConfig(program=program, period=100, budget=10, capture_path=True)
+    assert (run_sequence(config, "none", Counting)
+            == run_sequence(config, "none", EveryPoint))
+    found = skips_taken(monkeypatch)
+    run(config, LogStore("none"), config.make_budget())
+    assert [n for n in found if n][:20] == [1, 5] + [7, 6] * 9
 
 
 @pytest.mark.parametrize("period", range(5, 13))
@@ -304,6 +395,29 @@ def test_a_charged_loop_runs_in_closed_form_up_to_the_spending_call(
     assert (run_sequence(config, "none", Counting)
             == run_sequence(config, "none", EveryPoint))
     assert any(made)
+
+
+@pytest.mark.parametrize("period, budget", [(17, 5), (20, 5), (30, 7), (50, 9)])
+def test_a_lap_charged_once_off_its_br_runs_as_the_reference(period, budget):
+    # The log holds the traces from the routine and from the call's return,
+    # so each lap's one charge is the call's, before the br.  A series
+    # would charge at the br's times, so the run may not take the lap's
+    # charges in one.
+    program = parse_program("image m 0\nH:  op 2\n    call S\n    op 3\n    br H "
+                            + "T" * 60 + "N\n    halt\nimage lib 100\nS:  op 1\n    ret\n")
+    config = RunConfig(program=program, period=period, budget=budget, check_cost=1,
+                       capture_path=True)
+    found = []
+    for server in (Counting, EveryPoint):
+        log = LogStore("hash")
+        log.commit(LogEntry("m", 2, 3))
+        log.commit(LogEntry("lib", 0, 2))
+        state = server(period=period, budget=budget)
+        outcome = run(config, log, state)
+        found.append((outcome, state.period_index, state.period_loads(),
+                      state.overshoot_log))
+    assert found[0] == found[1]
+    assert [permitted for _, permitted in found[0][0].permits] == [True, False, False]
 
 
 @pytest.mark.parametrize("max_steps, skipped", [
@@ -456,18 +570,24 @@ def test_a_run_that_spends_every_period_checks_once():
     program = parse_program("image m 0\nL: op 5\n    br L " + "T" * 200 + "N\n    halt\n")
     config = RunConfig(program=program, period=10, budget=2, analysis_cost=3,
                        log_strategy="none", capture_path=True)
-    found = []
+    found, charges = [], []
     for server in (Counting, EveryPoint):
         state = server(period=config.period, budget=config.budget)
         outcome = run(config, LogStore("none"), state)
         found.append((outcome, state.period_index, state.period_loads(),
-                      state.overshoot_log, state.charges))
+                      state.overshoot_log))
+        charges.append(state.charges)
         if server is Counting:
             assert state.checks == 1
     assert found[0] == found[1]
     loads = found[0][2]
     assert len(loads) > 100
     assert all(load == 3 for load in loads)
+    # The reference charges once per period.  The run charges until the
+    # loop's state at its br comes back whole periods later, and then
+    # repeats that cycle's periods in the server without a charge() call.
+    assert charges[1] == len(loads)
+    assert charges[0] < len(loads) / 4
 
 
 def test_repeated_full_prefix_commits_share_one_entry():

@@ -268,6 +268,21 @@ R:  op 1
     br X {'T' * 20}N
     halt
 """,
+    # The br at M falls through to P, which takes it back, HOT_BRANCH - 1
+    # times, so that M is hot from its first taken execution on while B, in
+    # M's lap, is still cold and may not end its pattern's run of Ts where a
+    # replay of the lap would put it.
+    "cold-br": f"""\
+image m 0
+    jmp M
+H:  op 1
+B:  br X {'T' * 12}N
+    op 5
+X:  op 1
+M:  br H {'N' * (K - 1)}{'T' * 30}N
+P:  br M {'T' * (K - 1)}N
+    halt
+""",
 }
 
 
