@@ -24,13 +24,17 @@ The closed periods are kept as one record per charged period; every other
 period's load is the int 0.
 
 `charge_series(cost, now, lap, n)` makes up to n charges of one cost at
-evenly spaced times, as that many charge() calls would, in one step per
-period: it closes the periods they reach and stops before the first charge
-that would spend the budget.  So a series never overshoots, and moves the
-horizon only by closing periods.  It acts only on ints (cost, times,
-budget, period and the remaining budget), where its products equal the
-sums they replace; with a float among them it makes no charge, and the
-caller charges one call at a time.
+evenly spaced times, as that many charge() calls would: it closes the
+periods they reach and stops before the first charge that would spend the
+budget.  So a series never overshoots, and moves the horizon only by
+closing periods.  Each period it opens starts full, so the series is at the
+same place in its period again after at most lap / gcd(lap, T) periods; it
+steps through the periods up to there, one step each, copies the whole
+cycles of periods that its charges hold as repeat() does, and steps through
+the rest.  It acts only on ints (cost, times, budget, period and the
+remaining budget), where its products equal the sums they replace; with a
+float among them it makes no charge, and the caller charges one call at a
+time.
 
 `snapshot(t)` gives the server's phase at time t, its state relative to t
 and the period grid, and where its records stand.  Where a later phase
@@ -195,9 +199,14 @@ class BudgetState:
         that many charge() calls would, stopping before the first one that
         would spend the budget; return how many it made.
 
-        It steps once per period, not per charge: it closes the periods it
-        reaches as charge() would, and in each takes as many charges as fall
-        before the period's end and leave budget.  A series that stops
+        It steps once per period it opens, not per charge: it closes the
+        periods it reaches as charge() would, and in each takes as many
+        charges as fall before the period's end and leave budget.  A period
+        that it opens starts full and unspent, so what the series does
+        there depends only on the time left to the period's end, which
+        comes round again after at most lap / gcd(lap, T) periods; from
+        there it copies the whole cycles of periods that the charges left
+        allow in one step, and steps through the rest.  A series that stops
         before a spending charge never overshoots and moves `horizon` only
         by closing periods; one that reaches 2**53 periods raises there, as
         charge() would.  It makes none unless the cost, times, budget,
@@ -210,20 +219,39 @@ class BudgetState:
                 and now >= self._last_now):
             return 0
         made = 0
+        # The time left to the period's end at each period the series opened
+        # -> the charges made and where the records stood after that period's.
+        seen = {}
         while made < n:
             # A charge past the open period finds the budget refilled.
-            remaining = self.remaining if now < self._period_end else budget
+            opens = not now < self._period_end
+            remaining = budget if opens else self.remaining
             fits = (remaining - 1) // cost  # charges that leave budget
             if fits <= 0:
                 break
-            if not now < self._period_end:
+            if opens:
+                self._last_now = now  # where charge() would raise
                 self._close(now)
-            take = min(n - made, fits, (self._period_end - 1 - now) // lap + 1)
+            left = self._period_end - now
+            take = min(n - made, fits, (left - 1) // lap + 1)
             made += take
             self.remaining = remaining - take * cost
             self.t_ins_this_period += take * cost
             self._last_now = now + (take - 1) * lap
             now = self._last_now + lap
+            if opens and seen is not None:
+                if left not in seen:
+                    seen[left] = made, self._since()
+                else:
+                    # Every cycle of periods since takes the same charges.
+                    # Copy the whole ones that the charges left hold, from
+                    # the end of this period's charges, so that a charge left
+                    # over opens the next period itself, and raises there
+                    # if that is at 2**53 periods.
+                    then, since = seen[left]
+                    made += self._repeat(since, (n - made) // (made - then)) * (made - then)
+                    now = self._last_now + lap
+                    seen = None
         return made
 
     def snapshot(self, t: float) -> tuple:
@@ -235,7 +263,12 @@ class BudgetState:
         periods.  `since` is where the records stand, for repeat()."""
         end = self._period_end
         return ((self.remaining, self.t_ins_this_period, end - t, self.horizon == end),
-                (self.period_index, len(self._loads), self._recorded, len(self.overshoot_log)))
+                self._since())
+
+    def _since(self) -> tuple:
+        """Where the records stand: the open period and the counts of
+        records and overshoots."""
+        return (self.period_index, len(self._loads), self._recorded, len(self.overshoot_log))
 
     def repeat(self, since: tuple, n: int) -> int:
         """Make again, up to `n` times, what the calls since the snapshot
@@ -252,15 +285,22 @@ class BudgetState:
         open load, last time and every record and overshoot copied are ints,
         so the arithmetic is exact, and makes only as many as leave the last
         call's copy before 2**53 periods, where charge() would raise."""
+        index, records, _, overshoots = since
+        if not (self.period_index > index and all(type(x) is int for x in (
+                self.period, self.budget, self.remaining, self.t_ins_this_period,
+                self._last_now, *self._loads[records:],
+                *(x for entry in self.overshoot_log[overshoots:] for x in entry)))):
+            return 0
+        return self._repeat(since, n)
+
+    def _repeat(self, since: tuple, n: int) -> int:
+        """repeat() without its checks, for an int server whose open period
+        has moved on since `since`."""
         index, records, recorded, overshoots = since
         periods = self.period_index - index
-        loads, log = self._loads[records:], self.overshoot_log[overshoots:]
-        if not (periods > 0 and all(type(x) is int for x in (
-                self.period, self.budget, self.remaining, self.t_ins_this_period,
-                self._last_now, *loads, *(x for entry in log for x in entry)))):
-            return 0
         shift = periods * self.period
         n = max(0, min(n, (self._cap - 1 - self._last_now) // shift))
+        loads, log = self._loads[records:], self.overshoot_log[overshoots:]
         if loads:
             # Each copy's first record counts its gap from the copy before.
             gaps = self._gaps[records:]

@@ -249,9 +249,15 @@ class SteppingBudget:
 
     def peek(self, now):
         """What check(now) would answer, leaving this model as it is."""
+        return 1 if self.left(now) > 0 else 0
+
+    def left(self, now):
+        """The budget that a charge at `now` would find, leaving this model
+        as it is."""
         probe = copy.copy(self)
         probe.history = []
-        return probe.check(now)
+        probe.advance(now)
+        return probe.remaining
 
 
 @settings(deadline=None)
@@ -479,6 +485,151 @@ def test_repeat_stops_before_the_period_count_cap():
     assert state.period_index == MAX_PERIODS - 2
     with pytest.raises(BudgetContractError, match="2\\*\\*53"):
         charge_cycles(expected, start + 5 * length, [0, 4], 2, length, 1)
+
+
+def stepping_series(model, cost, now, lap, n):
+    """How many of `n` charges of `cost` at now, now + lap, ... the model
+    takes, one at a time, stopping before the first that would spend its
+    budget: the rule charge_series keeps."""
+    made = 0
+    while made < n and model.left(now + made * lap) > cost:
+        model.charge(cost, now + made * lap)
+        made += 1
+    return made
+
+
+def stepping_cycles(model, start, offsets, cost, length, count):
+    """charge_cycles() on the model."""
+    for c in range(count):
+        for offset in offsets:
+            now = start + c * length + offset
+            if model.peek(now):
+                model.charge(cost, now)
+
+
+@settings(deadline=None)
+@given(period=st.integers(1, 40), data=st.data(),
+       before=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 12)), max_size=6),
+       wait=st.integers(0, 80), cost=st.integers(1, 6), n=st.integers(0, 3000),
+       gap=st.integers(0, 40), periods=st.integers(1, 3), times=st.integers(0, 20))
+def test_charge_series_and_repeat_match_stepping_each_period(period, data, before, wait,
+                                                            cost, n, gap, periods, times):
+    # The server's series and cycle replay against the model that closes
+    # one period at a time and makes one charge at a time.  The series
+    # starts from where earlier charges left the server, and is long
+    # enough to take many whole cycles of periods, at a lap coprime with
+    # T or not; then cycles of `periods` periods charged at the same
+    # offsets start `gap` after it, and where the server's phase at the
+    # start of one cycle comes back at the start of a later one, the
+    # server repeats the cycles between them `times` times, which the
+    # model charges one call at a time.
+    budget = data.draw(st.integers(1, period))
+    lap = data.draw(st.integers(1, 3 * period))
+    state, model = BudgetState(period, budget), SteppingBudget(period, budget)
+
+    def same():
+        assert state.period_index == model.index
+        assert ([(load, type(load)) for load in state.period_loads()]
+                == [(load, type(load)) for load in model.history + [model.load]])
+        assert state.remaining == model.remaining
+        assert state.overshoot_log == model.overshoots
+
+    now = 0
+    for step, charge in before:
+        now += step
+        assert state.check(now) == model.check(now)
+        if model.remaining > 0:
+            state.charge(charge, now)
+            model.charge(charge, now)
+    now += wait
+    assert state.charge_series(cost, now, lap, n) == stepping_series(model, cost, now, lap, n)
+    same()
+    cost = data.draw(st.integers(1, 2 * budget))
+    length = periods * period
+    offsets = sorted(data.draw(st.sets(st.integers(0, length - 1), min_size=1, max_size=4)))
+    start = state._last_now + gap
+    marks = charge_cycles(copy.deepcopy(state), start, offsets, cost, length, 5)
+    pairs = [(i, j) for j in range(len(marks)) for i in range(j) if marks[i][0] == marks[j][0]]
+    if pairs:
+        i, j = pairs[0]
+        charge_cycles(state, start, offsets, cost, length, j)
+        assert state.repeat(marks[i][1], times) == times
+        stepping_cycles(model, start, offsets, cost, length, j + times * (j - i))
+        same()
+
+
+def series_copies(monkeypatch):
+    """The cycles that charge_series copies, one count per copy made,
+    while the test runs; repeat()'s copies are not counted."""
+    copies, inside = [], []
+    series, helper = BudgetState.charge_series, BudgetState._repeat
+
+    def charging(self, *args):
+        inside.append(True)
+        try:
+            return series(self, *args)
+        finally:
+            inside.pop()
+
+    def copying(self, *args):
+        made = helper(self, *args)
+        if inside:
+            copies.append(made)
+        return made
+
+    monkeypatch.setattr(BudgetState, "charge_series", charging)
+    monkeypatch.setattr(BudgetState, "_repeat", copying)
+    return copies
+
+
+def test_charge_series_raises_at_the_period_count_cap_as_single_charges(monkeypatch):
+    # T = 7, B = 5, charges of 1 every 3 units: two or three a period, so
+    # none spends the budget, and the series is at the same place in its
+    # period every 3 periods.  Starting 20 such cycles before 2**53
+    # periods, it copies whole cycles up to the cap, steps through the
+    # rest, and raises at the charge that comes first at or past the cap,
+    # where single charges raise, with the state they leave.
+    period, lap = 7, 3
+    start = MAX_PERIODS * period - 20 * 3 * period - 5
+    state = charged(BudgetState(period, 5), [(start, 1)])
+    expected = copy.deepcopy(state)
+    copies = series_copies(monkeypatch)
+    with pytest.raises(BudgetContractError, match="2\\*\\*53"):
+        state.charge_series(1, start + lap, lap, 10**6)
+    assert sum(copies) >= 15
+    now = start + lap
+    with pytest.raises(BudgetContractError, match="2\\*\\*53"):
+        while True:
+            expected.charge(1, now)
+            now += lap
+    assert now >= MAX_PERIODS * period > now - lap
+    assert vars(state) == vars(expected)
+    assert state.period_index == MAX_PERIODS - 1
+
+
+@pytest.mark.parametrize("lap, cycle", [(12, 3), (97, 97)])
+def test_a_series_closes_a_bounded_number_of_periods_one_at_a_time(monkeypatch, lap, cycle):
+    # T = 100, B = 10, charges of 1 every `lap` units: 8 or 9 a period at
+    # lap 12 and 1 or 2 at lap 97, where 9 fit, so none spends the budget,
+    # and the series is at the same place in its period every `cycle` =
+    # lap / gcd(lap, T) periods.  Over 10**5 periods and more, it opens at
+    # most about two cycles' periods one at a time: up to the first that
+    # comes round again, and through the tail after the whole cycles it
+    # copies.
+    closes = []
+    close = BudgetState._close
+
+    def counting(self, now):
+        closes.append(now)
+        close(self, now)
+
+    monkeypatch.setattr(BudgetState, "_close", counting)
+    state = BudgetState(100, 10)
+    n = 2 * 10**7 // lap
+    assert state.charge_series(1, 0, lap, n) == n
+    assert state.period_index == (n - 1) * lap // 100 >= 10**5
+    assert state.remaining + state.t_ins_this_period == 10
+    assert len(closes) <= 2 * cycle + 2
 
 
 def test_one_huge_op_closes_twenty_million_periods_in_one_check():

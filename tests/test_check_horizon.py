@@ -41,6 +41,7 @@ from dime.executor import GRANULARITIES, HOT_BRANCH
 from dime.redundancy import STRATEGIES
 
 from reference import reference_run
+from test_budget import series_copies
 from test_differential import COSTS, NO_LAP, programs
 
 RUNS = 2
@@ -395,6 +396,31 @@ def test_a_charged_loop_runs_in_closed_form_up_to_the_spending_call(
     assert (run_sequence(config, "none", Counting)
             == run_sequence(config, "none", EveryPoint))
     assert any(made)
+
+
+@pytest.mark.parametrize("period, first, second, budget", [
+    (7, 1, 1, 3), (7, 2, 3, 2), (7, 5, 7, 2), (97, 3, 5, 11), (97, 45, 50, 2),
+    (100, 4, 6, 10), (100, 2, 3, 16), (100, 10, 13, 5)])
+def test_a_long_charged_loop_copies_whole_cycles_of_periods(monkeypatch, period, first,
+                                                            second, budget):
+    # A lap is the two ops, the br and its call: first + second + 2 units,
+    # coprime with T or not, and B is the least budget that every lap's
+    # charge leaves some of.  Over 4,999 laps the series the server takes
+    # comes back to the same place in its period many times, so it copies
+    # whole cycles of periods, and the run must leave the outcome and every
+    # field of the server as the reference's run iteration by iteration.
+    program = parse_program(f"image m 0\nH:  op {first}\n    op {second}\n    br H "
+                            + "T" * 4999 + "N\n    halt\n")
+    config = RunConfig(program=program, period=period, budget=budget, capture_path=True)
+    copies = series_copies(monkeypatch)
+    found = []
+    for server in (Counting, EveryPoint):
+        state = server(period=period, budget=budget)
+        outcome = run(config, LogStore("none"), state)
+        found.append((outcome, {name: value for name, value in vars(state).items()
+                                if name not in ("checks", "charges", "horizon", "refill")}))
+    assert found[0] == found[1]
+    assert any(copies)
 
 
 @pytest.mark.parametrize("period, budget", [(17, 5), (20, 5), (30, 7), (50, 9)])
