@@ -6,7 +6,7 @@ and a pluggable redundancy log suppresses re-instrumentation across runs.
 """
 
 from .budget import BudgetContractError, BudgetState, V_BASE, V_INSTRUMENT
-from .executor import (ConfigError, ExecutionOutcome, GuestError, RunConfig,
+from .executor import (ConfigError, ExecutionOutcome, GuestError, RunConfig, Stream,
                        TraceMemo, form_trace, native_run, run)
 from .harness import (CampaignResult, MetricsObserver, OracleResult, RunReport,
                       emit_report, run_campaign, run_oracle, single_run)
@@ -19,7 +19,7 @@ __all__ = [
     "BudgetContractError", "BudgetState", "CallContextTree", "CampaignResult",
     "ConfigError", "ExecutionOutcome", "GuestError", "Instruction", "LogEntry",
     "LogFormatError", "LogStore", "MetricsObserver", "OracleResult", "ParseError",
-    "Program", "ProgramImage", "RunConfig", "RunReport", "TraceMemo", "V_BASE",
+    "Program", "ProgramImage", "RunConfig", "RunReport", "Stream", "TraceMemo", "V_BASE",
     "V_INSTRUMENT", "build_cct", "emit_report", "form_trace", "load", "native_run",
     "parse_program", "run", "run_campaign", "run_oracle", "serialize_program",
     "single_run", "write_records",

@@ -286,10 +286,12 @@ class BudgetState:
         so the arithmetic is exact, and makes only as many as leave the last
         call's copy before 2**53 periods, where charge() would raise."""
         index, records, _, overshoots = since
-        if not (self.period_index > index and all(type(x) is int for x in (
-                self.period, self.budget, self.remaining, self.t_ins_this_period,
-                self._last_now, *self._loads[records:],
-                *(x for entry in self.overshoot_log[overshoots:] for x in entry)))):
+        # A float period refuses before the records since are read.
+        if not (self.period_index > index and type(self.period) is int
+                and all(type(x) is int for x in (
+                    self.budget, self.remaining, self.t_ins_this_period, self._last_now,
+                    *self._loads[records:],
+                    *(x for entry in self.overshoot_log[overshoots:] for x in entry)))):
             return 0
         return self._repeat(since, n)
 

@@ -44,6 +44,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from itertools import chain
 
 from . import harness
 from .budget import BudgetContractError
@@ -157,7 +158,7 @@ def _cmd_campaign(args) -> int:
         harness.emit_report(result, args.report)
     if args.tool_out:
         # cumulative stream across runs, in execution order
-        records = [rec for outcome in result.outcomes for rec in outcome.tool_output]
+        records = chain.from_iterable(outcome.tool_output for outcome in result.outcomes)
         write_tool_output(config.tool, records, args.tool_out)
     print(json.dumps(harness.report_document(result), indent=2, sort_keys=True))
     return 0

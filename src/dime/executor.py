@@ -80,7 +80,7 @@ run() fast-forwards a hot loop by replaying what it did, once it has run
 it.  When an entry takes a br that has executed at least HOT_BRANCH - 1
 times, on an int clock, run() snapshots the run state at the entry's end:
 the clock, `now`, the step count, the br's count, the lengths of the commit
-and record lists (a captured path holds `steps` addresses), `spent`, the
+and record streams (a captured path holds `steps` addresses), `spent`, the
 version, the answer and `until`, and where rule (c) below needs it, the
 server's BudgetState.snapshot.  The br's snapshots form a span, which any
 other br ends, as do an ndbr, a ret below the br's call depth, a compile, a
@@ -108,8 +108,11 @@ an earlier one, under one of three rules:
   the laps whose charges it took.
 - (c) Neither, but the state (the version, the answer, `until` relative to
   the clock unless it is the refill time, and the server's phase) is the
-  state at the saved execution, some charge came between, and the clock has
-  moved by whole periods: the cycle of laps since then repeats as it ran.
+  state at the saved execution, and some charge came between: the cycle of
+  laps since then repeats as it ran.  The phase holds the time left to the
+  open period's end, and a period ends at (k + 1) * T, so on an int T the
+  clock has moved by whole periods; on a float or infinite T the server
+  copies nothing.
   k counts the whole cycles that the pattern's run of Ts, the refill time
   and the step limit allow, and BudgetState.repeat copies the closed-period
   records and overshoots that the cycle made, shifted by whole periods, as
@@ -118,15 +121,16 @@ an earlier one, under one of three rules:
   `power` doubles (Brent's cycle detection), so one saved snapshot finds a
   cycle of any length.
 
-A replay appends the commit, record and path slices made since the earlier
-snapshot k times, moves the br's count on by its laps, and shifts the clock,
-`now`, the step count, `spent` and `until` (where it moved at all) by k
-times their change since then.  The generic loop then runs the lap that sees
-the N, crosses `until`, nears the step limit or spends the budget, and the
-span goes on.  Every replayed quantity must be an int, so that the products
-are exact and equal to the sums they replace: on a float clock no br is
-snapshotted, and the server makes no series or repeat with a float among
-its numbers, so such a loop runs lap by lap.
+A replay adds to each of the commit, record and path streams one piece
+that stands for what the stream gained since the earlier snapshot, k times
+over, without copying it (see Stream), moves the br's count on by its laps,
+and shifts the clock, `now`, the step count, `spent` and `until` (where it
+moved at all) by k times their change since then.  The generic loop then
+runs the lap that sees the N, crosses `until`, nears the step limit or
+spends the budget, and the span goes on.  Every replayed quantity must be
+an int, so that the products are exact and equal to the sums they replace:
+on a float clock no br is snapshotted, and the server makes no series or
+repeat with a float among its numbers, so such a loop runs lap by lap.
 
 The native pass learns a hot loop's lap by running it too, but once per
 br.  When a br that has executed at least HOT_BRANCH - 1 times is taken on
@@ -141,7 +145,8 @@ from before it, so the lap, its cost, steps and path, is the same every time
 the br is taken, and the pass keeps it per br.  Then at each taken
 execution of the br it skips, in one step, as many laps as the rest of the
 pattern's run of Ts and the step limit (tested as each block would test it)
-allow, adding their cost, steps and path and the br's executions.  The
+allow, adding their cost, steps and the br's executions, and to a captured
+path a piece that repeats the lap's addresses, which it ran first.  The
 clock must be an int; on a float clock the loop runs lap by lap.
 
 Trace walks and the native pass read the program's instruction columns, so
@@ -161,18 +166,24 @@ built, so no pass, native or instrumented, starts from a bad one.
 A run keeps what it reports as plain tuples of strings, numbers and bools,
 which the garbage collector stops tracking: the tool's (kind, src, dst)
 records and the committed (image, rel_addr, length) entries, which go to
-LogStore.commit and to the observer as they are.  The permits
-((image, rel_addr, length), permitted) are read from the V_INSTRUMENT
-cache when the run ends: each instrumented compile asks the log once and
-a dict keeps insertion order, so the cache's order is the query order.
-ExecutionOutcome holds these streams as they are.
+LogStore.commit and to the observer as they are.  ExecutionOutcome holds
+the record, commit and path streams as Streams, whose size follows the
+run's distinct work, and the set of distinct records, the keys of the
+run's shared records, from which a campaign scores the run without reading
+its stream.  The permits ((image, rel_addr, length), permitted) are read
+from the V_INSTRUMENT cache when the run ends: each instrumented compile
+asks the log once and a dict keeps insertion order, so the cache's order
+is the query order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count, islice, repeat
 from random import Random
 
 from .budget import BudgetState, V_BASE, V_INSTRUMENT
@@ -204,19 +215,216 @@ class GuestError(RuntimeError):
     """The guest program misbehaved (bad address, empty-stack ret, step limit)."""
 
 
+# The most items that Stream iteration gathers into one tuple.
+CHUNK = 1024
+
+
+class Stream(Sequence):
+    """One of a run's streams, its tool records, commit entries or path
+    addresses: a read-only sequence of the items in the order the run made
+    them.
+
+    A stream is kept as the items that the run appended one at a time and,
+    between them, pieces that each stand for an earlier stretch of the
+    stream repeated some number of times, which is what a replay of a hot
+    loop adds (see the module docstring).  A piece's stretch may hold
+    earlier pieces.  So a stream's size follows the run's distinct work,
+    not its steps, and every item it holds is one of its appended items.
+    len() takes O(1), indexing a binary search per piece it passes through,
+    and iteration yields the items in order.  == and hash are those of the
+    tuple of the items: a stream equals that tuple, and any stream with the
+    same items.
+    """
+
+    __slots__ = ("_items", "_starts", "_pieces", "_len")
+
+    def __init__(self, items=(), pieces=()):
+        self._items = tuple(items)
+        # Per piece, (start, base, source, span, copies): from index `start`
+        # on it repeats the stream's items source .. source+span-1 `copies`
+        # times, and it follows the first `base` appended items, so those
+        # after it start at index start + span * copies.
+        self._pieces = tuple(pieces)
+        self._starts = tuple(start for start, *_ in self._pieces)
+        self._len = len(self._items) + sum(span * copies
+                                           for *_, span, copies in self._pieces)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(self._len)))
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("stream index out of range")
+        starts, pieces = self._starts, self._pieces
+        while True:
+            j = bisect_right(starts, i) - 1
+            if j < 0:
+                return self._items[i]
+            start, base, source, span, copies = pieces[j]
+            past = i - start - span * copies
+            if past >= 0:
+                return self._items[base + past]
+            i = source + (i - start) % span
+
+    def __iter__(self):
+        if not self._pieces:
+            return iter(self._items)
+        return chain.from_iterable(self._chunks(0, self._len, True))
+
+    def _chunks(self, lo: int, hi: int, fold: bool):
+        """Tuples that hold, in order, the items lo .. hi-1.  With `fold`,
+        a stretch of at most CHUNK items that a piece repeats is gathered
+        once and yielded as one tuple per CHUNK or so of its copies."""
+        items, starts, pieces, size = self._items, self._starts, self._pieces, self._len
+        todo = [(lo, hi, 1)]  # stretches (lo, hi, times) left to yield, the next last
+        while todo:
+            lo, hi, times = todo.pop()
+            if times > 1:
+                if fold and hi - lo <= CHUNK:
+                    block = tuple(chain.from_iterable(self._chunks(lo, hi, False)))
+                    group = CHUNK // len(block)
+                    yield from repeat(block * group, times // group)
+                    yield block * (times % group)
+                    continue
+                todo.append((lo, hi, times - 1))
+            while lo < hi:
+                j = bisect_right(starts, lo) - 1
+                if j >= 0:
+                    start, base, source, span, copies = pieces[j]
+                    end = start + span * copies
+                    if lo < end:
+                        # Inside piece j: the rest of the stretch comes after
+                        # the copies that the stretch overlaps.
+                        stop = min(hi, end)
+                        if stop < hi:
+                            todo.append((stop, hi, 1))
+                        first, head = divmod(lo - start, span)
+                        last, tail = divmod(stop - 1 - start, span)
+                        if first == last:
+                            todo.append((source + head, source + tail + 1, 1))
+                        else:
+                            todo.append((source, source + tail + 1, 1))
+                            if last - first > 1:
+                                todo.append((source, source + span, last - first - 1))
+                            todo.append((source + head, source + span, 1))
+                        break
+                    at = base + lo - end
+                else:
+                    at = lo
+                # Appended items up to the next piece or the stretch's end.
+                stop = min(hi, starts[j + 1] if j + 1 < len(starts) else size)
+                for a in range(at, at + stop - lo, CHUNK):
+                    yield items[a:min(a + CHUNK, at + stop - lo)]
+                lo = stop
+
+    def __eq__(self, other):
+        if not isinstance(other, (Stream, tuple)):
+            return NotImplemented
+        if self._len != len(other):
+            return False
+        others = iter(other)
+        return all(chunk == tuple(islice(others, len(chunk)))
+                   for chunk in self._chunks(0, self._len, True))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        head = ", ".join(map(repr, islice(self, 8)))
+        return f"Stream({self._len} items: {head}{', ...' if self._len > 8 else ''})"
+
+
+class _Growing:
+    """A stream that a run is making: the list that it appends items to,
+    its pieces, as Stream keeps them, and their length.
+
+    A piece with the items appended just before it is a segment.  A
+    replay's stretch ends the stream, and its copies often go on what the
+    last piece repeats, or make, with the items since the last piece,
+    another copy of the segment before; `repeat` then counts them there, so
+    a loop replayed period after period adds no piece per period."""
+
+    __slots__ = ("items", "pieces", "added")
+
+    def __init__(self):
+        self.items = []
+        self.pieces = []
+        self.added = 0  # the items that the pieces stand for
+
+    def repeat(self, start: int, stop: int, copies: int) -> None:
+        """Append `copies` more copies of the items start .. stop-1."""
+        if stop <= start or not copies:
+            return
+        items, pieces = self.items, self.pieces
+        size = len(items)
+        end = size + self.added
+        span = stop - start
+        self.added += copies * span
+        if stop == end and pieces:
+            at, base, source, width, n = pieces[-1]
+            tail = size - base  # the items since the last piece
+            first = pieces[-2][1] if len(pieces) > 1 else 0
+            if (source + width == at and start >= source and span % width == tail % width == 0
+                    and width <= base - first
+                    and items[base:] == items[base - width:base] * (tail // width)):
+                # The last piece repeats the items just before it, and the
+                # items since it and the stretch go on repeating them.
+                pieces[-1] = (at, base, source, width, n + (tail + span * copies) // width)
+            elif span > tail:
+                # The stretch reaches before the items since the last piece.
+                pieces.append((end, size, start, span, copies))
+                return
+            elif (len(pieces) > 1 and base == first and source + width == at
+                    and _segment(pieces, -2) == (span, tail, span, copies)
+                    and source == pieces[-2][0] - tail
+                    and items[base - tail:base] == items[base:]):
+                # The last piece repeats the segment before it, and the items
+                # since it and the stretch make that segment once more.
+                pieces[-1] = (at, base, source, width, n + 1)
+            elif (_segment(pieces, -1) == (span, tail, span, copies)
+                    and items[first:base] == items[base:]):
+                # The items since the last piece and the stretch make its
+                # segment once more: a new piece repeats that segment.
+                pieces.append((at + width * n, base, at - tail, tail + width * n, 1))
+            else:
+                pieces.append((end, size, start, span, copies))
+                return
+            del items[base:]
+            self.added += tail
+            return
+        pieces.append((end, size, start, span, copies))
+
+    def stream(self) -> Stream:
+        return Stream(self.items, self.pieces)
+
+
+def _segment(pieces: list, j: int) -> tuple:
+    """(how far back its stretch starts, its items before it, span, copies)
+    of piece j's segment."""
+    start, base, source, span, copies = pieces[j]
+    return start - source, base - (pieces[j - 1][1] if j > -len(pieces) else 0), span, copies
+
+
 @dataclass(frozen=True)
 class ExecutionOutcome:
-    """What one run did.  Each record stream is a tuple of plain tuples,
-    which the garbage collector stops tracking; native_run leaves them empty."""
+    """What one run did.  The record and commit streams are Streams of plain
+    tuples, and the distinct records a frozenset of them; native_run leaves
+    them empty."""
 
     virtual_time: float
     steps: int
-    tool_output: tuple        # (kind, src, dst) per tool record, in order
-    committed_entries: tuple  # (image, rel_addr, length) per exit that committed
-    permits: tuple            # ((image, rel_addr, length), permitted) per instrumented
-                              # trace, in compile order, read from the run's cache
+    tool_output: Stream        # (kind, src, dst) per tool record, in order
+    committed_entries: Stream  # (image, rel_addr, length) per exit that committed
+    permits: tuple             # ((image, rel_addr, length), permitted) per instrumented
+                               # trace, in compile order, read from the run's cache
     overshoots: tuple
-    addr_path: tuple | None = None
+    addr_path: Stream | None = None
+    distinct_records: frozenset = frozenset()  # the set of tool_output's records
 
 
 @dataclass(frozen=True)
@@ -453,7 +661,8 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
     first_mark = HOT_BRANCH - 2
     call_stack: list[int] = []
     blocks: dict[int, tuple] = {}
-    # Per hot br: its lap as (cost, steps, path), once the pass has run it.
+    # Per hot br: its lap as (cost, steps, the step count before it), once
+    # the pass has run it; the path holds the lap's addresses from that index.
     laps: dict[int, tuple] = {}
     # (br, t, steps, call depth) just after a hot br whose lap is not known
     # was taken, until the next br; steps also index the path.
@@ -461,7 +670,8 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
     pc = program.entry
     t = 0
     steps = 0
-    path = [] if config.capture_path else None
+    path = _Growing() if config.capture_path else None
+    addrs = path.items if path is not None else None
     while True:
         block = blocks.get(pc)
         if block is None:
@@ -470,8 +680,8 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
         steps += n
         if steps > max_steps:
             raise GuestError("step limit exceeded")
-        if path is not None:
-            path.extend(range(pc, pc + n))
+        if addrs is not None:
+            addrs.extend(range(pc, pc + n))
         t += cost
         if kind == BR:
             pos = pattern_pos.get(at, 0)  # the executions so far
@@ -479,8 +689,7 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
             if mark is not None:
                 if mark[0] == at and mark[3] == len(call_stack):
                     # Back at the marked br at its depth: what ran since is its lap.
-                    laps[at] = (t - mark[1], steps - mark[2],
-                                None if path is None else path[mark[2]:])
+                    laps[at] = (t - mark[1], steps - mark[2], mark[2])
                 mark = None
             if arg[pos % len(arg)] != "T":
                 nxt = at + 1
@@ -490,15 +699,15 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
                     mark = (at, t, steps, len(call_stack))
                 else:
                     # Skip the laps that repeat the one the pass ran.
-                    lap_cost, lap_steps, lap_path = lap
+                    lap_cost, lap_steps, lap_start = lap
                     skips = _skips(arg, pos + 1, max_steps - steps - lap_steps, lap_steps,
                                    0, lap_cost, math.inf)
                     if skips:
+                        if path is not None:
+                            path.repeat(lap_start, lap_start + lap_steps, skips)
                         t += skips * lap_cost
                         steps += skips * lap_steps
                         pattern_pos[at] = pos + 1 + skips
-                        if path is not None:
-                            path += lap_path * skips
         elif kind == NDBR:
             mark = None
             if not random() < arg:
@@ -512,8 +721,8 @@ def native_run(config: RunConfig) -> ExecutionOutcome:
             if mark is not None and len(call_stack) < mark[3]:
                 mark = None  # the lap would return to a frame from before it
         elif kind != JMP:  # halt
-            return ExecutionOutcome(t, steps, (), (), (), (),
-                                    tuple(path) if path is not None else None)
+            return ExecutionOutcome(t, steps, Stream(), Stream(), (), (),
+                                    path.stream() if path is not None else None)
         pc = nxt
 
 
@@ -559,12 +768,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     # the stretch since that hot br was first taken in which it is the only
     # br executed, and no ndbr, ret below that depth, compile, growing
     # commit or check ran.  `last` is the snapshot at the br's last taken
-    # execution, (t, steps, len(committed), len(records), spent, until,
-    # version, answer).  `saved` is the one a later state is compared with
-    # to find a cycle, moved on after `power` executions, which then
-    # doubles (Brent's cycle detection): `last` then, the executions, the
-    # state (version, answer, until less t or None at `refill`, the
-    # server's phase) and the server's `since`.
+    # execution, (t, steps, the commit and record streams' lengths, spent,
+    # until, version, answer).  `saved` is the one a later state is
+    # compared with to find a cycle, moved on after `power` executions,
+    # which then doubles (Brent's cycle detection): `last` then, the
+    # executions, the state (version, answer, until less t or None at
+    # `refill`, the server's phase) and the server's `since`.
     first_hot = HOT_BRANCH - 2
     hot = 0
     marked = last = saved = None
@@ -590,17 +799,22 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     steps = 0
     version = V_INSTRUMENT
     pc = program.entry
-    committed: list[tuple[str, int, int]] = []
-    # The tool's records, one shared tuple per distinct (kind, src, dst).
-    records: list[tuple[str, int, int]] = []
+    # The streams, and the lists that the generic path appends to: commit
+    # entries, the tool's records, one shared tuple per distinct (kind, src,
+    # dst), and a captured path, which holds `steps` addresses.
+    commits, outputs = _Growing(), _Growing()
+    committed, records = commits.items, outputs.items
     shared: dict[tuple[str, int, int], tuple[str, int, int]] = {}
-    path = [] if config.capture_path else None
+    # Per shorter prefix committed, one shared (image, rel_start, prefix).
+    shorter: dict[tuple[str, int, int], tuple[str, int, int]] = {}
+    path = _Growing() if config.capture_path else None
+    addrs = path.items if path is not None else None
     # The budget's last answer and the time it holds until, and the time
     # until which V_INSTRUMENT holds wherever no spending charge holds
     # V_BASE; `now` is the time of the last instrumentation point.
     answer = V_INSTRUMENT
     until = -math.inf
-    refill, period = budget.refill, budget.period
+    refill = budget.refill
     now = None
     # The analysis calls' cost so far.  With B = inf (and so T = inf) no
     # charge can change an answer, so the calls are only summed here, and
@@ -705,8 +919,8 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
             next_pc = pc + length
 
         steps += end
-        if path is not None:
-            path.extend(range(pc, pc + end))
+        if addrs is not None:
+            addrs.extend(range(pc, pc + end))
         if last_analyzed is not None:
             prefix = last_analyzed + 1
             entry = longest
@@ -719,6 +933,7 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                     observer.on_commit(entry)
             elif prefix < entry[2]:
                 entry = (image, rel, prefix)
+                entry = shorter.setdefault(entry, entry)
             committed.append(entry)
         if hot:
             # A hot br was taken and its exit recorded; the loop variables
@@ -748,7 +963,6 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                             # including, the one that spends the budget.
                             k = budget.charge_series(analysis_cost, now + lap, lap, k)
                     if (not k and saved is not None and spent != saved[4]
-                            and (t - saved[0]) % period == 0
                             and (version, answer, None if until == refill else until - t,
                                  budget.snapshot(t)[0]) == saved[9]):
                         # (c) A charged cycle: the state is the saved one's,
@@ -760,6 +974,10 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                         if k:
                             k = budget.repeat(saved[10], k)
                     if k:
+                        commits.repeat(c0, len(committed) + commits.added, k)
+                        outputs.repeat(r0, len(records) + outputs.added, k)
+                        if path is not None:
+                            path.repeat(s0, steps, k)
                         shift = k * (t - t0)
                         now += shift
                         t += shift
@@ -769,15 +987,12 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
                             until += k * (until - until0)
                         executions += k * laps
                         pattern_pos[at] = executions
-                        committed += committed[c0:] * k
-                        records += records[r0:] * k
-                        if path is not None:
-                            path += path[s0:] * k
                     # Only a charged cycle repeats, so the first saved
                     # snapshot is the first after a charge.
                     move = (spent != spent0 and not unlimited if saved is None
                             else executions - saved[8] >= power)
-                last = (t, steps, len(committed), len(records), spent, until, version, answer)
+                last = (t, steps, len(committed) + commits.added,
+                        len(records) + outputs.added, spent, until, version, answer)
                 if move:
                     phase, since = budget.snapshot(t)
                     power = 1 if saved is None else 2 * power
@@ -796,9 +1011,10 @@ def run(config: RunConfig, log: LogStore, budget: BudgetState, observer=None,
     return ExecutionOutcome(
         virtual_time=t,
         steps=steps,
-        tool_output=tuple(records),
-        committed_entries=tuple(committed),
+        tool_output=outputs.stream(),
+        committed_entries=commits.stream(),
         permits=tuple((c[:3], c[4] is not None) for c in caches[V_INSTRUMENT].values()),
         overshoots=tuple(magnitude for _, magnitude in budget.overshoot_log),
-        addr_path=tuple(path) if path is not None else None,
+        addr_path=path.stream() if path is not None else None,
+        distinct_records=frozenset(shared),
     )

@@ -26,7 +26,8 @@ The harness works on the runs' plain tuples: the observer gets
 (image, rel_addr, length) triples, which it unpacks as it would a
 `LogEntry`, and the oracle's record stream, its unique records and the
 cumulative record set hold (kind, src, dst) triples.  So a campaign builds
-no named tuple.
+no named tuple.  Coverage reads each run's set of distinct records, not its
+record stream, so scoring a run costs what its distinct records number.
 
 A log read from a file must fit the program: every entry must name one of
 its images and lie within it.  Nothing binds a log to the program that
@@ -43,7 +44,8 @@ from dataclasses import asdict, dataclass, replace
 
 from . import redundancy
 from .budget import BudgetState
-from .executor import ConfigError, ExecutionOutcome, RunConfig, TraceMemo, native_run, run
+from .executor import (ConfigError, ExecutionOutcome, RunConfig, Stream, TraceMemo, native_run,
+                       run)
 from .redundancy import LogStore, _Intervals
 
 REPORT_FORMAT = "dime-report v1"
@@ -82,7 +84,7 @@ class MetricsObserver:
 
 @dataclass(frozen=True)
 class OracleResult:
-    record_stream: tuple      # the full run's (kind, src, dst) records
+    record_stream: Stream     # the full run's (kind, src, dst) records
     unique_records: frozenset
     native_time: float
     full_instrumentation_time: float
@@ -93,15 +95,17 @@ def run_oracle(config: RunConfig, memo: TraceMemo | None = None) -> OracleResult
 
     Both passes use the campaign's run-1 seed so the guest path matches run 1
     exactly.  The full run compiles its traces through `memo` when one is
-    given.  A config is checked when it is built, so a bad setting costs no
-    guest step.
+    given.  Its record stream is kept as the Stream the run made, whose size
+    follows its distinct work, and its unique records are the run's set of
+    distinct records, so no step here reads the stream.  A config is checked
+    when it is built, so a bad setting costs no guest step.
     """
     oracle = replace(config, seed=config.seed + 1, capture_path=False)
     native = native_run(oracle)
     outcome = run(oracle, LogStore("none"), BudgetState.unlimited(), memo=memo)
     return OracleResult(
         record_stream=outcome.tool_output,
-        unique_records=frozenset(outcome.tool_output),
+        unique_records=outcome.distinct_records,
         native_time=native.virtual_time,
         full_instrumentation_time=outcome.virtual_time,
     )
@@ -248,7 +252,7 @@ def _campaign(config: RunConfig, runs: int, log: LogStore) -> CampaignResult:
                       observer=referee, memo=memo)
         if config.log_strategy != "none":
             log.finalize_and_save(config.log_path)
-        cumulative.update(outcome.tool_output)
+        cumulative.update(outcome.distinct_records)
         reports.append(_make_report(k, len(cumulative), oracle, outcome, referee.counts))
         outcomes.append(outcome)
     return CampaignResult(tuple(reports), oracle, tuple(outcomes),

@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dime import (BudgetContractError, BudgetState, GuestError, LogEntry, LogStore,
-                  RunConfig, executor, parse_program, run, run_oracle)
+                  RunConfig, executor, native_run, parse_program, run, run_oracle)
 from dime.executor import GRANULARITIES, HOT_BRANCH
 from dime.redundancy import STRATEGIES
 
@@ -257,6 +257,101 @@ def test_bench_guests_replay_no_outcome(monkeypatch, name):
             == run_sequence(config, strategy, EveryPoint))
     assert (any(found), any(made)) == {"loopnest": (True, False), "widecode": (False, False),
                                         "switchstorm": (True, True)}[name]
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+@pytest.mark.parametrize("period, budget, reached", [
+    (math.inf, 5, False), (math.inf, 10**6, False), (2.5, 2, True), (7.5, 3, True),
+    (10.5, 7, True), (7, 3, None)])
+def test_a_cycle_of_laps_is_copied_on_an_int_period_only(monkeypatch, granularity, period,
+                                                          budget, reached):
+    # Rule (c) replays a cycle where the server's phase, which holds the
+    # time left to the open period's end, is the saved one's; a period end
+    # is (k + 1) * T, so on an int T the clock has then moved by whole
+    # periods.  On a float T the phases may match, but BudgetState.repeat
+    # copies no period, so no cycle is replayed; with T = inf no period
+    # ends and the remaining budget only falls, so no phase comes round.
+    program = parse_program("image m 0\nH:  op 1\n    op 2\n    br H " + "T" * 300 + "N\n"
+                            "    halt\n")
+    config = RunConfig(program=program, granularity=granularity, period=period,
+                       budget=budget, capture_path=True)
+    made = []
+    real = BudgetState.repeat
+
+    def recording(self, *args):
+        made.append(real(self, *args))
+        return made[-1]
+
+    monkeypatch.setattr(BudgetState, "repeat", recording)
+    assert (run_sequence(config, "none", Counting)
+            == run_sequence(config, "none", EveryPoint))
+    if reached is None:  # an int T: at `all`, where each lap charges twice, cycles are copied
+        assert any(made) == (granularity == "all")
+    else:
+        assert bool(made) == reached and not any(made)
+
+
+def assert_reads_as(stream, expected):
+    """`stream` reads as the tuple `expected` in every way a sequence is read."""
+    assert len(stream) == len(expected)
+    assert tuple(stream) == expected
+    assert [stream[i] for i in range(len(expected))] == list(expected)
+    assert [stream[i] for i in range(-len(expected), 0)] == list(expected)
+    assert stream[1::3] == expected[1::3]
+    assert stream == expected and expected == stream and not stream != expected
+    assert stream != expected + (None,) and stream != list(expected)
+    assert hash(stream) == hash(expected)
+
+
+def assert_streams_read_as_unreplayed(config, strategy):
+    """The streams of RUNS runs against the real server read as the tuples of
+    the same runs against EveryPoint, under which nothing is replayed, and
+    each run's distinct records are the set of its records."""
+    replayed, _ = run_sequence(config, strategy, Counting)
+    stepped, _ = run_sequence(config, strategy, EveryPoint)
+    for fast, slow in zip(replayed, stepped):
+        if isinstance(slow, str):  # a GuestError's message
+            assert fast == slow
+            continue
+        fast, slow = fast[0], slow[0]
+        for field in ("tool_output", "committed_entries", "addr_path"):
+            assert_reads_as(getattr(fast, field), tuple(getattr(slow, field)))
+        assert fast.distinct_records == set(fast.tool_output) == set(slow.tool_output)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=hot_loops(), granularity=st.sampled_from(GRANULARITIES),
+       max_len=st.integers(1, 8), strategy=st.sampled_from(STRATEGIES),
+       period=st.sampled_from((2, 7, 60, math.inf)), share=st.sampled_from((0, 0.4, 1, "ca")),
+       analysis_cost=st.sampled_from((1, 2, 3)), tool=st.sampled_from(("branch", "cct")))
+def test_replayed_streams_read_as_the_unreplayed_tuples(text, granularity, max_len, strategy,
+                                                        period, share, analysis_cost, tool):
+    # A replay adds a piece to each stream, and pieces fold into the ones
+    # before them; what the stream reads must not show it.  The native
+    # pass's path holds a piece per skip.
+    program = parse_program(text)
+    budget = (min(analysis_cost, period) if share == "ca" else period * share if share
+              else 0)
+    config = RunConfig(program=program, granularity=granularity, period=period, budget=budget,
+                       analysis_cost=analysis_cost, max_trace_len=max_len, tool=tool,
+                       max_steps=len(reference_run(program)[2]), capture_path=True)
+    assert_streams_read_as_unreplayed(config, strategy)
+    assert_reads_as(native_run(config).addr_path, tuple(reference_run(program)[2]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(["loopnest", "widecode", "switchstorm"]),
+       seed=st.integers(0, 2**16))
+def test_bench_guests_streams_read_as_the_unreplayed_tuples(name, seed):
+    # The benchmark's guests at a twentieth of their size, whose loopnest
+    # and switchstorm loops still get hot, with their campaign settings.
+    generator, settings, _, _ = bench_workloads()[name]
+    settings = dict(settings)
+    strategy = settings.pop("log_strategy")
+    program = parse_program(generator(random.Random(seed), 0.05))
+    config = RunConfig(program=program, capture_path=True, **settings)
+    assert_streams_read_as_unreplayed(config, strategy)
+    assert_reads_as(native_run(config).addr_path, tuple(reference_run(program)[2]))
 
 
 def skips_taken(monkeypatch):
@@ -636,3 +731,15 @@ def test_repeated_full_prefix_commits_share_one_entry():
     # The log sees the loop's prefix once, and the last exit's, through the
     # halt, once.
     assert commits == [("m", 0, 3), ("m", 0, 4)]
+
+
+def test_repeated_shorter_prefix_commits_share_one_entry():
+    # Every other lap leaves the loop's trace at its first br, after the
+    # lap before committed the longer prefix through the last br, so it
+    # commits a shorter prefix, which the run records as one tuple.
+    program = parse_program("image m 0\nL:  op 1\n    br X " + "NT" * 20 + "N\n    op 2\n"
+                            "    br L " + "T" * 20 + "N\n    halt\nX:  jmp L\n")
+    outcome = run(RunConfig(program=program), LogStore("none"), BudgetState.unlimited())
+    short = [entry for entry in outcome.committed_entries if entry == ("m", 0, 2)]
+    assert len(short) == 20
+    assert len({id(entry) for entry in short}) == 1

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -420,6 +421,35 @@ def test_campaign_result_leaves_the_collector_a_fixed_number_of_objects(granular
     assert len(big.oracle.record_stream) > 3 * len(small.oracle.record_stream)
     assert big_added <= small_added + 4
     assert big_added < 100
+
+
+def nest(outer):
+    """Three nested loops: C 200 laps in each of B's 100, in each of A's
+    `outer`, so the inner loop runs 20,000 laps per outer one."""
+    return parse_program(f"image m 0\nA:  op 1\nB:  op 1\nC:  op 1\n    br C {'T' * 199}N\n"
+                         f"    br B {'T' * 99}N\n    br A {'T' * (outer - 1)}N\n    halt\n")
+
+
+def test_campaign_memory_follows_distinct_work_not_guest_steps(tmp_path):
+    # A replayed loop is one piece of each stream, and the pieces of a
+    # loop replayed period after period fold into a few, so what a held
+    # campaign result and its runs take grows with the inner loops'
+    # instances, not their laps.  Keeping every record and commit entry
+    # took about 16 bytes per guest step here; the bound is 1.
+    def peak(outer):
+        config = config_for(nest(outer), tmp_path, period=100, budget=10, max_steps=10**9)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_campaign(config, 2)
+            return tracemalloc.get_traced_memory()[1], result.outcomes[0].steps
+        finally:
+            tracemalloc.stop()
+
+    small, small_steps = peak(1)
+    big, big_steps = peak(8)
+    assert big_steps - small_steps > 250_000
+    assert big - small <= big_steps - small_steps
 
 
 @pytest.fixture

@@ -1,13 +1,13 @@
-"""Runs keep plain tuples: every outcome field holds them, and the protocols
-that take an (image, rel_addr, length) triple give the same answers for a
-`LogEntry`."""
+"""Runs keep plain tuples: every outcome field holds them, the record and
+commit streams as Streams, and the protocols that take an (image, rel_addr,
+length) triple give the same answers for a `LogEntry`."""
 
 import random
 
 import pytest
 
-from dime import (BudgetState, LogEntry, LogStore, MetricsObserver, RunConfig, parse_program,
-                  run, run_campaign)
+from dime import (BudgetState, LogEntry, LogStore, MetricsObserver, RunConfig, Stream,
+                  parse_program, run, run_campaign)
 from dime.corpus import loop_corpus, random_corpus
 
 from conftest import CALLS, TRANSFERS
@@ -36,9 +36,11 @@ def is_triple(value, types):
 def test_outcome_fields_are_plain_tuples(tmp_path):
     seen = 0
     for outcome in campaign_outcomes(tmp_path):
-        for field in (outcome.tool_output, outcome.committed_entries, outcome.permits,
-                      outcome.overshoots):
+        for field in (outcome.tool_output, outcome.committed_entries):
+            assert type(field) is Stream
+        for field in (outcome.permits, outcome.overshoots):
             assert type(field) is tuple
+        assert outcome.distinct_records == frozenset(outcome.tool_output)
         assert all(is_triple(r, (str, int, int)) for r in outcome.tool_output)
         assert all(is_triple(e, (str, int, int)) for e in outcome.committed_entries)
         assert all(type(p) is tuple and len(p) == 2 and is_triple(p[0], (str, int, int))
